@@ -6,14 +6,14 @@ Usage:
 
 Commands are the experiment kinds; the config's ``experiment.kind`` must
 agree with the command.  ``fixtures`` lists the built-in topologies and
-the bundled counterexample model.  The default thread count comes from
-the OSCNET_THREADS environment variable (else 1).
+the bundled counterexample model.  ``--threads`` is accepted for
+compatibility and has no effect: ensembles run on one thread, and their
+results never depended on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="ensemble worker threads (default: $OSCNET_THREADS or 1)")
+                       help="accepted for compatibility; has no effect")
     sub.add_parser("fixtures", help="list built-in topologies and bundled models")
     return parser
 
@@ -71,11 +71,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     try:
         config = parse_config(text)
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("OSCNET_THREADS", "1"))
-        code = run(config, command=args.command, out_dir=args.out,
-                   seed=args.seed, threads=threads)
+        code = run(config, command=args.command, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:
         for msg in exc.messages:
             print(f"config error: {msg}", file=sys.stderr)

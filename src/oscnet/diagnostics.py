@@ -22,14 +22,15 @@ The checks implemented here:
 Every ensemble member draws from its own counter-based stream
 (seed, index), accumulators are preallocated per member, and reductions run
 in member order, so all reports are bit-for-bit reproducible for a given
-seed under any thread count.
+seed.  A check whose ensemble had a blown-up member raises
+:class:`BlowupError` instead of reporting a statistic; only the drift
+estimate keeps blown members, at its documented cap.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -41,12 +42,12 @@ from .dynamics import (
     State,
     TimescaleRule,
     Trace,
-    _kernel,
+    _Kernel,
     hamiltonian,
     scaled_step,
     tau,
 )
-from .errors import OracleError
+from .errors import BlowupError, OracleError
 from .model import Model
 from .potentials import EvenPower, Quadratic, SoftPower
 from .rng import seed_stream
@@ -256,86 +257,67 @@ def run_ensemble(
     record_stride: int = 1,
     thresholds: tuple[float, float] | None = None,
     per_record: Mapping[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] | None = None,
-    threads: int = 1,
 ) -> EnsembleOutcome:
     """Run M independent trajectories; member i draws from stream
     (seed, stream_offset + i).
 
     ``thresholds=(lo, hi)`` tracks the first record step at which H drops
     below lo resp. exceeds hi.  ``per_record`` maps series names to
-    functions (p, q) -> (members,) sampled on the record grid.  Threads
-    split members into contiguous chunks writing disjoint slices, so the
-    output is independent of the thread count.
+    functions (p, q) -> (members,) sampled on the record grid.  Splitting
+    the members over several calls with matching ``stream_offset`` gives
+    the same per-member results.
     """
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
     m = p0.shape[0]
     steps = _record_steps(n_steps, record_stride)
     step_pos = {s: i for i, s in enumerate(steps)}
-    series = {
-        name: np.zeros((len(steps), m)) for name in (per_record or {})
-    }
-    out = EnsembleOutcome(
-        h_init=np.zeros(m),
-        h_final=np.zeros(m),
-        gamma=np.zeros(m),
-        work=np.zeros(m),
-        h_min=np.zeros(m),
-        h_max=np.zeros(m),
-        first_low=np.full(m, -1, dtype=int),
-        first_high=np.full(m, -1, dtype=int),
-        blown=np.zeros(m, dtype=bool),
-        p=np.zeros_like(p0),
-        q=np.zeros_like(q0),
+    per_record = per_record or {}
+    series = {name: np.zeros((len(steps), m)) for name in per_record}
+    th = None
+    if thresholds is not None:
+        lo, hi = thresholds
+        th = (np.full(m, lo), np.full(m, hi))
+    streams = [seed_stream(seed, stream_offset + i) for i in range(m)]
+    bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=th)
+
+    def sample(k, p, q):
+        for name, fn in per_record.items():
+            series[name][k] = fn(p, q)
+
+    def on_record(step, t, H, Hc, Hi, p, q):
+        if step in step_pos:
+            sample(step_pos[step], p, q)
+
+    # Blown members are reported through ``blown``; their overflowing
+    # energies and observables raise no numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample(0, bi.p, bi.q)
+        bi.run(n_steps, record_stride=record_stride, on_record=on_record)
+        h_final, _, _ = bi.energies()
+    return EnsembleOutcome(
+        h_init=bi.H0,
+        h_final=h_final,
+        gamma=bi.gamma_acc,
+        work=bi.m_acc,
+        h_min=bi.h_min,
+        h_max=bi.h_max,
+        first_low=bi.first_low,
+        first_high=bi.first_high,
+        blown=bi.blown,
+        p=bi.p,
+        q=bi.q,
         record_times=h * np.array(steps, dtype=float),
         series=series,
     )
 
-    def run_chunk(i0: int, i1: int) -> None:
-        streams = [seed_stream(seed, stream_offset + i) for i in range(i0, i1)]
-        th = None
-        if thresholds is not None:
-            lo, hi = thresholds
-            th = (np.full(i1 - i0, lo), np.full(i1 - i0, hi))
-        bi = BatchIntegrator(model, p0[i0:i1], q0[i0:i1], h, streams, thresholds=th)
-        out.h_init[i0:i1] = bi.H0
-        if per_record:
-            for name, fn in per_record.items():
-                series[name][0, i0:i1] = fn(bi.p, bi.q)
 
-        def on_record(step, t, H, Hc, Hi, p, q):
-            if per_record and step in step_pos:
-                k = step_pos[step]
-                for name, fn in per_record.items():
-                    series[name][k, i0:i1] = fn(p, q)
-
-        bi.run(n_steps, record_stride=record_stride, on_record=on_record)
-        H, _, _ = bi.energies()
-        out.h_final[i0:i1] = H
-        out.gamma[i0:i1] = bi.gamma_acc
-        out.work[i0:i1] = bi.m_acc
-        out.h_min[i0:i1] = bi.h_min
-        out.h_max[i0:i1] = bi.h_max
-        out.first_low[i0:i1] = bi.first_low
-        out.first_high[i0:i1] = bi.first_high
-        out.blown[i0:i1] = bi.blown
-        out.p[i0:i1] = bi.p
-        out.q[i0:i1] = bi.q
-
-    threads = max(1, int(threads))
-    if threads == 1 or m < 2:
-        run_chunk(0, m)
-    else:
-        bounds = np.linspace(0, m, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_chunk, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            for fut in futures:
-                fut.result()
-    return out
+def _require_no_blowup(blown: np.ndarray, n_steps: int, h: float, what: str) -> None:
+    """Raise :class:`BlowupError` when any ensemble member blew up."""
+    count = int(np.count_nonzero(blown))
+    if count:
+        raise BlowupError(step=n_steps, time=n_steps * h,
+                          detail=f"{count} of {len(blown)} {what} blew up")
 
 
 def resolve_observable(model: Model, name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -344,7 +326,7 @@ def resolve_observable(model: Model, name: str) -> Callable[[np.ndarray, np.ndar
     Formats: ``H`` (total energy), ``p2:v`` = |p_v|^2, ``q2:v`` = |q_v|^2,
     ``pq:v`` = p_v . q_v, ``p:v:i`` and ``q:v:i`` single components.
     """
-    kern = _kernel(model)
+    kern = _Kernel(model)
     if name == "H":
         return lambda p, q: kern.split_energies(p, q)[0]
     parts = name.split(":")
@@ -448,7 +430,6 @@ def stationary_moment_test(
     seed: int,
     replicas: int = 64,
     sample_stride_time: float = 2.0,
-    threads: int = 1,
     compare_oracle: bool | None = None,
 ) -> StationaryMomentReport:
     """Long-run time averages of momentum moments across replicas.
@@ -457,7 +438,8 @@ def stationary_moment_test(
     per replica follows from the stride.  Uncertainty comes from the spread
     of per-replica averages, which is honest regardless of within-run
     correlation.  For quadratic models the full stacked-vector second
-    moment matrix is compared to the Lyapunov oracle.
+    moment matrix is compared to the Lyapunov oracle.  Raises
+    :class:`BlowupError` when any replica blew up.
     """
     if n_samples < replicas:
         raise ValueError("need at least one sample per replica")
@@ -479,7 +461,7 @@ def stationary_moment_test(
     sum_p2 = np.zeros((replicas, N))
     sum_zz = np.zeros((replicas, d, d)) if oracle is not None else None
     counts = np.zeros(replicas, dtype=int)
-    gamma_vec = np.array([model.gamma_of(v) for v in range(N)])
+    gammas = np.array([model.gamma_of(v) for v in range(N)])
     # Lag-1 statistics of the bath statistic, for the effective-sample count.
     lag_prev = np.full(replicas, np.nan)
     lag_sum = np.zeros(replicas)
@@ -487,53 +469,34 @@ def stationary_moment_test(
     lag_cross = np.zeros(replicas)
     lag_n = np.zeros(replicas, dtype=int)
 
-    def run_chunk(i0, i1):
-        streams = [seed_stream(seed, i) for i in range(i0, i1)]
-        bi = BatchIntegrator(
-            model,
-            np.zeros((i1 - i0, N, n)),
-            np.zeros((i1 - i0, N, n)),
-            h,
-            streams,
-        )
+    streams = [seed_stream(seed, i) for i in range(replicas)]
+    bi = BatchIntegrator(model, np.zeros((replicas, N, n)), np.zeros((replicas, N, n)), h, streams)
 
-        def on_record(step, t, H, Hc, Hi, p, q):
-            if step <= burn_steps:
-                return
-            chunk = p.shape[0]
-            p2 = np.sum(p * p, axis=-1)
-            sum_p2[i0:i1] += p2
-            if sum_zz is not None:
-                z = np.concatenate([p.reshape(chunk, -1), q.reshape(chunk, -1)], axis=1)
-                sum_zz[i0:i1] += z[:, :, None] * z[:, None, :]
-            counts[i0:i1] += 1
-            stat = p2 @ gamma_vec
-            prev = lag_prev[i0:i1]
-            have = ~np.isnan(prev)
-            lag_cross[i0:i1][have] += stat[have] * prev[have]
-            lag_n[i0:i1][have] += 1
-            lag_sum[i0:i1] += stat
-            lag_sumsq[i0:i1] += stat * stat
-            lag_prev[i0:i1] = stat
+    def on_record(step, t, H, Hc, Hi, p, q):
+        if step <= burn_steps:
+            return
+        p2 = np.sum(p * p, axis=-1)
+        sum_p2[:] += p2
+        if sum_zz is not None:
+            z = np.concatenate([p.reshape(replicas, -1), q.reshape(replicas, -1)], axis=1)
+            sum_zz[:] += z[:, :, None] * z[:, None, :]
+        counts[:] += 1
+        stat = p2 @ gammas
+        have = ~np.isnan(lag_prev)
+        lag_cross[have] += stat[have] * lag_prev[have]
+        lag_n[have] += 1
+        lag_sum[:] += stat
+        lag_sumsq[:] += stat * stat
+        lag_prev[:] = stat
 
-        bi.run(total_steps, record_stride=stride_steps, on_record=on_record)
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        run_chunk(0, replicas)
-    else:
-        bounds = np.linspace(0, replicas, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(run_chunk, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            for f in futs:
-                f.result()
+    bi.run(total_steps, record_stride=stride_steps, on_record=on_record)
+    _require_no_blowup(bi.blown, total_steps, h, "replicas")
 
     cnt = counts[:, None].astype(float)
     rep_p2 = sum_p2 / cnt
     p2_mean = rep_p2.mean(axis=0)
     p2_se = rep_p2.std(axis=0, ddof=1) / math.sqrt(replicas)
 
-    gammas = np.array([model.gamma_of(v) for v in range(N)])
     rep_diss = rep_p2 @ gammas
     target = model.noise_work_rate
     diss = float(rep_diss.mean())
@@ -607,7 +570,6 @@ class DriftConfig:
     placement: str = "interaction"
     h0: float = 1e-3
     record_every: int = 10
-    threads: int = 1
 
     def __post_init__(self):
         if not (self.theta > 0):
@@ -643,7 +605,7 @@ def initial_state_at_energy(model: Model, H0: float, mode: str = "interaction") 
     if not (H0 > 0):
         raise ValueError("H0 must be > 0")
     N, n = model.vertex_count, model.dim
-    kern = _kernel(model)
+    kern = _Kernel(model)
     q0 = np.zeros((N, n))
     pot0 = float(kern.pinning_energy(q0)) + float(kern.interaction_energy(q0))
     if mode == "interaction":
@@ -751,7 +713,6 @@ def drift_estimate(
         stream_offset=stream_offset,
         record_stride=config.record_every,
         thresholds=(H0 / 2.0, 2.0 * H0),
-        threads=config.threads,
     )
     weights = np.exp(config.theta * (out.h_final - H0))
     cap = math.exp(config.theta * 2.0 * H0)
@@ -892,7 +853,6 @@ def dissipation_tail(
     seed: int,
     h0: float = 1e-3,
     record_every: int = 5,
-    threads: int = 1,
 ) -> DissipationTailReport:
     """Empirical P( {H stays <= 4 H0 on the window} and
     {Gamma(tau) < eps * H0 * tau} ) over the natural window tau(z0)."""
@@ -911,7 +871,6 @@ def dissipation_tail(
         seed,
         record_stride=record_every,
         thresholds=(-np.inf, 4.0 * H0),
-        threads=threads,
     )
     contained = (out.first_high < 0) & ~out.blown
     threshold = epsilon * H0 * window
@@ -975,7 +934,6 @@ def observable_decay_fit(
     stationary_burn: float | None = None,
     stationary_samples: int = 20000,
     smooth_window: float = 2.0,
-    threads: int = 1,
 ) -> DecayFitReport:
     """Fit an exponential rate to |E f(z_t) - mu(f)| on a time grid.
 
@@ -984,6 +942,7 @@ def observable_decay_fit(
     default of 50 time units.  The rate is fitted on the leading grid
     window where the (smoothed) signal exceeds three times the Monte Carlo
     noise; fewer than five such points marks the report inconclusive.
+    Raises :class:`BlowupError` when a member of either run blew up.
     """
     if isinstance(observable, str):
         fn = resolve_observable(model, observable)
@@ -1022,6 +981,7 @@ def observable_decay_fit(
             ref_cnt += 1
 
     bi.run(long_steps, record_stride=stride_steps, on_record=collect)
+    _require_no_blowup(bi.blown, long_steps, h, "reference runs")
     ref_means = ref_sum / max(ref_cnt, 1)
     mu_hat = float(np.mean(ref_means))
     # Spread across independent replicas respects autocorrelation.
@@ -1038,8 +998,8 @@ def observable_decay_fit(
         seed,
         record_stride=stride,
         per_record={"f": fn},
-        threads=threads,
     )
+    _require_no_blowup(out.blown, n_steps, h, "members")
     f_series = out.series["f"]
     mean_t = f_series.mean(axis=1)
     se_t = f_series.std(axis=1, ddof=1) / math.sqrt(ensemble)
@@ -1240,7 +1200,6 @@ def gibbs_invariance_test(
     seed: int,
     h: float = 5e-3,
     sample_temperature: float | None = None,
-    threads: int = 1,
 ) -> GibbsReport:
     """Start from exact Gibbs samples, evolve, and compare observable means.
 
@@ -1248,7 +1207,9 @@ def gibbs_invariance_test(
     temperatures are all equal the sampling temperature defaults to that
     value and the scores should be statistically flat; passing an explicit
     ``sample_temperature`` to a model with unequal baths measures the
-    drift away from a wrong-temperature start.
+    drift away from a wrong-temperature start.  Raises
+    :class:`BlowupError` when any member blew up or a mean or standard
+    error is not finite; a failed run never reports a score.
     """
     temps = sorted({b.temperature for b in model.baths.values()})
     if sample_temperature is None:
@@ -1266,19 +1227,21 @@ def gibbs_invariance_test(
     p0, q0 = sample_gibbs(model, sample_temperature, n_samples, rng)
     before = {name: fn(p0, q0) for name, fn in fns.items()}
     n_steps = max(1, int(round(t_check / h)))
-    out = run_ensemble(
-        model, p0, q0, h, n_steps, seed,
-        record_stride=n_steps, threads=threads,
-    )
+    out = run_ensemble(model, p0, q0, h, n_steps, seed, record_stride=n_steps)
+    _require_no_blowup(out.blown, n_steps, h, "members")
     after = {name: fn(out.p, out.q) for name, fn in fns.items()}
 
     z_scores, m0, m1, ses = {}, {}, {}, {}
     for name in fns:
         diff = after[name] - before[name]
+        mean_diff = float(np.mean(diff))
         se = float(np.std(diff, ddof=1) / math.sqrt(n_samples))
-        z_scores[name] = float(np.mean(diff) / se) if se > 0 else 0.0
         m0[name] = float(np.mean(before[name]))
         m1[name] = float(np.mean(after[name]))
+        if not all(math.isfinite(v) for v in (mean_diff, se, m0[name], m1[name])):
+            raise BlowupError(step=n_steps, time=n_steps * h,
+                              detail=f"observable {name!r} has a non-finite mean or standard error")
+        z_scores[name] = mean_diff / se if se > 0 else 0.0
         ses[name] = se
     return GibbsReport(
         z_scores=z_scores,

@@ -45,6 +45,7 @@ import numpy as np
 from .errors import BlowupError, ValidityRegionError
 from .model import Model
 from .potentials import PotentialSpec
+from .topology import NetworkTopology
 
 __all__ = [
     "State",
@@ -174,40 +175,31 @@ class TimescaleRule:
 # Compiled evaluation tables
 # ---------------------------------------------------------------------------
 
+def _index(idx: list[int]):
+    """Vertex indices as a slice when they are one increasing run, else as
+    an index array.  Both select the same elements in the same order, but
+    a slice reads a view instead of copying, which is most of the cost of
+    a selection from a small batch.  A run keeps each member's rows
+    contiguous, so potentials see the same memory layout either way."""
+    if idx and list(idx) == list(range(idx[0], idx[-1] + 1)):
+        return slice(idx[0], idx[-1] + 1)
+    return np.array(idx, dtype=int)
+
+
 class _Kernel:
-    """Per-model force/energy tables, grouped by identical potential spec.
+    """Per-model force/energy tables, grouped by identical potential spec."""
 
-    ``limiting=True`` replaces potentials by their homogeneous limiting
-    forms; pinning is dropped entirely in that mode when the interaction
-    degree exceeds the pinning degree (the limiting system keeps only the
-    faster scale).
-    """
-
-    def __init__(self, model: Model, limiting: bool = False):
+    def __init__(self, model: Model):
         self.model = model
         self.N = model.vertex_count
         self.n = model.dim
         topo = model.topology
 
-        def fns(spec: PotentialSpec):
-            if limiting:
-                return spec.limiting_value, spec.limiting_gradient
-            return spec.value, spec.gradient
-
-        keep_pinning = True
-        if limiting:
-            degrees = model.common_degrees()
-            if degrees is None:
-                raise ValueError("limiting dynamics needs common interaction and pinning degrees")
-            li, lp = degrees
-            keep_pinning = li == lp
-
         pin_groups: dict[PotentialSpec, list[int]] = {}
-        if keep_pinning:
-            for v in topo.vertices:
-                pin_groups.setdefault(model.pinning[v], []).append(v)
+        for v in topo.vertices:
+            pin_groups.setdefault(model.pinning[v], []).append(v)
         self.pin_groups = [
-            (np.array(sorted(idx), dtype=int),) + fns(spec)
+            (_index(sorted(idx)), spec.value, spec.gradient)
             for spec, idx in sorted(pin_groups.items(), key=lambda kv: min(kv[1]))
         ]
 
@@ -216,25 +208,30 @@ class _Kernel:
             edge_groups.setdefault(model.interaction[e], []).append(e)
         self.edge_groups = []
         for spec, edges in sorted(edge_groups.items(), key=lambda kv: kv[1][0]):
-            ea = np.array([e.a for e in edges], dtype=int)
-            eb = np.array([e.b for e in edges], dtype=int)
-            self.edge_groups.append((ea, eb) + fns(spec))
+            ea = _index([e.a for e in edges])
+            eb = _index([e.b for e in edges])
+            ends = tuple((e.a, e.b) for e in edges)
+            self.edge_groups.append((ea, eb, ends, spec.value, spec.gradient))
 
         self.gamma = np.array([model.gamma_of(v) for v in topo.vertices])
         self.temp = np.array([model.temperature_of(v) for v in topo.vertices])
         self.bath_idx = np.array(sorted(topo.baths), dtype=int)
+        self.bath_sel = _index(sorted(topo.baths))
         self.bath_gamma = self.gamma[self.bath_idx]
         self.bath_temp = self.temp[self.bath_idx]
+        # Per-bath coefficients of the injected-work increment.
+        self.noise_amp = np.sqrt(2.0 * self.bath_gamma * self.bath_temp)
+        self.noise_power = self.bath_gamma * self.bath_temp
 
     def forces(self, q: np.ndarray) -> np.ndarray:
         F = np.zeros_like(q)
         for idx, _val, grad in self.pin_groups:
             F[..., idx, :] -= grad(q[..., idx, :])
-        for ea, eb, _val, grad in self.edge_groups:
+        for ea, eb, ends, _val, grad in self.edge_groups:
             g = grad(q[..., eb, :] - q[..., ea, :])
-            for j in range(len(ea)):
-                F[..., ea[j], :] += g[..., j, :]
-                F[..., eb[j], :] -= g[..., j, :]
+            for j, (a, b) in enumerate(ends):
+                F[..., a, :] += g[..., j, :]
+                F[..., b, :] -= g[..., j, :]
         return F
 
     def pinning_energy(self, q: np.ndarray) -> np.ndarray:
@@ -245,7 +242,7 @@ class _Kernel:
 
     def interaction_energy(self, q: np.ndarray) -> np.ndarray:
         total = np.zeros(q.shape[:-2])
-        for ea, eb, val, _grad in self.edge_groups:
+        for ea, eb, _ends, val, _grad in self.edge_groups:
             total = total + np.sum(val(q[..., eb, :] - q[..., ea, :]), axis=-1)
         return total
 
@@ -257,10 +254,6 @@ class _Kernel:
         hc = com_kinetic + self.pinning_energy(q)
         hi = (kinetic - com_kinetic) + self.interaction_energy(q)
         return hc + hi, hc, hi
-
-
-def _kernel(model: Model, limiting: bool = False) -> _Kernel:
-    return _Kernel(model, limiting=limiting)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +268,14 @@ def hamiltonian(model: Model, state: State) -> tuple[float, float, float]:
     H is returned as Hc + Hi, so the split identity is exact.
     """
     _check_state(model, state)
-    H, Hc, Hi = _kernel(model).split_energies(state.p, state.q)
+    H, Hc, Hi = _Kernel(model).split_energies(state.p, state.q)
     return float(H), float(Hc), float(Hi)
 
 
 def forces(model: Model, state: State) -> np.ndarray:
     """Conservative force on every vertex (friction and noise excluded)."""
     _check_state(model, state)
-    return _kernel(model).forces(state.q)
+    return _Kernel(model).forces(state.q)
 
 
 def com_coords(state: State) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +297,7 @@ def step_sde(model: Model, state: State, h: float, gaussian_draws) -> State:
     if not (h > 0):
         raise ValueError("h must be > 0")
     _check_state(model, state)
-    kern = _kernel(model)
+    kern = _Kernel(model)
     draws = np.asarray(gaussian_draws, dtype=float)
     if draws.shape != (len(kern.bath_idx), model.dim):
         raise ValueError(f"gaussian_draws must have shape ({len(kern.bath_idx)}, {model.dim})")
@@ -324,30 +317,37 @@ def _ou_coeffs(kern: _Kernel, h: float):
 
 
 def _step_arrays(kern: _Kernel, p, q, F, h, draws, ou):
-    """In-place B-A-O-A-B update; returns (F_new, p_pre_O, p_post_O)."""
-    a, b = ou
-    idx = kern.bath_idx
-    p += (0.5 * h) * F
-    q += (0.5 * h) * p
-    p_pre = p[..., idx, :].copy()
-    p_post = a * p_pre + b * draws if len(idx) else p_pre
-    p[..., idx, :] = p_post
-    q += (0.5 * h) * p
+    """In-place B-A-O-A-B update; returns (F_new, p_pre_O, p_post_O).
+
+    Without bath vertices the O map is the identity and is skipped, so the
+    step is velocity Verlet and both O-map momenta are None."""
+    half = 0.5 * h
+    p += half * F
+    q += half * p
+    p_pre = p_post = None
+    if len(kern.bath_idx):
+        a, b = ou
+        idx = kern.bath_sel
+        p_pre = p[..., idx, :].copy()
+        p_post = a * p_pre + b * draws
+        p[..., idx, :] = p_post
+    q += half * p
     F_new = kern.forces(q)
-    p += (0.5 * h) * F_new
+    p += half * F_new
     return F_new, p_pre, p_post
 
 
 def _budget_increments(kern: _Kernel, h, draws, p_pre, p_post):
     """(dGamma, dM) for one step from the O-map endpoint momenta and draws."""
-    g = kern.bath_gamma
-    T = kern.bath_temp
-    p2 = 0.5 * (np.sum(p_pre * p_pre, axis=-1) + np.sum(p_post * p_post, axis=-1))
-    dgamma = h * np.sum(g * p2, axis=-1)
-    xi_dot_p = np.sum(p_pre * draws, axis=-1)
-    xi_sq = np.sum(draws * draws, axis=-1)
-    dm = math.sqrt(h) * np.sum(np.sqrt(2.0 * g * T) * xi_dot_p, axis=-1)
-    dm = dm + h * np.sum(g * T * (xi_sq - kern.n), axis=-1)
+    # np.add.reduce is np.sum without its Python-level dispatch: the same
+    # arithmetic, at a fraction of the per-call cost on these tiny arrays.
+    total = np.add.reduce
+    p2 = 0.5 * (total(p_pre * p_pre, axis=-1) + total(p_post * p_post, axis=-1))
+    dgamma = h * total(kern.bath_gamma * p2, axis=-1)
+    xi_dot_p = total(p_pre * draws, axis=-1)
+    xi_sq = total(draws * draws, axis=-1)
+    dm = math.sqrt(h) * total(kern.noise_amp * xi_dot_p, axis=-1)
+    dm = dm + h * total(kern.noise_power * (xi_sq - kern.n), axis=-1)
     return dgamma, dm
 
 
@@ -356,7 +356,7 @@ def integrate(
     state0: State,
     t_end: float,
     h: float,
-    rng_stream: np.random.Generator,
+    rng_stream,
     record_every: int = 1,
     record_states: bool = False,
     seed_info: dict | None = None,
@@ -364,84 +364,16 @@ def integrate(
     """Integrate the SDE, recording (H, Hc, Hi, Gamma, M) every
     ``record_every`` steps.
 
+    ``rng_stream`` is any noise source with a ``standard_normal(shape)``
+    method, such as :func:`oscnet.rng.seed_stream` or
+    :class:`PrecomputedNoise`.  This is the one-member case of
+    :class:`BatchIntegrator`: the trace matches that member bit for bit.
     Blowup (non-finite energy, or H exceeding 1e12 times the initial
     energy) raises :class:`BlowupError` carrying the partial trace.
     Identical (model, state0, h, stream) reproduce the trace bit-for-bit.
     """
-    if not (t_end > 0):
-        raise ValueError("t_end must be > 0")
-    if not (h > 0):
-        raise ValueError("h must be > 0")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    _check_state(model, state0)
-
-    kern = _kernel(model)
-    n_steps = max(1, int(round(t_end / h)))
-    ou = _ou_coeffs(kern, h)
-    nb = len(kern.bath_idx)
-
-    p = state0.p.copy()
-    q = state0.q.copy()
-    F = kern.forces(q)
-    gamma_acc = 0.0
-    m_acc = 0.0
-
-    times, Hs, Hcs, His, Gs, Ms = [], [], [], [], [], []
-    states: list[State] | None = [] if record_states else None
-
-    def record(step):
-        t = step * h
-        H, Hc, Hi = kern.split_energies(p, q)
-        times.append(t)
-        Hs.append(float(H))
-        Hcs.append(float(Hc))
-        His.append(float(Hi))
-        Gs.append(gamma_acc)
-        Ms.append(m_acc)
-        if states is not None:
-            states.append(State(p.copy(), q.copy()))
-        return float(H)
-
-    H0 = record(0)
-    ceiling = BLOWUP_ENERGY_FACTOR * max(abs(H0), 1.0)
-
-    def check(step, H):
-        if not np.isfinite(H) or H > ceiling:
-            raise BlowupError(
-                step=step,
-                time=step * h,
-                partial_trace=_finish_trace(model, times, Hs, Hcs, His, Gs, Ms, states, seed_info),
-                detail=f"H={H!r}",
-            )
-
-    check(0, H0)
-    # Overflow in a diverging trajectory is reported via the blowup check,
-    # not as a numpy warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            draws = rng_stream.standard_normal((nb, kern.n)) if nb else np.zeros((0, kern.n))
-            F, p_pre, p_post = _step_arrays(kern, p, q, F, h, draws, ou)
-            dg, dm = _budget_increments(kern, h, draws, p_pre, p_post)
-            gamma_acc += float(dg)
-            m_acc += float(dm)
-            if step % record_every == 0 or step == n_steps:
-                check(step, record(step))
-    return _finish_trace(model, times, Hs, Hcs, His, Gs, Ms, states, seed_info)
-
-
-def _finish_trace(model, times, Hs, Hcs, His, Gs, Ms, states, seed_info) -> Trace:
-    return Trace(
-        times=np.array(times),
-        H=np.array(Hs),
-        Hc=np.array(Hcs),
-        Hi=np.array(His),
-        Gamma=np.array(Gs),
-        M=np.array(Ms),
-        noise_work_rate=model.noise_work_rate,
-        states=states,
-        seed_info=dict(seed_info or {}),
-    )
+    return _integrate_path(model, state0, t_end, h, rng_stream, record_every,
+                           record_states, seed_info)
 
 
 def integrate_deterministic(
@@ -449,82 +381,79 @@ def integrate_deterministic(
     state0: State,
     t_end: float,
     h: float,
-    friction: bool = False,
-    limiting: bool = False,
     record_every: int = 1,
     record_states: bool = False,
     guard: Callable[[State], bool] | None = None,
     stop_when: Callable[[State], bool] | None = None,
 ) -> Trace:
-    """Velocity-Verlet integration of the noise-free dynamics.
+    """Velocity-Verlet integration of the noise-free Hamiltonian dynamics.
 
-    ``friction=True`` keeps the bath friction as pure damping (the exact
-    zero-temperature O map); ``limiting=True`` drives the motion with the
-    homogeneous limiting potentials instead of the raw ones.  ``guard`` is
-    checked at every step and a False return aborts the run with
-    :class:`ValidityRegionError` -- used to keep locally-defined potentials
-    inside their documented region.  ``stop_when`` ends the run early.
+    The baths are dropped, so this is :func:`integrate` on the model
+    without bath vertices.  ``guard`` is checked at every step and a False
+    return aborts the run with :class:`ValidityRegionError` -- used to keep
+    locally-defined potentials inside their documented region.
+    ``stop_when`` is checked at every record after the first and ends the
+    run early.
     """
+    topo = model.topology
+    hamiltonian_only = Model(NetworkTopology(topo.vertex_count, topo.edges, frozenset()),
+                             model.dim, model.pinning, model.interaction, {})
+    return _integrate_path(hamiltonian_only, state0, t_end, h, None, record_every,
+                           record_states, guard=guard, stop_when=stop_when)
+
+
+def _integrate_path(model, state0, t_end, h, stream, record_every, record_states,
+                    seed_info=None, guard=None, stop_when=None) -> Trace:
+    """One trajectory as a one-member batch, recorded into a :class:`Trace`."""
     if not (t_end > 0) or not (h > 0):
         raise ValueError("t_end and h must be > 0")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     _check_state(model, state0)
 
-    kern = _kernel(model, limiting=limiting)
-    n_steps = max(1, int(round(t_end / h)))
-    if friction:
-        a = np.exp(-kern.bath_gamma * h)[..., None]
-    else:
-        a = np.ones((len(kern.bath_idx), 1))
-    ou = (a, np.zeros_like(a))
-    zero_draws = np.zeros((len(kern.bath_idx), kern.n))
-
-    p = state0.p.copy()
-    q = state0.q.copy()
-    F = kern.forces(q)
-
-    times, Hs, Hcs, His = [], [], [], []
+    bi = BatchIntegrator(model, state0.p[None], state0.q[None], h, [stream])
+    p, q = bi.p[0], bi.q[0]  # views; the integrator updates its state in place
+    times, Hs, Hcs, His, Gs, Ms = [], [], [], [], [], []
     states: list[State] | None = [] if record_states else None
 
-    def record(step):
-        H, Hc, Hi = kern.split_energies(p, q)
-        times.append(step * h)
-        Hs.append(float(H))
-        Hcs.append(float(Hc))
-        His.append(float(Hi))
-        if states is not None:
-            states.append(State(p.copy(), q.copy()))
-        return float(H)
+    def finish() -> Trace:
+        return Trace(
+            times=np.array(times),
+            H=np.array(Hs),
+            Hc=np.array(Hcs),
+            Hi=np.array(His),
+            Gamma=np.array(Gs),
+            M=np.array(Ms),
+            noise_work_rate=model.noise_work_rate,
+            states=states,
+            seed_info=dict(seed_info or {}),
+        )
 
-    def check_guard(step):
-        if guard is not None and not guard(State(p, q)):
+    def record(step, H, Hc, Hi) -> bool:
+        times.append(step * h)
+        Hs.append(float(H[0]))
+        Hcs.append(float(Hc[0]))
+        His.append(float(Hi[0]))
+        Gs.append(float(bi.gamma_acc[0]))
+        Ms.append(float(bi.m_acc[0]))
+        if states is not None:
+            states.append(State(p, q))
+        if bi.blown[0]:
+            raise BlowupError(step=step, time=step * h, partial_trace=finish(),
+                              detail=f"H={Hs[-1]!r}")
+        return step > 0 and stop_when is not None and stop_when(State(p, q))
+
+    def check_guard(step) -> None:
+        if not guard(State(p, q)):
             raise ValidityRegionError(step=step, time=step * h)
 
-    check_guard(0)
-    H0 = record(0)
-    ceiling = BLOWUP_ENERGY_FACTOR * max(abs(H0), 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            F, _, _ = _step_arrays(kern, p, q, F, h, zero_draws, ou)
-            check_guard(step)
-            if step % record_every == 0 or step == n_steps:
-                H = record(step)
-                if not np.isfinite(H) or H > ceiling:
-                    raise BlowupError(step=step, time=step * h, detail=f"H={H!r}")
-                if stop_when is not None and stop_when(State(p, q)):
-                    break
-    zeros = np.zeros(len(times))
-    return Trace(
-        times=np.array(times),
-        H=np.array(Hs),
-        Hc=np.array(Hcs),
-        Hi=np.array(His),
-        Gamma=zeros,
-        M=zeros.copy(),
-        noise_work_rate=0.0,
-        states=states,
-    )
+    on_step = None
+    if guard is not None:
+        check_guard(0)
+        on_step = check_guard
+    record(0, *bi.energies())
+    bi._advance(max(1, int(round(t_end / h))), record_every, record, on_step)
+    return finish()
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +507,14 @@ def scaled_step(model: Model, h0: float, H0: float) -> float:
 # Vectorized ensembles
 # ---------------------------------------------------------------------------
 
+# Steps of noise drawn per request to each member's noise source.
+NOISE_CHUNK = 256
+
+
 class PrecomputedNoise:
-    """Array-backed stand-in for a Generator, for coupling runs across step
-    sizes: feed the O-step the normals reconstructed from a common Brownian
-    path (coarse xi = sum of fine dW over the step, divided by sqrt(h))."""
+    """Array-backed noise source, for coupling runs across step sizes: feed
+    the O-step the normals reconstructed from a common Brownian path (coarse
+    xi = sum of fine dW over the step, divided by sqrt(h))."""
 
     def __init__(self, draws: np.ndarray):
         self._draws = np.asarray(draws, dtype=float)
@@ -599,21 +532,23 @@ class PrecomputedNoise:
         return cls(dw / math.sqrt(coarse_h))
 
     def standard_normal(self, shape) -> np.ndarray:
-        out = self._draws[self._next]
+        """The next ``shape[0]`` stored steps, for a (steps, baths, dim) request."""
+        out = self._draws[self._next:self._next + shape[0]]
         if out.shape != tuple(shape):
-            raise ValueError(f"stored draw shape {out.shape} != requested {tuple(shape)}")
-        self._next += 1
+            raise ValueError(f"stored draws {out.shape} cannot answer a request for {tuple(shape)}")
+        self._next += shape[0]
         return out
 
 
 class BatchIntegrator:
     """March an ensemble of independent trajectories in lockstep.
 
-    Member ``i`` draws its noise from ``streams[i]``, so each member's path
-    is a pure function of its own stream: results do not depend on ensemble
-    size, chunking, or thread scheduling.  Per-member dissipation, injected
-    work, running energy extrema, and first-crossing steps of optional
-    energy thresholds are tracked at record resolution.
+    Member ``i`` draws its noise from ``streams[i]``, any object with a
+    ``standard_normal(shape)`` method.  Each member's path is a pure
+    function of its own stream, so results do not depend on ensemble size
+    or on how members are split across runs.  Per-member dissipation,
+    injected work, running energy extrema, and first-crossing steps of
+    optional energy thresholds are tracked at record resolution.
     """
 
     def __init__(
@@ -622,13 +557,12 @@ class BatchIntegrator:
         p0: np.ndarray,
         q0: np.ndarray,
         h: float,
-        streams: Sequence[np.random.Generator],
+        streams: Sequence,
         thresholds: tuple[np.ndarray, np.ndarray] | None = None,
-        noise_chunk: int = 256,
     ):
         if not (h > 0):
             raise ValueError("h must be > 0")
-        self.kern = _kernel(model)
+        self.kern = _Kernel(model)
         self.h = h
         self.p = np.array(p0, dtype=float)
         self.q = np.array(q0, dtype=float)
@@ -639,7 +573,6 @@ class BatchIntegrator:
             raise ValueError("need one stream per ensemble member")
         self.streams = list(streams)
         self.ou = _ou_coeffs(self.kern, h)
-        self.noise_chunk = noise_chunk
         self.F = self.kern.forces(self.q)
         self.gamma_acc = np.zeros(self.m)
         self.m_acc = np.zeros(self.m)
@@ -677,27 +610,45 @@ class BatchIntegrator:
 
         The callback does not fire for step 0; the initial state is
         inspectable on the instance before calling."""
-        nb = len(self.kern.bath_idx)
-        done = 0
         H, _, _ = self.kern.split_energies(self.p, self.q)
         self._observe(0, H)
+
+        def fire(step, H, Hc, Hi) -> None:
+            on_record(step, step * self.h, H, Hc, Hi, self.p, self.q)
+
+        self._advance(n_steps, record_stride, fire if on_record is not None else None)
+
+    def _advance(self, n_steps: int, record_stride: int, on_record, on_step=None) -> None:
+        """The stepping loop behind :meth:`run`, :func:`integrate` and
+        :func:`integrate_deterministic`.
+
+        ``on_record(step, H, Hc, Hi)`` fires at the record stride and at the
+        last step, after the energies are observed; a true return ends the
+        run.  ``on_step(step)``, when given, fires after every step."""
+        kern, h, ou = self.kern, self.h, self.ou
+        noisy = len(kern.bath_idx) > 0
+        done = 0
+        # Overflow in a diverging member is reported through ``blown``, not
+        # as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             while done < n_steps:
-                count = min(self.noise_chunk, n_steps - done)
-                draws = self._draw(count) if nb else np.zeros((count, self.m, 0, self.kern.n))
+                count = min(NOISE_CHUNK, n_steps - done)
+                draws = self._draw(count) if noisy else None
                 for k in range(count):
                     step = done + k + 1
-                    self.F, p_pre, p_post = _step_arrays(
-                        self.kern, self.p, self.q, self.F, self.h, draws[k], self.ou
-                    )
-                    dg, dm = _budget_increments(self.kern, self.h, draws[k], p_pre, p_post)
-                    self.gamma_acc += dg
-                    self.m_acc += dm
+                    xi = draws[k] if noisy else None
+                    self.F, p_pre, p_post = _step_arrays(kern, self.p, self.q, self.F, h, xi, ou)
+                    if noisy:
+                        dg, dm = _budget_increments(kern, h, xi, p_pre, p_post)
+                        self.gamma_acc += dg
+                        self.m_acc += dm
+                    if on_step is not None:
+                        on_step(step)
                     if step % record_stride == 0 or step == n_steps:
-                        H, Hc, Hi = self.kern.split_energies(self.p, self.q)
+                        H, Hc, Hi = kern.split_energies(self.p, self.q)
                         self._observe(step, H)
-                        if on_record is not None:
-                            on_record(step, step * self.h, H, Hc, Hi, self.p, self.q)
+                        if on_record is not None and on_record(step, H, Hc, Hi):
+                            return
                 done += count
 
     def energies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

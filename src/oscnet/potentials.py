@@ -229,18 +229,15 @@ class LocalPiece:
 
     def value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        coeffs, exps, _ = self._tables()
+        coeffs, exps, _, _ = self._tables()
         pw = x[..., None, :] ** exps
         return np.sum(coeffs * np.prod(pw, axis=-1), axis=-1) + self.offset
 
     def gradient(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        coeffs, exps, reduced = self._tables()
-        comps = []
-        for j in range(self.dim):
-            pwj = x[..., None, :] ** reduced[j]
-            comps.append(np.sum(coeffs * exps[:, j] * np.prod(pwj, axis=-1), axis=-1))
-        return np.stack(comps, axis=-1)
+        _, _, slopes, reduced = self._tables()
+        pw = x[..., None, None, :] ** reduced
+        return np.sum(slopes * np.prod(pw, axis=-1), axis=-1)
 
     def _top(self) -> "LocalPiece":
         top = self.degree
@@ -271,14 +268,16 @@ PotentialSpec = Union[SoftPower, EvenPower, Quadratic, LocalPiece]
 
 @lru_cache(maxsize=None)
 def _local_piece_tables(spec: LocalPiece):
+    """(coeffs, exps, slopes, reduced) with shapes (t,), (t, d), (d, t) and
+    (d, t, d) for t terms in d dimensions: the derivative along x_j of term
+    t is slopes[j, t] * prod_i x_i^reduced[j, t, i]."""
     coeffs = np.array([c for c, _ in spec.terms], dtype=float)
     exps = np.array([e for _, e in spec.terms], dtype=float)
-    reduced = []
+    slopes = coeffs * exps.T
+    reduced = np.repeat(exps[None], spec.dim, axis=0)
     for j in range(spec.dim):
-        e2 = exps.copy()
-        e2[:, j] = np.maximum(e2[:, j] - 1.0, 0.0)
-        reduced.append(e2)
-    return coeffs, exps, tuple(reduced)
+        reduced[j, :, j] = np.maximum(exps[:, j] - 1.0, 0.0)
+    return coeffs, exps, slopes, reduced
 
 
 # ---------------------------------------------------------------------------

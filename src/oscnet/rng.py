@@ -3,8 +3,8 @@
 Every stochastic computation in the package derives its randomness from
 ``seed_stream(seed, index)``: a Philox-keyed generator.  Distinct indices
 give statistically independent streams, identical (seed, index) pairs give
-identical sequences on every platform and under any thread count, and a
-stream's output does not depend on how many draws are requested per call.
+identical sequences on every platform, and a stream's output does not
+depend on how many draws are requested per call.
 """
 
 from __future__ import annotations

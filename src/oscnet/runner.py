@@ -160,7 +160,7 @@ def _rule_for(model) -> TimescaleRule:
 
 
 def run(config: ExperimentConfig, command: str | None = None,
-        out_dir: str | None = None, seed: int | None = None, threads: int = 1) -> int:
+        out_dir: str | None = None, seed: int | None = None) -> int:
     """Execute the configured experiment and persist its artifacts."""
     kind = config.kind
     if command is not None and command != kind:
@@ -170,7 +170,7 @@ def run(config: ExperimentConfig, command: str | None = None,
     ws = _Workspace(directory, config, kind, seed)
     ws.write_text("config.echo.json", config.echo())
     try:
-        status, code = _dispatch(config, kind, seed, threads, ws)
+        status, code = _dispatch(config, kind, seed, ws)
     except (BlowupError, ValidityRegionError) as exc:
         ws.write_report({"status": "partial", "error": str(exc), "kind": kind})
         if isinstance(exc, BlowupError) and exc.partial_trace is not None:
@@ -190,7 +190,7 @@ def run(config: ExperimentConfig, command: str | None = None,
     return code
 
 
-def _dispatch(config: ExperimentConfig, kind: str, seed: int, threads: int, ws: _Workspace):
+def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
     exp = config.experiment
     if kind == "check":
         report = check_conditions(
@@ -239,7 +239,6 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, threads: int, ws: 
             seed,
             h=float(exp["h"]),
             sample_temperature=exp.get("sample_temperature"),
-            threads=threads,
         )
         ws.write_report({"kind": kind, "seed": seed, **rep.as_dict()})
         return "complete", EXIT_OK
@@ -256,7 +255,6 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, threads: int, ws: 
             rule=rule,
             placement=exp["placement"],
             h0=float(config.integrator["h0"]),
-            threads=threads,
         )
         conditions = check_conditions(model)
         report = drift_scan(model, cfg, seed)
@@ -290,7 +288,7 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, threads: int, ws: 
             z0 = initial_state_at_energy(model, float(H0), exp["placement"])
             rep = dissipation_tail(
                 model, z0, rule, float(exp["epsilon"]), int(exp["ensemble"]),
-                seed + k, h0=float(config.integrator["h0"]), threads=threads,
+                seed + k, h0=float(config.integrator["h0"]),
             )
             levels.append(rep.as_dict())
         ws.write_report({"kind": kind, "seed": seed, "levels": levels})
@@ -307,7 +305,6 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, threads: int, ws: 
             h=float(exp["h"]),
             grid_points=int(exp["grid_points"]),
             stationary_samples=int(exp["stationary_samples"]),
-            threads=threads,
         )
         doc = {"kind": kind, "seed": seed, "observable": exp["observable"], **rep.as_dict()}
         try:

@@ -314,7 +314,8 @@ def test_criterion_9_decay_rate_matches_oracle():
 
 
 # -----------------------------------------------------------------------------
-# 10. Byte-identical reruns of bundled configs, independent of --threads.
+# 10. Byte-identical reruns of bundled configs; --threads (accepted, no
+#     effect) leaves them unchanged.
 # -----------------------------------------------------------------------------
 
 def test_criterion_10_determinism(tmp_path):
@@ -336,5 +337,5 @@ def test_criterion_10_determinism(tmp_path):
         ok &= digests[0] == digests[1] == digests[2]
     elapsed = time.time() - t0
     report("criterion 10 (byte-identical reruns)", ok,
-           f"3 configs x (rerun + threads 1 vs 4) identical in {elapsed:.0f}s")
+           f"3 configs x (rerun + --threads 4) identical in {elapsed:.0f}s")
     assert ok

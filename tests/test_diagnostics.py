@@ -24,9 +24,9 @@ from oscnet.diagnostics import (
     wilson_interval,
 )
 from oscnet.dynamics import State, TimescaleRule, Trace, hamiltonian
-from oscnet.errors import OracleError
+from oscnet.errors import BlowupError, OracleError
 from oscnet.model import BathSpec, Model, chain_model
-from oscnet.potentials import LocalPiece, Quadratic, SoftPower
+from oscnet.potentials import EvenPower, LocalPiece, Quadratic, SoftPower
 from oscnet.rng import seed_stream
 from oscnet.topology import Edge, NetworkTopology
 
@@ -220,21 +220,25 @@ def test_drift_estimate_is_seed_reproducible():
     assert c.mean != a.mean
 
 
-def test_run_ensemble_thread_count_does_not_change_results():
+def test_run_ensemble_results_do_not_depend_on_chunking():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
     z0 = initial_state_at_energy(m, 25.0, "interaction")
     p0 = np.broadcast_to(z0.p, (64, 3, 1)).copy()
     q0 = np.broadcast_to(z0.q, (64, 3, 1)).copy()
-    outs = [
-        run_ensemble(m, p0, q0, 1e-3, 200, seed=9, record_stride=20,
-                     thresholds=(1.0, 100.0), threads=threads,
-                     per_record={"H1": resolve_observable(m, "p2:0")})
-        for threads in (1, 3)
-    ]
-    assert np.array_equal(outs[0].h_final, outs[1].h_final)
-    assert np.array_equal(outs[0].gamma, outs[1].gamma)
-    assert np.array_equal(outs[0].first_low, outs[1].first_low)
-    assert np.array_equal(outs[0].series["H1"], outs[1].series["H1"])
+
+    def run(i0, i1):
+        return run_ensemble(m, p0[i0:i1], q0[i0:i1], 1e-3, 200, seed=9, stream_offset=i0,
+                            record_stride=20, thresholds=(20.0, 30.0),
+                            per_record={"H1": resolve_observable(m, "p2:0")})
+
+    whole = run(0, 64)
+    parts = [run(0, 1), run(1, 23), run(23, 64)]
+    assert np.any(whole.first_low >= 0) and np.any(whole.first_high >= 0)
+    for field in ("h_final", "gamma", "work", "first_low", "first_high"):
+        joined = np.concatenate([getattr(part, field) for part in parts])
+        assert getattr(whole, field).tobytes() == joined.tobytes(), field
+    joined = np.concatenate([part.series["H1"] for part in parts], axis=1)
+    assert whole.series["H1"].tobytes() == joined.tobytes()
 
 
 # --- Dissipation tail -------------------------------------------------------------------
@@ -360,6 +364,39 @@ def test_gibbs_invariance_is_seed_reproducible():
     a = gibbs_invariance_test(m, ["H"], 500, 1.0, seed=54, h=0.01)
     b = gibbs_invariance_test(m, ["H"], 500, 1.0, seed=54, h=0.01)
     assert a.z_scores == b.z_scores and a.mean_after == b.mean_after
+
+
+# A quartic model at T = 5 with h = 0.9 is far past the stable step size:
+# its members blow up, and no check may report a statistic from them.
+
+def quartic_chain_hot():
+    spec = EvenPower(degree=4, dim=1)
+    return chain_model(3, 1, pinning=spec, interaction=spec, temperatures=(5.0, 5.0))
+
+
+def test_gibbs_invariance_blown_run_raises():
+    # Used to report z = 0.0 for every observable, with se = nan.
+    spec = EvenPower(degree=4, dim=1)
+    topo = NetworkTopology(3, frozenset(), frozenset({0, 2}))
+    m = Model(topo, 1, {v: spec for v in range(3)}, {},
+              {0: BathSpec(1.0, 5.0), 2: BathSpec(1.0, 5.0)})
+    with pytest.raises(BlowupError):
+        gibbs_invariance_test(m, ["H", "q2:0"], n_samples=200, t_check=9.0, seed=1, h=0.9)
+
+
+def test_stationary_moments_blown_run_raises():
+    # Used to return balance_ratio = nan with effective_samples = 64.
+    with pytest.raises(BlowupError):
+        stationary_moment_test(quartic_chain_hot(), burn_in=9.0, n_samples=64, h=0.9,
+                               seed=1, replicas=64)
+
+
+def test_decay_fit_blown_run_raises():
+    m = quartic_chain_hot()
+    z0 = initial_state_at_energy(m, 25.0, "interaction")
+    with pytest.raises(BlowupError):
+        observable_decay_fit(m, "p2:0", z0, horizon=9.0, ensemble=64, seed=1, h=0.9,
+                             grid_points=5, stationary_burn=9.0, stationary_samples=64)
 
 
 # --- Stationary moments ------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscnet.dynamics import (
     BatchIntegrator,
@@ -29,7 +31,7 @@ from oscnet.fixtures import (
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import EvenPower, Quadratic, SoftPower
 from oscnet.rng import seed_stream
-from oscnet.topology import Edge, NetworkTopology
+from oscnet.topology import Edge, NetworkTopology, random_topology
 
 
 def two_mass_model():
@@ -165,6 +167,62 @@ def test_ou_stationary_variance():
     bi.run(1500)
     var = float(np.mean(bi.p ** 2))
     assert var == pytest.approx(2.0, rel=0.1)
+
+
+FAMILIES = {
+    "quadratic": lambda dim: Quadratic.isotropic(1.5, dim),
+    "softpower": lambda dim: SoftPower(degree=3.0, dim=dim),
+    "evenpower": lambda dim: EvenPower(degree=4, dim=dim),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    topo_seed=st.integers(0, 2 ** 32 - 1),
+    dim=st.integers(1, 2),
+    pinning=st.sampled_from(sorted(FAMILIES)),
+    interaction=st.sampled_from(sorted(FAMILIES)),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interaction, seed):
+    rng = np.random.default_rng(topo_seed)
+    topo = random_topology(rng, max_vertices=6)
+    N = topo.vertex_count
+    model = Model(topo, dim,
+                  {v: FAMILIES[pinning](dim) for v in topo.vertices},
+                  {e: FAMILIES[interaction](dim) for e in topo.edges},
+                  {b: BathSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+                   for b in topo.baths})
+    members, h, n_steps = 3, 0.01, 60
+    p0 = rng.standard_normal((members, N, dim))
+    q0 = 0.5 * rng.standard_normal((members, N, dim))
+
+    bi = BatchIntegrator(model, p0, q0, h, [seed_stream(seed, i) for i in range(members)])
+    bi.run(n_steps, record_stride=n_steps)
+    H, _, _ = bi.energies()
+    for i in range(members):
+        tr = integrate(model, State(p0[i], q0[i]), n_steps * h, h, seed_stream(seed, i),
+                       record_every=n_steps, record_states=True)
+        assert same_bits(tr.states[-1].p, bi.p[i]) and same_bits(tr.states[-1].q, bi.q[i])
+        assert same_bits(tr.H[-1], H[i])
+        assert same_bits(tr.Gamma[-1], bi.gamma_acc[i]) and same_bits(tr.M[-1], bi.m_acc[i])
+
+    # Without baths the SDE is the Hamiltonian flow that
+    # integrate_deterministic follows (it ignores the baths).
+    bare = Model(NetworkTopology(N, topo.edges, frozenset()), dim,
+                 dict(model.pinning), dict(model.interaction), {})
+    z0 = State(p0[0], q0[0])
+    a = integrate(bare, z0, n_steps * h, h, seed_stream(seed, 0),
+                  record_every=7, record_states=True)
+    b = integrate_deterministic(model, z0, n_steps * h, h, record_every=7, record_states=True)
+    for field in ("times", "H", "Hc", "Hi", "Gamma", "M"):
+        assert same_bits(getattr(a, field), getattr(b, field)), field
+    assert all(same_bits(x.p, y.p) and same_bits(x.q, y.q) for x, y in zip(a.states, b.states))
 
 
 def test_self_consistency_deterministic_is_second_order():

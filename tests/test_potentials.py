@@ -293,3 +293,32 @@ def test_local_piece_limiting_keeps_top_degree_only():
     spec = LocalPiece(terms=((1.0, (4, 0)), (3.0, (1, 0))), dim=2)
     assert spec.degree == 4.0
     assert spec.limiting_value([2.0, 0.0]) == pytest.approx(16.0)
+
+
+def loop_gradient(spec, x):
+    """Per-component reference for LocalPiece.gradient: one power table per
+    derivative direction, stacked at the end."""
+    x = np.asarray(x, dtype=float)
+    coeffs = np.array([c for c, _ in spec.terms], dtype=float)
+    exps = np.array([e for _, e in spec.terms], dtype=float)
+    comps = []
+    for j in range(spec.dim):
+        reduced = exps.copy()
+        reduced[:, j] = np.maximum(reduced[:, j] - 1.0, 0.0)
+        pw = x[..., None, :] ** reduced
+        comps.append(np.sum(coeffs * exps[:, j] * np.prod(pw, axis=-1), axis=-1))
+    return np.stack(comps, axis=-1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (4096, 2, 3)])
+def test_local_piece_gradient_matches_loop_reference_bitwise(shape):
+    from oscnet.fixtures import c4_counterexample_model, c4_naive_pinning_piece
+
+    model = c4_counterexample_model()
+    pieces = [model.pinning[0], model.pinning[1], *model.interaction.values(),
+              c4_naive_pinning_piece()]
+    x = 3.0 * np.random.default_rng(7).standard_normal(shape)
+    x.flat[0] = 0.0
+    for spec in pieces:
+        got, want = spec.gradient(x), loop_gradient(spec, x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
