@@ -29,9 +29,17 @@ quadratic-variation fluctuation that shrinks only like sqrt(h); with it the
 residual is first order in h, which is what the budget refinement test
 asserts.
 
-Arrays use the layout (vertices, dim); batch variants prepend a member
-axis.  All reductions in the hot path are either elementwise or over fixed
-small axes, so results are bitwise independent of ensemble chunking.
+Public arrays use the layout (vertices, dim); batch variants prepend a
+member axis, (members, vertices, dim).  Inside the stepping loop the state
+is held member-minor, (vertices, dim, members): every per-vertex or
+per-bath operation is one contiguous vector op over the members, and the
+edge forces are scattered in slabs, one round per incident-edge rank, so a
+vertex still adds its edge terms in edge-list order.  Potentials, energies
+and record callbacks see member-major copies, so every reduction keeps the
+order it has on a (members, vertices, dim) array; a sum over 8 or more
+baths or components, which numpy evaluates pairwise there, is taken on a
+member-major copy as well.  Each member's path is therefore the same bits
+whatever the ensemble size or chunking.
 """
 
 from __future__ import annotations
@@ -176,18 +184,58 @@ class TimescaleRule:
 # ---------------------------------------------------------------------------
 
 def _index(idx: list[int]):
-    """Vertex indices as a slice when they are one increasing run, else as
-    an index array.  Both select the same elements in the same order, but
-    a slice reads a view instead of copying, which is most of the cost of
-    a selection from a small batch.  A run keeps each member's rows
-    contiguous, so potentials see the same memory layout either way."""
+    """Indices as a slice when they are one increasing run, else as an
+    index array.  Both select the same elements in the same order, but a
+    slice reads a view instead of copying, which is most of the cost of a
+    selection from a small batch."""
     if idx and list(idx) == list(range(idx[0], idx[-1] + 1)):
         return slice(idx[0], idx[-1] + 1)
     return np.array(idx, dtype=int)
 
 
+def _points(x: np.ndarray) -> np.ndarray:
+    """Member-minor (k, dim, members) values as the member-major
+    (k, members, dim) points a potential expects.  The copy (none in dim 1)
+    gives potentials the layout of a (members, vertices, dim) batch, so
+    their reductions run in the same order for every ensemble size."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
+
+
+def _sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.add.reduce`` over ``axis`` of a member-minor array, in the order
+    of the same reduction on the member-major layout: sequential below 8
+    terms, numpy's pairwise sum from 8 on."""
+    if x.shape[axis] < 8:
+        return np.add.reduce(x, axis=axis)
+    major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+    return np.moveaxis(np.add.reduce(major, axis=axis % x.ndim + 1), 0, -1)
+
+
+def _scatter_plan(edges) -> list[tuple]:
+    """Slab scatter of one edge group's forces as ``(vertices, terms, add)``
+    slabs: ``F[vertices] += g[terms]`` at the edges' a ends, ``-=`` at
+    their b ends.  Round r holds every vertex's r-th incident edge of the
+    group in edge-list order, so a vertex occurs at most once per slab and
+    adds the same terms in the same order as a loop over the edges."""
+    incident: dict[int, list[tuple[int, bool]]] = {}
+    for j, e in enumerate(edges):
+        incident.setdefault(e.a, []).append((j, True))
+        incident.setdefault(e.b, []).append((j, False))
+    plan = []
+    for r in range(max(len(terms) for terms in incident.values())):
+        for add in (True, False):
+            pairs = [(v, terms[r][0]) for v, terms in sorted(incident.items())
+                     if r < len(terms) and terms[r][1] == add]
+            if pairs:
+                plan.append((_index([v for v, _ in pairs]), _index([j for _, j in pairs]), add))
+    return plan
+
+
 class _Kernel:
-    """Per-model force/energy tables, grouped by identical potential spec."""
+    """Per-model force/energy tables, grouped by identical potential spec.
+
+    ``forces`` works on member-minor positions (vertices, dim, members);
+    the energies work on member-major (..., vertices, dim) arrays."""
 
     def __init__(self, model: Model):
         self.model = model
@@ -210,8 +258,7 @@ class _Kernel:
         for spec, edges in sorted(edge_groups.items(), key=lambda kv: kv[1][0]):
             ea = _index([e.a for e in edges])
             eb = _index([e.b for e in edges])
-            ends = tuple((e.a, e.b) for e in edges)
-            self.edge_groups.append((ea, eb, ends, spec.value, spec.gradient))
+            self.edge_groups.append((ea, eb, _scatter_plan(edges), spec.value, spec.gradient))
 
         self.gamma = np.array([model.gamma_of(v) for v in topo.vertices])
         self.temp = np.array([model.temperature_of(v) for v in topo.vertices])
@@ -219,19 +266,24 @@ class _Kernel:
         self.bath_sel = _index(sorted(topo.baths))
         self.bath_gamma = self.gamma[self.bath_idx]
         self.bath_temp = self.temp[self.bath_idx]
-        # Per-bath coefficients of the injected-work increment.
-        self.noise_amp = np.sqrt(2.0 * self.bath_gamma * self.bath_temp)
-        self.noise_power = self.bath_gamma * self.bath_temp
+        # Per-bath coefficients of the budget increments, as (baths, 1)
+        # columns against (baths, members) sums.
+        self.gamma_col = self.bath_gamma[:, None]
+        self.noise_amp = np.sqrt(2.0 * self.bath_gamma * self.bath_temp)[:, None]
+        self.noise_power = (self.bath_gamma * self.bath_temp)[:, None]
 
     def forces(self, q: np.ndarray) -> np.ndarray:
+        """Conservative forces at member-minor positions (vertices, dim, members)."""
         F = np.zeros_like(q)
         for idx, _val, grad in self.pin_groups:
-            F[..., idx, :] -= grad(q[..., idx, :])
-        for ea, eb, ends, _val, grad in self.edge_groups:
-            g = grad(q[..., eb, :] - q[..., ea, :])
-            for j, (a, b) in enumerate(ends):
-                F[..., a, :] += g[..., j, :]
-                F[..., b, :] -= g[..., j, :]
+            F[idx] -= grad(_points(q[idx])).transpose(0, 2, 1)
+        for ea, eb, plan, _val, grad in self.edge_groups:
+            g = grad(_points(q[eb] - q[ea])).transpose(0, 2, 1)
+            for v, j, add in plan:
+                if add:
+                    F[v] += g[j]
+                else:
+                    F[v] -= g[j]
         return F
 
     def pinning_energy(self, q: np.ndarray) -> np.ndarray:
@@ -242,7 +294,7 @@ class _Kernel:
 
     def interaction_energy(self, q: np.ndarray) -> np.ndarray:
         total = np.zeros(q.shape[:-2])
-        for ea, eb, _ends, val, _grad in self.edge_groups:
+        for ea, eb, _plan, val, _grad in self.edge_groups:
             total = total + np.sum(val(q[..., eb, :] - q[..., ea, :]), axis=-1)
         return total
 
@@ -275,7 +327,7 @@ def hamiltonian(model: Model, state: State) -> tuple[float, float, float]:
 def forces(model: Model, state: State) -> np.ndarray:
     """Conservative force on every vertex (friction and noise excluded)."""
     _check_state(model, state)
-    return _Kernel(model).forces(state.q)
+    return _Kernel(model).forces(state.q[..., None])[..., 0]
 
 
 def com_coords(state: State) -> tuple[np.ndarray, np.ndarray]:
@@ -301,23 +353,25 @@ def step_sde(model: Model, state: State, h: float, gaussian_draws) -> State:
     draws = np.asarray(gaussian_draws, dtype=float)
     if draws.shape != (len(kern.bath_idx), model.dim):
         raise ValueError(f"gaussian_draws must have shape ({len(kern.bath_idx)}, {model.dim})")
-    p = state.p.copy()
-    q = state.q.copy()
+    # A one-member batch in the member-minor layout of the stepping loop.
+    p = state.p[..., None].copy()
+    q = state.q[..., None].copy()
     F = kern.forces(q)
-    _step_arrays(kern, p, q, F, h, draws, _ou_coeffs(kern, h))
+    _step_arrays(kern, p, q, F, h, draws[..., None], _ou_coeffs(kern, h))
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise BlowupError(step=1, time=h, detail="non-finite state after one step")
-    return State(p, q)
+    return State(p[..., 0], q[..., 0])
 
 
 def _ou_coeffs(kern: _Kernel, h: float):
     a = np.exp(-kern.bath_gamma * h)
     b = np.sqrt(kern.bath_temp * (1.0 - a * a))
-    return a[..., None], b[..., None]
+    return a[:, None, None], b[:, None, None]
 
 
 def _step_arrays(kern: _Kernel, p, q, F, h, draws, ou):
-    """In-place B-A-O-A-B update; returns (F_new, p_pre_O, p_post_O).
+    """In-place B-A-O-A-B update of member-minor (vertices, dim, members)
+    arrays; returns (F_new, p_pre_O, p_post_O).
 
     Without bath vertices the O map is the identity and is skipped, so the
     step is velocity Verlet and both O-map momenta are None."""
@@ -328,9 +382,9 @@ def _step_arrays(kern: _Kernel, p, q, F, h, draws, ou):
     if len(kern.bath_idx):
         a, b = ou
         idx = kern.bath_sel
-        p_pre = p[..., idx, :].copy()
+        p_pre = p[idx].copy()
         p_post = a * p_pre + b * draws
-        p[..., idx, :] = p_post
+        p[idx] = p_post
     q += half * p
     F_new = kern.forces(q)
     p += half * F_new
@@ -338,16 +392,14 @@ def _step_arrays(kern: _Kernel, p, q, F, h, draws, ou):
 
 
 def _budget_increments(kern: _Kernel, h, draws, p_pre, p_post):
-    """(dGamma, dM) for one step from the O-map endpoint momenta and draws."""
-    # np.add.reduce is np.sum without its Python-level dispatch: the same
-    # arithmetic, at a fraction of the per-call cost on these tiny arrays.
-    total = np.add.reduce
-    p2 = 0.5 * (total(p_pre * p_pre, axis=-1) + total(p_post * p_post, axis=-1))
-    dgamma = h * total(kern.bath_gamma * p2, axis=-1)
-    xi_dot_p = total(p_pre * draws, axis=-1)
-    xi_sq = total(draws * draws, axis=-1)
-    dm = math.sqrt(h) * total(kern.noise_amp * xi_dot_p, axis=-1)
-    dm = dm + h * total(kern.noise_power * (xi_sq - kern.n), axis=-1)
+    """(dGamma, dM) for one step from the O-map endpoint momenta and draws,
+    all (baths, dim, members)."""
+    p2 = 0.5 * (_sum(p_pre * p_pre, 1) + _sum(p_post * p_post, 1))
+    dgamma = h * _sum(kern.gamma_col * p2, 0)
+    xi_dot_p = _sum(p_pre * draws, 1)
+    xi_sq = _sum(draws * draws, 1)
+    dm = math.sqrt(h) * _sum(kern.noise_amp * xi_dot_p, 0)
+    dm = dm + h * _sum(kern.noise_power * (xi_sq - kern.n), 0)
     return dgamma, dm
 
 
@@ -412,7 +464,6 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
     _check_state(model, state0)
 
     bi = BatchIntegrator(model, state0.p[None], state0.q[None], h, [stream])
-    p, q = bi.p[0], bi.q[0]  # views; the integrator updates its state in place
     times, Hs, Hcs, His, Gs, Ms = [], [], [], [], [], []
     states: list[State] | None = [] if record_states else None
 
@@ -429,7 +480,8 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
             seed_info=dict(seed_info or {}),
         )
 
-    def record(step, H, Hc, Hi) -> bool:
+    def record(step, H, Hc, Hi, p, q) -> bool:
+        p, q = p[0], q[0]
         times.append(step * h)
         Hs.append(float(H[0]))
         Hcs.append(float(Hc[0]))
@@ -443,15 +495,15 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
                               detail=f"H={Hs[-1]!r}")
         return step > 0 and stop_when is not None and stop_when(State(p, q))
 
-    def check_guard(step) -> None:
+    def check_guard(step, p, q) -> None:
         if not guard(State(p, q)):
             raise ValidityRegionError(step=step, time=step * h)
 
     on_step = None
     if guard is not None:
-        check_guard(0)
+        check_guard(0, state0.p, state0.q)
         on_step = check_guard
-    record(0, *bi.energies())
+    record(0, *bi.energies(), bi.p, bi.q)
     bi._advance(max(1, int(round(t_end / h))), record_every, record, on_step)
     return finish()
 
@@ -549,6 +601,11 @@ class BatchIntegrator:
     or on how members are split across runs.  Per-member dissipation,
     injected work, running energy extrema, and first-crossing steps of
     optional energy thresholds are tracked at record resolution.
+
+    States go in and come out as (members, vertices, dim) arrays: ``p``,
+    ``q`` and the arrays handed to ``on_record`` are member-major copies.
+    Between records the state is held member-minor, (vertices, dim,
+    members), as described in the module docstring.
     """
 
     def __init__(
@@ -564,19 +621,21 @@ class BatchIntegrator:
             raise ValueError("h must be > 0")
         self.kern = _Kernel(model)
         self.h = h
-        self.p = np.array(p0, dtype=float)
-        self.q = np.array(q0, dtype=float)
-        if self.p.ndim != 3 or self.p.shape != self.q.shape:
+        p0 = np.asarray(p0, dtype=float)
+        q0 = np.asarray(q0, dtype=float)
+        if p0.ndim != 3 or p0.shape != q0.shape:
             raise ValueError("batch states must be (members, vertices, dim)")
-        self.m = self.p.shape[0]
+        self.m = p0.shape[0]
         if len(streams) != self.m:
             raise ValueError("need one stream per ensemble member")
         self.streams = list(streams)
         self.ou = _ou_coeffs(self.kern, h)
-        self.F = self.kern.forces(self.q)
+        self._p = p0.transpose(1, 2, 0).copy()
+        self._q = q0.transpose(1, 2, 0).copy()
+        self.F = self.kern.forces(self._q)
         self.gamma_acc = np.zeros(self.m)
         self.m_acc = np.zeros(self.m)
-        H, _, _ = self.kern.split_energies(self.p, self.q)
+        H, _, _ = self.kern.split_energies(p0, q0)
         self.H0 = H
         self.h_min = H.copy()
         self.h_max = H.copy()
@@ -586,12 +645,21 @@ class BatchIntegrator:
         self.first_high = np.full(self.m, -1, dtype=int)
         self._ceiling = BLOWUP_ENERGY_FACTOR * np.maximum(np.abs(H), 1.0)
 
-    def _draw(self, count: int) -> np.ndarray:
-        nb = len(self.kern.bath_idx)
-        out = np.empty((count, self.m, nb, self.kern.n))
+    @property
+    def p(self) -> np.ndarray:
+        """Momenta, as a (members, vertices, dim) copy."""
+        return self._p.transpose(2, 0, 1).copy()
+
+    @property
+    def q(self) -> np.ndarray:
+        """Positions, as a (members, vertices, dim) copy."""
+        return self._q.transpose(2, 0, 1).copy()
+
+    def _draw(self, buf: np.ndarray) -> None:
+        """Fill the member-major (members, steps, baths, dim) noise buffer,
+        one contiguous block per member."""
         for i, stream in enumerate(self.streams):
-            out[:, i] = stream.standard_normal((count, nb, self.kern.n))
-        return out
+            buf[i] = stream.standard_normal(buf.shape[1:])
 
     def _observe(self, step: int, H: np.ndarray) -> None:
         np.minimum(self.h_min, H, out=self.h_min)
@@ -606,15 +674,16 @@ class BatchIntegrator:
             self.first_high[newly_high] = step
 
     def run(self, n_steps: int, record_stride: int = 1, on_record=None) -> None:
-        """Advance ``n_steps``, firing ``on_record`` at the record stride.
+        """Advance ``n_steps``, firing ``on_record(step, t, H, Hc, Hi, p, q)``
+        at the record stride, with member-major copies of the state.
 
         The callback does not fire for step 0; the initial state is
         inspectable on the instance before calling."""
-        H, _, _ = self.kern.split_energies(self.p, self.q)
+        H, _, _ = self.energies()
         self._observe(0, H)
 
-        def fire(step, H, Hc, Hi) -> None:
-            on_record(step, step * self.h, H, Hc, Hi, self.p, self.q)
+        def fire(step, H, Hc, Hi, p, q) -> None:
+            on_record(step, step * self.h, H, Hc, Hi, p, q)
 
         self._advance(n_steps, record_stride, fire if on_record is not None else None)
 
@@ -622,32 +691,39 @@ class BatchIntegrator:
         """The stepping loop behind :meth:`run`, :func:`integrate` and
         :func:`integrate_deterministic`.
 
-        ``on_record(step, H, Hc, Hi)`` fires at the record stride and at the
-        last step, after the energies are observed; a true return ends the
-        run.  ``on_step(step)``, when given, fires after every step."""
+        ``on_record(step, H, Hc, Hi, p, q)`` fires at the record stride and
+        at the last step, after the energies are observed, with
+        member-major copies of the state; a true return ends the run.
+        ``on_step(step, p, q)``, for one member, fires after every step
+        with (vertices, dim) views of its state."""
         kern, h, ou = self.kern, self.h, self.ou
-        noisy = len(kern.bath_idx) > 0
+        p, q = self._p, self._q
+        nb = len(kern.bath_idx)
+        # One member-major noise buffer, refilled every NOISE_CHUNK steps.
+        buf = np.empty((self.m, min(NOISE_CHUNK, n_steps), nb, kern.n)) if nb else None
         done = 0
         # Overflow in a diverging member is reported through ``blown``, not
         # as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             while done < n_steps:
                 count = min(NOISE_CHUNK, n_steps - done)
-                draws = self._draw(count) if noisy else None
+                if nb:
+                    self._draw(buf[:, :count])
                 for k in range(count):
                     step = done + k + 1
-                    xi = draws[k] if noisy else None
-                    self.F, p_pre, p_post = _step_arrays(kern, self.p, self.q, self.F, h, xi, ou)
-                    if noisy:
+                    xi = np.ascontiguousarray(buf[:, k].transpose(1, 2, 0)) if nb else None
+                    self.F, p_pre, p_post = _step_arrays(kern, p, q, self.F, h, xi, ou)
+                    if nb:
                         dg, dm = _budget_increments(kern, h, xi, p_pre, p_post)
                         self.gamma_acc += dg
                         self.m_acc += dm
                     if on_step is not None:
-                        on_step(step)
+                        on_step(step, p[..., 0], q[..., 0])
                     if step % record_stride == 0 or step == n_steps:
-                        H, Hc, Hi = kern.split_energies(self.p, self.q)
+                        pm, qm = self.p, self.q
+                        H, Hc, Hi = kern.split_energies(pm, qm)
                         self._observe(step, H)
-                        if on_record is not None and on_record(step, H, Hc, Hi):
+                        if on_record is not None and on_record(step, H, Hc, Hi, pm, qm):
                             return
                 done += count
 

@@ -87,12 +87,12 @@ def c4_initial_state() -> State:
     return State(p, q)
 
 
+# The box as arrays, built once: the guard runs after every step.
+_BOX = {key: np.array(value) for key, value in C4_VALIDITY_BOX.items()}
+
+
 def c4_guard(state: State) -> bool:
     """True while both masses remain inside the documented validity box."""
-    q1c = np.array(C4_VALIDITY_BOX["q1_center"])
-    q1w = np.array(C4_VALIDITY_BOX["q1_halfwidth"])
-    q2c = np.array(C4_VALIDITY_BOX["q2_center"])
-    q2w = np.array(C4_VALIDITY_BOX["q2_halfwidth"])
-    ok1 = np.all(np.abs(state.q[0] - q1c) <= q1w)
-    ok2 = np.all(np.abs(state.q[1] - q2c) <= q2w)
+    ok1 = np.all(np.abs(state.q[0] - _BOX["q1_center"]) <= _BOX["q1_halfwidth"])
+    ok2 = np.all(np.abs(state.q[1] - _BOX["q2_center"]) <= _BOX["q2_halfwidth"])
     return bool(ok1 and ok2)

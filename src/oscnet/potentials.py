@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -150,9 +150,13 @@ class Quadratic:
             raise ValueError("stiffness matrix must be positive semi-definite")
         object.__setattr__(self, "stiffness", tuple(tuple(float(v) for v in row) for row in K))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.asarray(self.stiffness, dtype=float)
+        """The stiffness as a read-only array, built once per spec (it is
+        not a dataclass field, so equality and hashing ignore it)."""
+        K = np.asarray(self.stiffness, dtype=float)
+        K.setflags(write=False)
+        return K
 
     @property
     def degree(self) -> float:
@@ -165,7 +169,18 @@ class Quadratic:
 
     def gradient(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        return x @ self.matrix.T
+        K = self.matrix
+        if self.dim == 1:
+            # The same bits as the 1x1 matmul, without its dispatch cost.
+            return x * K[0, 0]
+        # K x summed over columns in a fixed order.  The bits of a matmul
+        # depend on the shape of the stack (BLAS picks gemv for one-row
+        # matrices and gemm otherwise); these elementwise products do not,
+        # so a point's gradient is the same in every batch layout.
+        g = x[..., :1] * K[:, 0]
+        for j in range(1, self.dim):
+            g = g + x[..., j:j + 1] * K[:, j]
+        return g
 
     limiting_value = value
     limiting_gradient = gradient

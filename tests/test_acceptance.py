@@ -23,7 +23,14 @@ from oscnet.diagnostics import (
     observable_decay_fit,
     stationary_moment_test,
 )
-from oscnet.dynamics import PrecomputedNoise, State, TimescaleRule, integrate, integrate_deterministic
+from oscnet.dynamics import (
+    BatchIntegrator,
+    PrecomputedNoise,
+    State,
+    TimescaleRule,
+    integrate,
+    integrate_deterministic,
+)
 from oscnet.fixtures import c4_counterexample_model, c4_guard, c4_initial_state
 from oscnet.model import chain_model
 from oscnet.potentials import SoftPower
@@ -170,24 +177,53 @@ def test_criterion_4_gibbs_invariance():
 # 5. Pathwise energy budget halves with h on the soft-power chain.
 # -----------------------------------------------------------------------------
 
-def test_criterion_5_energy_budget_refinement():
-    t0 = time.time()
+CRITERION_5_HS = (1e-3, 5e-4, 2.5e-4)
+
+
+def criterion_5_setup():
     spec = SoftPower(degree=4, dim=1)
     model = chain_model(3, 1, pinning=spec, interaction=spec, temperatures=(1.0, 2.0))
     z0 = State(np.array([[1.0], [0.0], [-1.0]]), np.zeros((3, 1)))
-    t_end = 1.0
-    hs = (1e-3, 5e-4, 2.5e-4)
-    h_fine = hs[-1]
-    n_fine = int(round(t_end / h_fine))
+    return model, z0, 1.0
+
+
+def criterion_5_noise(path, t_end, h):
+    """Brownian path ``path`` at the finest step, aggregated to step h."""
+    h_fine = CRITERION_5_HS[-1]
+    xi = seed_stream(55101, path).standard_normal((int(round(t_end / h_fine)), 2, 1))
+    return PrecomputedNoise.from_brownian(xi, h_fine, h)
+
+
+def budget_residuals(model, z0, t_end, h, paths):
+    """Final budget residual of each path, the paths run as one batch.  The
+    arithmetic is Trace.residual's on each member's final values."""
+    n_steps = max(1, int(round(t_end / h)))
+    m = len(paths)
+    bi = BatchIntegrator(model, np.broadcast_to(z0.p, (m,) + z0.p.shape),
+                         np.broadcast_to(z0.q, (m,) + z0.q.shape), h,
+                         [criterion_5_noise(path, t_end, h) for path in paths])
+    bi.run(n_steps, record_stride=n_steps)
+    H, _, _ = bi.energies()
+    return H - bi.H0 + bi.gamma_acc - model.noise_work_rate * (n_steps * h) - bi.m_acc
+
+
+def test_criterion_5_batch_member_matches_integrate():
+    model, z0, t_end = criterion_5_setup()
+    for h in (CRITERION_5_HS[0], CRITERION_5_HS[-1]):
+        batch = budget_residuals(model, z0, t_end, h, range(5))
+        for path in (0, 2, 4):
+            trace = integrate(model, z0, t_end, h, criterion_5_noise(path, t_end, h),
+                              record_every=10 ** 9)
+            assert np.float64(trace.residual()[-1]).tobytes() == batch[path].tobytes()
+
+
+def test_criterion_5_energy_budget_refinement():
+    t0 = time.time()
+    model, z0, t_end = criterion_5_setup()
+    hs = CRITERION_5_HS
     rms = {}
     for h in hs:
-        acc = []
-        for path in range(64):
-            xi = seed_stream(55101, path).standard_normal((n_fine, 2, 1))
-            trace = integrate(model, z0, t_end, h,
-                              PrecomputedNoise.from_brownian(xi, h_fine, h),
-                              record_every=10 ** 9)
-            acc.append(trace.residual()[-1])
+        acc = budget_residuals(model, z0, t_end, h, range(64))
         rms[h] = float(np.sqrt(np.mean(np.square(acc))))
     r1 = rms[hs[0]] / rms[hs[1]]
     r2 = rms[hs[1]] / rms[hs[2]]

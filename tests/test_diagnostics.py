@@ -221,24 +221,31 @@ def test_drift_estimate_is_seed_reproducible():
 
 
 def test_run_ensemble_results_do_not_depend_on_chunking():
-    m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    z0 = initial_state_at_energy(m, 25.0, "interaction")
-    p0 = np.broadcast_to(z0.p, (64, 3, 1)).copy()
-    q0 = np.broadcast_to(z0.q, (64, 3, 1)).copy()
+    chain3 = chain_model(3, 1, temperatures=(1.0, 2.0))
+    # Nine baths, not one run of vertices: each member's budget increments
+    # sum over the baths pairwise, as numpy does from 8 terms on.
+    chain10 = chain_model(10, 1)
+    baths = {b: BathSpec(1.0, 1.0 + 0.2 * b) for b in range(10) if b != 4}
+    nine_baths = Model(NetworkTopology(10, chain10.topology.edges, frozenset(baths)), 1,
+                       dict(chain10.pinning), dict(chain10.interaction), baths)
+    for m in (chain3, nine_baths):
+        z0 = initial_state_at_energy(m, 25.0, "interaction")
+        p0 = np.broadcast_to(z0.p, (64,) + z0.p.shape).copy()
+        q0 = np.broadcast_to(z0.q, (64,) + z0.q.shape).copy()
 
-    def run(i0, i1):
-        return run_ensemble(m, p0[i0:i1], q0[i0:i1], 1e-3, 200, seed=9, stream_offset=i0,
-                            record_stride=20, thresholds=(20.0, 30.0),
-                            per_record={"H1": resolve_observable(m, "p2:0")})
+        def run(i0, i1):
+            return run_ensemble(m, p0[i0:i1], q0[i0:i1], 1e-3, 200, seed=9, stream_offset=i0,
+                                record_stride=20, thresholds=(20.0, 30.0),
+                                per_record={"H1": resolve_observable(m, "p2:0")})
 
-    whole = run(0, 64)
-    parts = [run(0, 1), run(1, 23), run(23, 64)]
-    assert np.any(whole.first_low >= 0) and np.any(whole.first_high >= 0)
-    for field in ("h_final", "gamma", "work", "first_low", "first_high"):
-        joined = np.concatenate([getattr(part, field) for part in parts])
-        assert getattr(whole, field).tobytes() == joined.tobytes(), field
-    joined = np.concatenate([part.series["H1"] for part in parts], axis=1)
-    assert whole.series["H1"].tobytes() == joined.tobytes()
+        whole = run(0, 64)
+        parts = [run(0, 1), run(1, 23), run(23, 64)]
+        assert np.any(whole.first_low >= 0) and np.any(whole.first_high >= 0)
+        for field in ("h_final", "gamma", "work", "first_low", "first_high"):
+            joined = np.concatenate([getattr(part, field) for part in parts])
+            assert getattr(whole, field).tobytes() == joined.tobytes(), field
+        joined = np.concatenate([part.series["H1"] for part in parts], axis=1)
+        assert whole.series["H1"].tobytes() == joined.tobytes()
 
 
 # --- Dissipation tail -------------------------------------------------------------------

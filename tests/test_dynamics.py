@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscnet.dynamics import (
+    NOISE_CHUNK,
     BatchIntegrator,
     PrecomputedNoise,
     State,
@@ -20,6 +21,7 @@ from oscnet.dynamics import (
     step_sde,
     tau,
     u_infinity,
+    _Kernel,
 )
 from oscnet.errors import BlowupError, ValidityRegionError
 from oscnet.fixtures import (
@@ -223,6 +225,165 @@ def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interacti
     for field in ("times", "H", "Hc", "Hi", "Gamma", "M"):
         assert same_bits(getattr(a, field), getattr(b, field)), field
     assert all(same_bits(x.p, y.p) and same_bits(x.q, y.q) for x, y in zip(a.states, b.states))
+
+
+# --- The member-minor kernel against the member-major loop it replaced ----------
+
+def reference_forces(model, q):
+    """The per-edge force loop on member-major (members, vertices, dim)
+    positions: each vertex adds its edge terms in edge-list order."""
+    F = np.zeros_like(q)
+    pins = {}
+    for v in model.topology.vertices:
+        pins.setdefault(model.pinning[v], []).append(v)
+    for spec, idx in pins.items():
+        F[..., idx, :] -= spec.gradient(q[..., idx, :])
+    groups = {}
+    for e in model.topology.edge_list:
+        groups.setdefault(model.interaction[e], []).append(e)
+    for spec, edges in groups.items():
+        g = spec.gradient(q[..., [e.b for e in edges], :] - q[..., [e.a for e in edges], :])
+        for j, e in enumerate(edges):
+            F[..., e.a, :] += g[..., j, :]
+            F[..., e.b, :] -= g[..., j, :]
+    return F
+
+
+def reference_run(model, p, q, h, streams, n_steps, record_stride):
+    """The member-major B-A-O-A-B loop with its budget increments: final
+    (p, q, Gamma, M) and the total energy at every record."""
+    p, q = p.copy(), q.copy()
+    m, n = p.shape[0], model.dim
+    baths = sorted(model.topology.baths)
+    gam = np.array([model.gamma_of(b) for b in baths])
+    temp = np.array([model.temperature_of(b) for b in baths])
+    a = np.exp(-gam * h)
+    b = np.sqrt(temp * (1.0 - a * a))
+    a, b = a[:, None], b[:, None]
+    amp, power = np.sqrt(2.0 * gam * temp), gam * temp
+    xi_all = np.stack([s.standard_normal((n_steps, len(baths), n)) for s in streams], axis=1)
+    split = _Kernel(model).split_energies
+    gamma_acc, m_acc, records = np.zeros(m), np.zeros(m), []
+    F = reference_forces(model, q)
+    for step in range(1, n_steps + 1):
+        xi = xi_all[step - 1]
+        p += 0.5 * h * F
+        q += 0.5 * h * p
+        p_pre = p[:, baths].copy()
+        p_post = a * p_pre + b * xi
+        p[:, baths] = p_post
+        q += 0.5 * h * p
+        F = reference_forces(model, q)
+        p += 0.5 * h * F
+        p2 = 0.5 * (np.sum(p_pre * p_pre, axis=-1) + np.sum(p_post * p_post, axis=-1))
+        gamma_acc += h * np.sum(gam * p2, axis=-1)
+        dm = np.sqrt(h) * np.sum(amp * np.sum(p_pre * xi, axis=-1), axis=-1)
+        m_acc += dm + h * np.sum(power * (np.sum(xi * xi, axis=-1) - n), axis=-1)
+        if step % record_stride == 0 or step == n_steps:
+            records.append(split(p, q)[0])
+    return p, q, gamma_acc, m_acc, records
+
+
+def full_matrix_family(name, rng, dim):
+    """A potential of the named family; quadratics get a full stiffness."""
+    if name == "quadratic":
+        A = rng.standard_normal((dim, dim))
+        return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
+    return FAMILIES[name](dim)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    topo_seed=st.integers(0, 2 ** 32 - 1),
+    dim=st.integers(1, 3),
+    pinning=st.sampled_from(sorted(FAMILIES)),
+    interaction=st.sampled_from(sorted(FAMILIES)),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+# random_topology(max_vertices=12) gives 10, 10 and 11 baths for these
+# seeds: the bath sums are numpy's pairwise sums there.
+@example(topo_seed=0, dim=3, pinning="quadratic", interaction="softpower", seed=5)
+@example(topo_seed=26, dim=2, pinning="evenpower", interaction="quadratic", seed=6)
+@example(topo_seed=32, dim=1, pinning="softpower", interaction="evenpower", seed=7)
+def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinning,
+                                                          interaction, seed):
+    rng = np.random.default_rng(topo_seed)
+    topo = random_topology(rng, max_vertices=12)
+    N = topo.vertex_count
+    pin_spec = full_matrix_family(pinning, rng, dim)
+    int_specs = [full_matrix_family(interaction, rng, dim), SoftPower(degree=2.5, dim=dim)]
+    model = Model(topo, dim, {v: pin_spec for v in topo.vertices},
+                  {e: int_specs[j % 3 == 2] for j, e in enumerate(topo.edge_list)},
+                  {b: BathSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+                   for b in topo.baths})
+    members, h, stride = 3, 0.01, 50
+    n_steps = NOISE_CHUNK + 4  # one noise buffer refill
+    p0 = rng.standard_normal((members, N, dim))
+    q0 = 0.5 * rng.standard_normal((members, N, dim))
+    assert same_bits(forces(model, State(p0[0], q0[0])), reference_forces(model, q0[0]))
+
+    bi = BatchIntegrator(model, p0, q0, h, [seed_stream(seed, i) for i in range(members)])
+    records = []
+    bi.run(n_steps, record_stride=stride, on_record=lambda *args: records.append(args))
+    p, q, gamma_acc, m_acc, ref_records = reference_run(
+        model, p0, q0, h, [seed_stream(seed, i) for i in range(members)], n_steps, stride)
+    assert same_bits(bi.p, p) and same_bits(bi.q, q)
+    assert same_bits(bi.energies()[0], ref_records[-1])
+    assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
+    assert len(records) == len(ref_records)
+    for (_step, _t, H, _Hc, _Hi, rec_p, rec_q), ref_H in zip(records, ref_records):
+        assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
+
+
+def test_full_stiffness_integrate_is_one_member_of_the_batch():
+    # A one-vertex pinning group and a one-edge interaction group: the
+    # quadratic gradient sees one-row stacks for m = 1 and many-row stacks
+    # for m = 4, and must give each point the same bits either way.
+    topo = NetworkTopology(3, frozenset({Edge(0, 1)}), frozenset({0, 2}))
+    K = ((2.0, 0.3, -0.2), (0.3, 1.5, 0.1), (-0.2, 0.1, 1.2))
+    soft = SoftPower(degree=3.0, dim=3)
+    model = Model(topo, 3, {0: Quadratic(K, 3), 1: soft, 2: soft}, {Edge(0, 1): Quadratic(K, 3)},
+                  {0: BathSpec(1.0, 1.0), 2: BathSpec(0.5, 2.0)})
+    rng = np.random.default_rng(3)
+    p0, q0 = rng.standard_normal((2, 4, 3, 3))
+    bi = BatchIntegrator(model, p0, q0, 0.01, [seed_stream(4, i) for i in range(4)])
+    bi.run(100, record_stride=100)
+    for i in range(4):
+        tr = integrate(model, State(p0[i], q0[i]), 1.0, 0.01, seed_stream(4, i),
+                       record_every=100, record_states=True)
+        assert same_bits(tr.states[-1].p, bi.p[i]) and same_bits(tr.states[-1].q, bi.q[i])
+        assert same_bits(tr.Gamma[-1], bi.gamma_acc[i]) and same_bits(tr.M[-1], bi.m_acc[i])
+
+
+def test_batch_integrator_keeps_what_the_benchmark_instrument_uses(monkeypatch):
+    # perfbench/instrument.py patches these in the class bodies, reads
+    # m, blown, H0 and the member-major state, and counts member-steps in
+    # run() and in integrate/integrate_deterministic separately.
+    import inspect
+
+    assert {"__init__", "run"} <= set(vars(BatchIntegrator))
+    assert "standard_normal" in vars(PrecomputedNoise)
+    params = inspect.signature(BatchIntegrator.run).parameters
+    assert [(k, v.default) for k, v in params.items()] == [
+        ("self", inspect.Parameter.empty), ("n_steps", inspect.Parameter.empty),
+        ("record_stride", 1), ("on_record", None)]
+
+    model = chain_model(4, 2, temperatures=(1.0, 2.0))
+    bi = BatchIntegrator(model, np.zeros((5, 4, 2)), np.ones((5, 4, 2)), 0.01,
+                         [seed_stream(1, i) for i in range(5)])
+    shapes = []
+    bi.run(6, record_stride=3, on_record=lambda step, t, H, Hc, Hi, p, q: shapes.append((p.shape, q.shape)))
+    assert bi.m == 5 and bi.blown.shape == bi.H0.shape == (5,)
+    assert bi.p.shape == bi.q.shape == (5, 4, 2)
+    assert shapes == [((5, 4, 2), (5, 4, 2))] * 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the path integrators must not call the public run")
+
+    monkeypatch.setattr(BatchIntegrator, "run", refuse)
+    z0 = State(np.ones((4, 2)), np.zeros((4, 2)))
+    assert len(integrate(model, z0, 0.05, 0.01, seed_stream(2)).times) == 6
+    assert len(integrate_deterministic(model, z0, 0.05, 0.01).times) == 6
 
 
 def test_self_consistency_deterministic_is_second_order():

@@ -322,3 +322,30 @@ def test_local_piece_gradient_matches_loop_reference_bitwise(shape):
     for spec in pieces:
         got, want = spec.gradient(x), loop_gradient(spec, x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 1), (3, 2, 1), (5, 4096, 1)])
+def test_quadratic_dim1_gradient_is_the_matmul_bitwise(shape):
+    spec = Quadratic(((1.7,),), 1)
+    x = np.random.default_rng(11).standard_normal(shape)
+    got, want = spec.gradient(x), x @ np.array(spec.stiffness).T
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_quadratic_gradient_bits_do_not_depend_on_the_stack(dim):
+    A = np.random.default_rng(dim).standard_normal((dim, dim))
+    spec = Quadratic(tuple(map(tuple, A @ A.T)), dim)
+    x = np.random.default_rng(12).standard_normal((4, 6, dim))
+    whole = spec.gradient(x)
+    assert whole.tobytes() == spec.gradient(x.transpose(1, 0, 2)).transpose(1, 0, 2).tobytes()
+    for i in range(4):
+        for j in range(6):
+            assert whole[i, j].tobytes() == spec.gradient(x[i, j]).tobytes()
+    assert np.allclose(whole, x @ spec.matrix.T, rtol=1e-14, atol=1e-14)
+
+
+def test_quadratic_matrix_is_cached_outside_equality_and_hash():
+    a, b = Quadratic.isotropic(2.0, 2), Quadratic.isotropic(2.0, 2)
+    assert a.matrix is a.matrix and not a.matrix.flags.writeable
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
