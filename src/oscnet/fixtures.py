@@ -87,12 +87,12 @@ def c4_initial_state() -> State:
     return State(p, q)
 
 
-# The box as arrays, built once: the guard runs after every step.
-_BOX = {key: np.array(value) for key, value in C4_VALIDITY_BOX.items()}
+# The box as (mass, coordinate) arrays, built once: the guard runs after
+# every integration step.
+_BOX_CENTER = np.array([C4_VALIDITY_BOX["q1_center"], C4_VALIDITY_BOX["q2_center"]])
+_BOX_HALFWIDTH = np.array([C4_VALIDITY_BOX["q1_halfwidth"], C4_VALIDITY_BOX["q2_halfwidth"]])
 
 
 def c4_guard(state: State) -> bool:
     """True while both masses remain inside the documented validity box."""
-    ok1 = np.all(np.abs(state.q[0] - _BOX["q1_center"]) <= _BOX["q1_halfwidth"])
-    ok2 = np.all(np.abs(state.q[1] - _BOX["q2_center"]) <= _BOX["q2_halfwidth"])
-    return bool(ok1 and ok2)
+    return bool((np.abs(state.q - _BOX_CENTER) <= _BOX_HALFWIDTH).all())

@@ -246,13 +246,16 @@ class LocalPiece:
         x = _as_points(x, self.dim)
         coeffs, exps, _, _ = self._tables()
         pw = x[..., None, :] ** exps
-        return np.sum(coeffs * np.prod(pw, axis=-1), axis=-1) + self.offset
+        return np.add.reduce(coeffs * np.multiply.reduce(pw, axis=-1), axis=-1) + self.offset
 
     def gradient(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
         _, _, slopes, reduced = self._tables()
         pw = x[..., None, None, :] ** reduced
-        return np.sum(slopes * np.prod(pw, axis=-1), axis=-1)
+        # np.add/np.multiply.reduce are np.sum/np.prod without their Python
+        # dispatch: the same arithmetic, cheaper on the one-point calls of
+        # the c4 run.
+        return np.add.reduce(slopes * np.multiply.reduce(pw, axis=-1), axis=-1)
 
     def _top(self) -> "LocalPiece":
         top = self.degree
