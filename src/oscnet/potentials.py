@@ -170,9 +170,6 @@ class Quadratic:
     def gradient(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
         K = self.matrix
-        if self.dim == 1:
-            # The same bits as the 1x1 matmul, without its dispatch cost.
-            return x * K[0, 0]
         # K x summed over columns in a fixed order.  The bits of a matmul
         # depend on the shape of the stack (BLAS picks gemv for one-row
         # matrices and gemm otherwise); these elementwise products do not,

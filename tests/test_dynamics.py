@@ -178,6 +178,14 @@ FAMILIES = {
 }
 
 
+def full_matrix_family(name, rng, dim):
+    """A potential of the named family; quadratics get a full stiffness."""
+    if name == "quadratic":
+        A = rng.standard_normal((dim, dim))
+        return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
+    return FAMILIES[name](dim)
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -186,7 +194,7 @@ def same_bits(a, b):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     topo_seed=st.integers(0, 2 ** 32 - 1),
-    dim=st.integers(1, 2),
+    dim=st.integers(1, 3),
     pinning=st.sampled_from(sorted(FAMILIES)),
     interaction=st.sampled_from(sorted(FAMILIES)),
     seed=st.integers(0, 2 ** 63 - 1),
@@ -195,9 +203,14 @@ def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interacti
     rng = np.random.default_rng(topo_seed)
     topo = random_topology(rng, max_vertices=6)
     N = topo.vertex_count
+    # Vertex 0 and the first edge get a spec of their own (a distinct one
+    # for quadratics), so a potential sees one-row stacks for m = 1 and
+    # many-row stacks in the batch, and must give each point the same bits.
+    pin_specs = [full_matrix_family(pinning, rng, dim) for _ in range(2)]
+    int_specs = [full_matrix_family(interaction, rng, dim) for _ in range(2)]
     model = Model(topo, dim,
-                  {v: FAMILIES[pinning](dim) for v in topo.vertices},
-                  {e: FAMILIES[interaction](dim) for e in topo.edges},
+                  {v: pin_specs[v == 0] for v in topo.vertices},
+                  {e: int_specs[j == 0] for j, e in enumerate(topo.edge_list)},
                   {b: BathSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
                    for b in topo.baths})
     members, h, n_steps = 3, 0.01, 60
@@ -284,14 +297,6 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
     return p, q, gamma_acc, m_acc, records
 
 
-def full_matrix_family(name, rng, dim):
-    """A potential of the named family; quadratics get a full stiffness."""
-    if name == "quadratic":
-        A = rng.standard_normal((dim, dim))
-        return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
-    return FAMILIES[name](dim)
-
-
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     topo_seed=st.integers(0, 2 ** 32 - 1),
@@ -333,26 +338,6 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
     assert len(records) == len(ref_records)
     for (_step, _t, H, _Hc, _Hi, rec_p, rec_q), ref_H in zip(records, ref_records):
         assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
-
-
-def test_full_stiffness_integrate_is_one_member_of_the_batch():
-    # A one-vertex pinning group and a one-edge interaction group: the
-    # quadratic gradient sees one-row stacks for m = 1 and many-row stacks
-    # for m = 4, and must give each point the same bits either way.
-    topo = NetworkTopology(3, frozenset({Edge(0, 1)}), frozenset({0, 2}))
-    K = ((2.0, 0.3, -0.2), (0.3, 1.5, 0.1), (-0.2, 0.1, 1.2))
-    soft = SoftPower(degree=3.0, dim=3)
-    model = Model(topo, 3, {0: Quadratic(K, 3), 1: soft, 2: soft}, {Edge(0, 1): Quadratic(K, 3)},
-                  {0: BathSpec(1.0, 1.0), 2: BathSpec(0.5, 2.0)})
-    rng = np.random.default_rng(3)
-    p0, q0 = rng.standard_normal((2, 4, 3, 3))
-    bi = BatchIntegrator(model, p0, q0, 0.01, [seed_stream(4, i) for i in range(4)])
-    bi.run(100, record_stride=100)
-    for i in range(4):
-        tr = integrate(model, State(p0[i], q0[i]), 1.0, 0.01, seed_stream(4, i),
-                       record_every=100, record_states=True)
-        assert same_bits(tr.states[-1].p, bi.p[i]) and same_bits(tr.states[-1].q, bi.q[i])
-        assert same_bits(tr.Gamma[-1], bi.gamma_acc[i]) and same_bits(tr.M[-1], bi.m_acc[i])
 
 
 def test_batch_integrator_keeps_what_the_benchmark_instrument_uses(monkeypatch):
