@@ -13,7 +13,7 @@ Schema sketch (defaults in parentheses):
         "pinning": {"default": <potential>, "per_vertex": {"<vertex>": <potential>}},
         "interaction": {"default": <potential>, "per_edge": [{"edge": [u, v], "potential": <potential>}]}
       },
-      "integrator": {"h0": 1e-3, "energy_adaptive": true, "record_every": 10},
+      "integrator": {"h0": 1e-3},
       "experiment": {"kind": "check" | "simulate" | "equilibrium-test" |
                               "lyapunov-scan" | "dissipation-scan" |
                               "decay-fit" | "counterexample-c4", ...},
@@ -446,12 +446,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     integrator = _expect_mapping(doc.get("integrator", {}), "integrator", errors)
     h0 = _get_number(integrator, "h0", "integrator", errors, default=1e-3, strict_min=0)
-    record_every = _get_number(integrator, "record_every", "integrator", errors, default=10,
-                               minimum=1, integer=True)
-    energy_adaptive = integrator.get("energy_adaptive", True)
-    if not isinstance(energy_adaptive, bool):
-        errors.add("integrator.energy_adaptive", "expected a boolean")
-        energy_adaptive = True
+    for key in sorted(set(integrator) - {"h0"}):
+        errors.add(f"integrator.{key}", "unknown parameter")
 
     output = _expect_mapping(doc.get("output", {}), "output", errors)
     directory = output.get("directory", "out")
@@ -496,7 +492,7 @@ def parse_config(text: str) -> ExperimentConfig:
     echo_doc: dict[str, Any] = {
         "seed": seed,
         "experiment": experiment,
-        "integrator": {"h0": h0, "record_every": record_every, "energy_adaptive": energy_adaptive},
+        "integrator": {"h0": h0},
         "output": {"directory": directory, "formats": sorted(formats)},
     }
     if model_canon is not None:

@@ -19,19 +19,22 @@ The checks implemented here:
 * ``gibbs_invariance_test``: equal-temperature sanity check that exact
   Boltzmann-Gibbs samples stay stationary under the dynamics.
 
-Every ensemble member draws from its own counter-based stream
-(seed, index), accumulators are preallocated per member, and reductions run
-in member order, so all reports are bit-for-bit reproducible for a given
-seed.  A check whose ensemble had a blown-up member raises
-:class:`BlowupError` instead of reporting a statistic; only the drift
-estimate keeps blown members, at its documented cap.
+Every ensemble runs through ``run_ensemble``, the one place that assigns
+members to counter-based streams (seed, index) and builds the
+integrator; a check reads its per-record statistics through the one
+``on_record(step, p, q)`` hook, which sees step 0 and every record step.
+Accumulators are preallocated per member and reductions run in member
+order, so all reports are bit-for-bit reproducible for a given seed.  A
+check whose ensemble had a blown-up member raises :class:`BlowupError`
+instead of reporting a statistic; only the drift estimate keeps blown
+members, at its documented cap.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -220,13 +223,6 @@ def gaussian_stationary_covariance(model: Model) -> GaussianOracle:
 # Ensemble plumbing
 # ---------------------------------------------------------------------------
 
-def _record_steps(n_steps: int, stride: int) -> list[int]:
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
-
-
 @dataclass
 class EnsembleOutcome:
     """Per-member results of a lockstep ensemble run (member order = stream index)."""
@@ -235,15 +231,11 @@ class EnsembleOutcome:
     h_final: np.ndarray
     gamma: np.ndarray
     work: np.ndarray
-    h_min: np.ndarray
-    h_max: np.ndarray
     first_low: np.ndarray
     first_high: np.ndarray
     blown: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    record_times: np.ndarray
-    series: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def run_ensemble(
@@ -256,24 +248,21 @@ def run_ensemble(
     stream_offset: int = 0,
     record_stride: int = 1,
     thresholds: tuple[float, float] | None = None,
-    per_record: Mapping[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] | None = None,
+    on_record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
 ) -> EnsembleOutcome:
     """Run M independent trajectories; member i draws from stream
     (seed, stream_offset + i).
 
     ``thresholds=(lo, hi)`` tracks the first record step at which H drops
-    below lo resp. exceeds hi.  ``per_record`` maps series names to
-    functions (p, q) -> (members,) sampled on the record grid.  Splitting
-    the members over several calls with matching ``stream_offset`` gives
-    the same per-member results.
+    below lo resp. exceeds hi.  ``on_record(step, p, q)`` sees member-major
+    (members, vertices, dim) copies of the state at step 0 and then at
+    every record step: each multiple of ``record_stride``, and the last
+    step.  Splitting the members over several calls with matching
+    ``stream_offset`` gives the same per-member results.
     """
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
     m = p0.shape[0]
-    steps = _record_steps(n_steps, record_stride)
-    step_pos = {s: i for i, s in enumerate(steps)}
-    per_record = per_record or {}
-    series = {name: np.zeros((len(steps), m)) for name in per_record}
     th = None
     if thresholds is not None:
         lo, hi = thresholds
@@ -281,34 +270,27 @@ def run_ensemble(
     streams = [seed_stream(seed, stream_offset + i) for i in range(m)]
     bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=th)
 
-    def sample(k, p, q):
-        for name, fn in per_record.items():
-            series[name][k] = fn(p, q)
-
-    def on_record(step, t, H, Hc, Hi, p, q):
-        if step in step_pos:
-            sample(step_pos[step], p, q)
+    def record(step, H, Hc, Hi, p, q) -> None:
+        on_record(step, p, q)
 
     # Blown members are reported through ``blown``; their overflowing
     # energies and observables raise no numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        sample(0, bi.p, bi.q)
-        bi.run(n_steps, record_stride=record_stride, on_record=on_record)
+        if on_record is not None:
+            on_record(0, bi.p, bi.q)
+        bi.run(n_steps, record_stride=record_stride,
+               on_record=record if on_record is not None else None)
         h_final, _, _ = bi.energies()
     return EnsembleOutcome(
         h_init=bi.H0,
         h_final=h_final,
         gamma=bi.gamma_acc,
         work=bi.m_acc,
-        h_min=bi.h_min,
-        h_max=bi.h_max,
         first_low=bi.first_low,
         first_high=bi.first_high,
         blown=bi.blown,
         p=bi.p,
         q=bi.q,
-        record_times=h * np.array(steps, dtype=float),
-        series=series,
     )
 
 
@@ -430,7 +412,6 @@ def stationary_moment_test(
     seed: int,
     replicas: int = 64,
     sample_stride_time: float = 2.0,
-    compare_oracle: bool | None = None,
 ) -> StationaryMomentReport:
     """Long-run time averages of momentum moments across replicas.
 
@@ -449,18 +430,15 @@ def stationary_moment_test(
     burn_steps = int(round(burn_in / h))
     total_steps = burn_steps + per_rep * stride_steps
 
-    if compare_oracle is None:
-        try:
-            oracle = gaussian_stationary_covariance(model)
-        except (ValueError, OracleError):
-            oracle = None
-    else:
-        oracle = gaussian_stationary_covariance(model) if compare_oracle else None
+    try:
+        oracle = gaussian_stationary_covariance(model)
+    except (ValueError, OracleError):
+        oracle = None
 
     d = 2 * N * n
     sum_p2 = np.zeros((replicas, N))
     sum_zz = np.zeros((replicas, d, d)) if oracle is not None else None
-    counts = np.zeros(replicas, dtype=int)
+    count = 0
     gammas = np.array([model.gamma_of(v) for v in range(N)])
     # Lag-1 statistics of the bath statistic, for the effective-sample count.
     lag_prev = np.full(replicas, np.nan)
@@ -469,10 +447,8 @@ def stationary_moment_test(
     lag_cross = np.zeros(replicas)
     lag_n = np.zeros(replicas, dtype=int)
 
-    streams = [seed_stream(seed, i) for i in range(replicas)]
-    bi = BatchIntegrator(model, np.zeros((replicas, N, n)), np.zeros((replicas, N, n)), h, streams)
-
-    def on_record(step, t, H, Hc, Hi, p, q):
+    def on_record(step, p, q):
+        nonlocal count
         if step <= burn_steps:
             return
         p2 = np.sum(p * p, axis=-1)
@@ -480,7 +456,7 @@ def stationary_moment_test(
         if sum_zz is not None:
             z = np.concatenate([p.reshape(replicas, -1), q.reshape(replicas, -1)], axis=1)
             sum_zz[:] += z[:, :, None] * z[:, None, :]
-        counts[:] += 1
+        count += 1
         stat = p2 @ gammas
         have = ~np.isnan(lag_prev)
         lag_cross[have] += stat[have] * lag_prev[have]
@@ -489,11 +465,12 @@ def stationary_moment_test(
         lag_sumsq[:] += stat * stat
         lag_prev[:] = stat
 
-    bi.run(total_steps, record_stride=stride_steps, on_record=on_record)
-    _require_no_blowup(bi.blown, total_steps, h, "replicas")
+    zeros = np.zeros((replicas, N, n))
+    out = run_ensemble(model, zeros, zeros, h, total_steps, seed,
+                       record_stride=stride_steps, on_record=on_record)
+    _require_no_blowup(out.blown, total_steps, h, "replicas")
 
-    cnt = counts[:, None].astype(float)
-    rep_p2 = sum_p2 / cnt
+    rep_p2 = sum_p2 / count
     p2_mean = rep_p2.mean(axis=0)
     p2_se = rep_p2.std(axis=0, ddof=1) / math.sqrt(replicas)
 
@@ -504,8 +481,8 @@ def stationary_moment_test(
 
     second = second_se = osig = None
     max_dev = None
-    if sum_zz is not None and oracle is not None:
-        rep_zz = sum_zz / cnt[:, :, None]
+    if oracle is not None:
+        rep_zz = sum_zz / count
         second = rep_zz.mean(axis=0)
         second_se = rep_zz.std(axis=0, ddof=1) / math.sqrt(replicas)
         osig = oracle.sigma_inf
@@ -515,7 +492,7 @@ def stationary_moment_test(
 
     # Pooled lag-1 autocorrelation of the bath statistic; an AR(1) model of
     # the recorded series gives the effective-sample discount factor.
-    n_rec = int(counts.sum())
+    n_rec = count * replicas
     total = float(lag_sum.sum())
     mean_stat = total / n_rec
     var_stat = float(lag_sumsq.sum()) / n_rec - mean_stat ** 2
@@ -536,7 +513,7 @@ def stationary_moment_test(
         balance_ratio=diss / target if target else float("nan"),
         balance_ratio_se=diss_se / target if target else float("nan"),
         replicas=replicas,
-        samples_per_replica=int(counts[0]),
+        samples_per_replica=count,
         sample_stride_time=stride_steps * h,
         burn_in=burn_steps * h,
         recorded_samples=n_rec,
@@ -569,7 +546,6 @@ class DriftConfig:
     rule: TimescaleRule
     placement: str = "interaction"
     h0: float = 1e-3
-    record_every: int = 10
 
     def __post_init__(self):
         if not (self.theta > 0):
@@ -696,7 +672,8 @@ def drift_estimate(
 
     Blown-up members are not dropped: they contribute the cap value
     exp(theta * 2 H0), which biases the estimate upward (conservative).
-    Event tallies classify every member by its first recorded band exit.
+    Event tallies classify every member by its first band exit, recorded
+    every 10 steps.
     """
     config.validate_for(model)
     H0, _, _ = hamiltonian(model, z0)
@@ -711,7 +688,7 @@ def drift_estimate(
         n_steps,
         seed,
         stream_offset=stream_offset,
-        record_stride=config.record_every,
+        record_stride=10,
         thresholds=(H0 / 2.0, 2.0 * H0),
     )
     weights = np.exp(config.theta * (out.h_final - H0))
@@ -852,10 +829,10 @@ def dissipation_tail(
     ensemble: int,
     seed: int,
     h0: float = 1e-3,
-    record_every: int = 5,
 ) -> DissipationTailReport:
     """Empirical P( {H stays <= 4 H0 on the window} and
-    {Gamma(tau) < eps * H0 * tau} ) over the natural window tau(z0)."""
+    {Gamma(tau) < eps * H0 * tau} ) over the natural window tau(z0); H is
+    checked every 5 steps."""
     if not (epsilon > 0):
         raise ValueError("epsilon must be > 0")
     H0, Hc0, Hi0 = hamiltonian(model, z0)
@@ -869,7 +846,7 @@ def dissipation_tail(
         h,
         n_steps,
         seed,
-        record_stride=record_every,
+        record_stride=5,
         thresholds=(-np.inf, 4.0 * H0),
     )
     contained = (out.first_high < 0) & ~out.blown
@@ -931,18 +908,18 @@ def observable_decay_fit(
     seed: int,
     h: float = 5e-3,
     grid_points: int = 100,
-    stationary_burn: float | None = None,
     stationary_samples: int = 20000,
-    smooth_window: float = 2.0,
 ) -> DecayFitReport:
     """Fit an exponential rate to |E f(z_t) - mu(f)| on a time grid.
 
-    The stationary reference mu(f) is a long-run time average after a
-    burn-in of ten slowest oracle timescales (quadratic models) or a fixed
-    default of 50 time units.  The rate is fitted on the leading grid
-    window where the (smoothed) signal exceeds three times the Monte Carlo
-    noise; fewer than five such points marks the report inconclusive.
-    Raises :class:`BlowupError` when a member of either run blew up.
+    The curve is sampled at step 0, every ``n_steps // grid_points``
+    steps, and the last step.  The stationary reference mu(f) is a
+    long-run time average after a burn-in of ten slowest oracle timescales
+    (quadratic models) or a fixed default of 50 time units.  The rate is
+    fitted on the leading grid window where the (smoothed) signal exceeds
+    three times the Monte Carlo noise; fewer than five such points marks
+    the report inconclusive.  Raises :class:`BlowupError` when a member of
+    either run blew up.
     """
     if isinstance(observable, str):
         fn = resolve_observable(model, observable)
@@ -951,37 +928,38 @@ def observable_decay_fit(
 
     # Stationary reference: a handful of long runs on dedicated streams
     # (indices above the ensemble members), averaged after burn-in.
-    if stationary_burn is None:
-        try:
-            oracle = gaussian_stationary_covariance(model)
-            stationary_burn = 10.0 / max(abs(oracle.spectral_abscissa), 1e-6)
-        except (ValueError, OracleError):
-            stationary_burn = 50.0
+    try:
+        oracle = gaussian_stationary_covariance(model)
+        burn = 10.0 / max(abs(oracle.spectral_abscissa), 1e-6)
+    except (ValueError, OracleError):
+        burn = 50.0
     n_ref = 8
     stride_time = 0.5
     stride_steps = max(1, int(round(stride_time / h)))
-    burn_steps = int(round(stationary_burn / h))
+    burn_steps = int(round(burn / h))
     per_ref = max(1, stationary_samples // n_ref)
     long_steps = burn_steps + per_ref * stride_steps
-    streams = [seed_stream(seed, ensemble + i) for i in range(n_ref)]
-    bi = BatchIntegrator(
-        model,
-        np.broadcast_to(z0.p, (n_ref,) + z0.p.shape).copy(),
-        np.broadcast_to(z0.q, (n_ref,) + z0.q.shape).copy(),
-        h,
-        streams,
-    )
     ref_sum = np.zeros(n_ref)
     ref_cnt = 0
 
-    def collect(step, t, H, Hc, Hi, p, q):
+    def collect(step, p, q):
         nonlocal ref_cnt
         if step > burn_steps:
             ref_sum[:] += fn(p, q)
             ref_cnt += 1
 
-    bi.run(long_steps, record_stride=stride_steps, on_record=collect)
-    _require_no_blowup(bi.blown, long_steps, h, "reference runs")
+    ref = run_ensemble(
+        model,
+        np.broadcast_to(z0.p, (n_ref,) + z0.p.shape).copy(),
+        np.broadcast_to(z0.q, (n_ref,) + z0.q.shape).copy(),
+        h,
+        long_steps,
+        seed,
+        stream_offset=ensemble,
+        record_stride=stride_steps,
+        on_record=collect,
+    )
+    _require_no_blowup(ref.blown, long_steps, h, "reference runs")
     ref_means = ref_sum / max(ref_cnt, 1)
     mu_hat = float(np.mean(ref_means))
     # Spread across independent replicas respects autocorrelation.
@@ -989,6 +967,12 @@ def observable_decay_fit(
 
     n_steps = max(1, int(round(horizon / h)))
     stride = max(1, n_steps // grid_points)
+    steps, values = [], []
+
+    def sample(step, p, q):
+        steps.append(step)
+        values.append(np.array(fn(p, q), dtype=float))
+
     out = run_ensemble(
         model,
         np.broadcast_to(z0.p, (ensemble,) + z0.p.shape).copy(),
@@ -997,31 +981,27 @@ def observable_decay_fit(
         n_steps,
         seed,
         record_stride=stride,
-        per_record={"f": fn},
+        on_record=sample,
     )
     _require_no_blowup(out.blown, n_steps, h, "members")
-    f_series = out.series["f"]
+    f_series = np.array(values)
     mean_t = f_series.mean(axis=1)
     se_t = f_series.std(axis=1, ddof=1) / math.sqrt(ensemble)
     curve = np.abs(mean_t - mu_hat)
     noise = np.sqrt(se_t ** 2 + mu_se ** 2)
-    times = out.record_times
+    times = h * np.array(steps, dtype=float)
 
-    # A centered moving average over ~smooth_window time units suppresses
-    # the oscillatory factor of the decay (the envelope slope is unbiased:
+    # A centered moving average over ~2 time units suppresses the
+    # oscillatory factor of the decay (the envelope slope is unbiased:
     # averaging e^{-ct} over a fixed window only rescales it).
-    if len(times) > 1 and smooth_window > 0:
-        dt = float(times[1] - times[0])
-        span = max(1, int(round(smooth_window / dt)))
+    sm, t_sm, n_sm = curve, times, noise
+    if len(times) > 1:
+        span = max(1, int(round(2.0 / float(times[1] - times[0]))))
         if span > 1:
             kern_w = np.ones(span) / span
             sm = np.convolve(curve, kern_w, mode="valid")
             t_sm = np.convolve(times, kern_w, mode="valid")
             n_sm = np.convolve(noise, kern_w, mode="valid")
-        else:
-            sm, t_sm, n_sm = curve, times, noise
-    else:
-        sm, t_sm, n_sm = curve, times, noise
 
     # Fit on the contiguous leading window where the signal clears the
     # noise; once the smoothed curve first dips under 3x noise the rest is

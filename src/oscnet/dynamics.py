@@ -35,9 +35,10 @@ is held member-minor, (vertices, dim, members): every per-vertex or
 per-bath operation is one contiguous vector op over the members, and the
 edge forces are scattered in slabs, one round per incident-edge rank, so a
 vertex still adds its edge terms in edge-list order.  Potentials, energies
-and record callbacks see member-major copies, so every reduction keeps the
-order it has on a (members, vertices, dim) array; a sum over 8 or more
-baths or components, which numpy evaluates pairwise there, is taken on a
+and the record callback ``on_record(step, H, Hc, Hi, p, q)`` see
+member-major copies, so every reduction keeps the order it has on a
+(members, vertices, dim) array; a sum over 8 or more baths, components or
+group terms, which numpy evaluates pairwise there, is taken on a
 member-major copy as well.  Each member's path is therefore the same bits
 whatever the ensemble size or chunking.
 """
@@ -45,7 +46,7 @@ whatever the ensemble size or chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,7 +120,6 @@ class Trace:
     M: np.ndarray
     noise_work_rate: float
     states: list[State] | None = None
-    seed_info: dict = field(default_factory=dict)
 
     def residual(self) -> np.ndarray:
         """Pathwise energy-budget residual; first order in the step size."""
@@ -286,16 +286,21 @@ class _Kernel:
                     F[v] -= g[j]
         return F
 
+    # A group selected by an index array comes out of numpy's fancy
+    # indexing group-major in memory; summing a contiguous copy keeps the
+    # order of a member-major sum (pairwise from 8 terms on) for every
+    # ensemble size.
     def pinning_energy(self, q: np.ndarray) -> np.ndarray:
         total = np.zeros(q.shape[:-2])
         for idx, val, _grad in self.pin_groups:
-            total = total + np.sum(val(q[..., idx, :]), axis=-1)
+            total = total + np.add.reduce(np.ascontiguousarray(val(q[..., idx, :])), axis=-1)
         return total
 
     def interaction_energy(self, q: np.ndarray) -> np.ndarray:
         total = np.zeros(q.shape[:-2])
         for ea, eb, _plan, val, _grad in self.edge_groups:
-            total = total + np.sum(val(q[..., eb, :] - q[..., ea, :]), axis=-1)
+            total = total + np.add.reduce(
+                np.ascontiguousarray(val(q[..., eb, :] - q[..., ea, :])), axis=-1)
         return total
 
     def split_energies(self, p: np.ndarray, q: np.ndarray):
@@ -411,7 +416,6 @@ def integrate(
     rng_stream,
     record_every: int = 1,
     record_states: bool = False,
-    seed_info: dict | None = None,
 ) -> Trace:
     """Integrate the SDE, recording (H, Hc, Hi, Gamma, M) every
     ``record_every`` steps.
@@ -425,7 +429,7 @@ def integrate(
     Identical (model, state0, h, stream) reproduce the trace bit-for-bit.
     """
     return _integrate_path(model, state0, t_end, h, rng_stream, record_every,
-                           record_states, seed_info)
+                           record_states)
 
 
 def integrate_deterministic(
@@ -455,7 +459,7 @@ def integrate_deterministic(
 
 
 def _integrate_path(model, state0, t_end, h, stream, record_every, record_states,
-                    seed_info=None, guard=None, stop_when=None) -> Trace:
+                    guard=None, stop_when=None) -> Trace:
     """One trajectory as a one-member batch, recorded into a :class:`Trace`."""
     if not (t_end > 0) or not (h > 0):
         raise ValueError("t_end and h must be > 0")
@@ -477,7 +481,6 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
             M=np.array(Ms),
             noise_work_rate=model.noise_work_rate,
             states=states,
-            seed_info=dict(seed_info or {}),
         )
 
     def record(step, H, Hc, Hi, p, q) -> bool:
@@ -598,9 +601,10 @@ class BatchIntegrator:
     Member ``i`` draws its noise from ``streams[i]``, any object with a
     ``standard_normal(shape)`` method.  Each member's path is a pure
     function of its own stream, so results do not depend on ensemble size
-    or on how members are split across runs.  Per-member dissipation,
-    injected work, running energy extrema, and first-crossing steps of
-    optional energy thresholds are tracked at record resolution.
+    or on how members are split across runs.  Per-member dissipation and
+    injected work are accumulated every step; blowups and the
+    first-crossing steps of optional energy thresholds are tracked at
+    record resolution.
 
     States go in and come out as (members, vertices, dim) arrays: ``p``,
     ``q`` and the arrays handed to ``on_record`` are member-major copies.
@@ -637,8 +641,6 @@ class BatchIntegrator:
         self.m_acc = np.zeros(self.m)
         H, _, _ = self.kern.split_energies(p0, q0)
         self.H0 = H
-        self.h_min = H.copy()
-        self.h_max = H.copy()
         self.blown = ~np.isfinite(H)
         self.thresholds = thresholds
         self.first_low = np.full(self.m, -1, dtype=int)
@@ -662,8 +664,6 @@ class BatchIntegrator:
             buf[i] = stream.standard_normal(buf.shape[1:])
 
     def _observe(self, step: int, H: np.ndarray) -> None:
-        np.minimum(self.h_min, H, out=self.h_min)
-        np.maximum(self.h_max, H, out=self.h_max)
         bad = ~np.isfinite(H) | (H > self._ceiling)
         self.blown |= bad
         if self.thresholds is not None:
@@ -674,18 +674,16 @@ class BatchIntegrator:
             self.first_high[newly_high] = step
 
     def run(self, n_steps: int, record_stride: int = 1, on_record=None) -> None:
-        """Advance ``n_steps``, firing ``on_record(step, t, H, Hc, Hi, p, q)``
-        at the record stride, with member-major copies of the state.
+        """Advance ``n_steps``, firing ``on_record(step, H, Hc, Hi, p, q)``
+        as :meth:`_advance` does: at the record stride and at the last
+        step, with member-major copies of the state; a true return ends
+        the run.
 
         The callback does not fire for step 0; the initial state is
         inspectable on the instance before calling."""
         H, _, _ = self.energies()
         self._observe(0, H)
-
-        def fire(step, H, Hc, Hi, p, q) -> None:
-            on_record(step, step * self.h, H, Hc, Hi, p, q)
-
-        self._advance(n_steps, record_stride, fire if on_record is not None else None)
+        self._advance(n_steps, record_stride, on_record)
 
     def _advance(self, n_steps: int, record_stride: int, on_record, on_step=None) -> None:
         """The stepping loop behind :meth:`run`, :func:`integrate` and

@@ -210,7 +210,6 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
             seed_stream(seed, 0),
             record_every=int(exp["record_every"]),
             record_states=record_states,
-            seed_info={"seed": seed, "stream": 0},
         )
         if "csv" in config.output["formats"]:
             ws.write_trace("trace_main.csv", trace)

@@ -243,7 +243,7 @@ def _drift_criterion(model, rule, seed):
     cfg = DriftConfig(
         theta=0.25, t_star=1.0, ensemble=2000,
         energy_grid=(25.0, 50.0, 100.0, 200.0),
-        rule=rule, placement="interaction", h0=1e-3, record_every=10,
+        rule=rule, placement="interaction", h0=1e-3,
     )
     rep = drift_scan(model, cfg, seed)
     all_below = all(lv.ci95[1] < 1.0 for lv in rep.levels)

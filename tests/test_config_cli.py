@@ -76,6 +76,16 @@ def test_all_errors_collected_not_just_first():
     assert len(err.value.messages) >= 3
 
 
+def test_unknown_integrator_parameter_is_named():
+    # The integrator section takes only h0; a key the runner would ignore
+    # is an error, like an unknown experiment parameter.
+    doc = json.loads(MINIMAL)
+    doc["integrator"] = {"h0": 1e-3, "record_every": 100}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert any(m.startswith("integrator.record_every:") for m in err.value.messages)
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ConfigError) as err:
         parse_config("{ not json }")

@@ -129,7 +129,7 @@ def test_initial_state_rejects_tiny_energy():
 def harmonic_drift_config(ensemble=200, grid=(25.0, 50.0, 100.0)):
     return DriftConfig(
         theta=0.25, t_star=1.0, ensemble=ensemble, energy_grid=grid,
-        rule=TimescaleRule(lam=0.5, li=2, lp=2), h0=1e-3, record_every=10,
+        rule=TimescaleRule(lam=0.5, li=2, lp=2), h0=1e-3,
     )
 
 
@@ -192,7 +192,7 @@ def test_drift_scan_runs_on_uncontrolled_topology():
               {e: spec for e in topo.edges},
               {b: BathSpec(1.0, 1.0) for b in topo.baths})
     cfg = DriftConfig(theta=0.25, t_star=1.0, ensemble=100, energy_grid=(25.0, 50.0, 100.0),
-                      rule=TimescaleRule(lam=0.5, li=2, lp=2), record_every=10)
+                      rule=TimescaleRule(lam=0.5, li=2, lp=2))
     report = drift_scan(m, cfg, seed=45)
     assert len(report.levels) == 3
     from oscnet.conditions import check_conditions
@@ -203,7 +203,7 @@ def test_drift_scan_near_typical_energy_is_inconclusive():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
     cfg = DriftConfig(theta=0.05, t_star=1.0, ensemble=100,
                       energy_grid=(3.0, 4.0, 5.0),
-                      rule=TimescaleRule(lam=0.5, li=2, lp=2), record_every=10)
+                      rule=TimescaleRule(lam=0.5, li=2, lp=2))
     report = drift_scan(m, cfg, seed=60)
     assert report.inconclusive
     assert report.slope is None and report.c1_hat is None
@@ -233,19 +233,55 @@ def test_run_ensemble_results_do_not_depend_on_chunking():
         p0 = np.broadcast_to(z0.p, (64,) + z0.p.shape).copy()
         q0 = np.broadcast_to(z0.q, (64,) + z0.q.shape).copy()
 
-        def run(i0, i1):
-            return run_ensemble(m, p0[i0:i1], q0[i0:i1], 1e-3, 200, seed=9, stream_offset=i0,
-                                record_stride=20, thresholds=(20.0, 30.0),
-                                per_record={"H1": resolve_observable(m, "p2:0")})
+        p2_0 = resolve_observable(m, "p2:0")
 
-        whole = run(0, 64)
+        def run(i0, i1):
+            series = []
+            out = run_ensemble(m, p0[i0:i1], q0[i0:i1], 1e-3, 200, seed=9, stream_offset=i0,
+                               record_stride=20, thresholds=(20.0, 30.0),
+                               on_record=lambda step, p, q: series.append(p2_0(p, q)))
+            return out, np.array(series)
+
+        whole, whole_series = run(0, 64)
         parts = [run(0, 1), run(1, 23), run(23, 64)]
         assert np.any(whole.first_low >= 0) and np.any(whole.first_high >= 0)
         for field in ("h_final", "gamma", "work", "first_low", "first_high"):
-            joined = np.concatenate([getattr(part, field) for part in parts])
+            joined = np.concatenate([getattr(part, field) for part, _ in parts])
             assert getattr(whole, field).tobytes() == joined.tobytes(), field
-        joined = np.concatenate([part.series["H1"] for part in parts], axis=1)
-        assert whole.series["H1"].tobytes() == joined.tobytes()
+        assert whole_series.shape == (11, 64)
+        joined = np.concatenate([series for _, series in parts], axis=1)
+        assert whole_series.tobytes() == joined.tobytes()
+
+
+def test_decay_fit_records_step_zero_every_stride_and_the_last_step():
+    # 105 steps at stride 105 // 10 = 10: the grid ends on the last step,
+    # which is not a multiple of the stride.
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    z0 = initial_state_at_energy(m, 25.0, "interaction")
+    rep = observable_decay_fit(m, "p2:0", z0, horizon=1.05, ensemble=16, seed=3, h=0.01,
+                               grid_points=10, stationary_samples=8)
+    steps = list(range(0, 101, 10)) + [105]
+    assert rep.times.tobytes() == (0.01 * np.array(steps, dtype=float)).tobytes()
+    assert rep.curve.shape == rep.noise.shape == rep.times.shape
+
+
+def test_diagnostics_keeps_what_the_benchmark_instrument_wraps():
+    # perfbench/instrument.py wraps these names of oscnet.diagnostics and
+    # reads the effective-sample fields of the stationary report.
+    import dataclasses
+    import importlib.util
+    from pathlib import Path
+
+    import oscnet.diagnostics as diagnostics
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", path)
+    instrument = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instrument)
+    for name in instrument.DIAGNOSTICS_ENTRY_POINTS:
+        assert callable(getattr(diagnostics, name, None)), name
+    fields = {f.name for f in dataclasses.fields(diagnostics.StationaryMomentReport)}
+    assert {"effective_samples", "recorded_samples"} <= fields
 
 
 # --- Dissipation tail -------------------------------------------------------------------
@@ -403,7 +439,7 @@ def test_decay_fit_blown_run_raises():
     z0 = initial_state_at_energy(m, 25.0, "interaction")
     with pytest.raises(BlowupError):
         observable_decay_fit(m, "p2:0", z0, horizon=9.0, ensemble=64, seed=1, h=0.9,
-                             grid_points=5, stationary_burn=9.0, stationary_samples=64)
+                             grid_points=5, stationary_samples=64)
 
 
 # --- Stationary moments ------------------------------------------------------------------------

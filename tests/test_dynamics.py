@@ -240,6 +240,27 @@ def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interacti
     assert all(same_bits(x.p, y.p) and same_bits(x.q, y.q) for x, y in zip(a.states, b.states))
 
 
+def test_batch_energies_are_the_single_state_energies_bitwise():
+    # 11 EvenPower(4) edges form one group selected by index arrays; numpy
+    # sums 8 or more terms pairwise, so the group must be summed in the
+    # same memory order for one state and for a batch.
+    rng = np.random.default_rng(146)
+    topo = random_topology(rng, max_vertices=6)
+    spec = EvenPower(degree=4, dim=1)
+    model = Model(topo, 1, {v: spec for v in topo.vertices},
+                  {e: spec for e in topo.edge_list},
+                  {b: BathSpec(1.0, 1.0) for b in topo.baths})
+    assert len(topo.edge_list) == 11
+    members, N = 3, topo.vertex_count
+    for _ in range(20):
+        p = rng.standard_normal((members, N, 1))
+        q = rng.standard_normal((members, N, 1))
+        bi = BatchIntegrator(model, p, q, 0.01, [seed_stream(0, i) for i in range(members)])
+        H, Hc, Hi = bi.energies()
+        for i in range(members):
+            assert same_bits(hamiltonian(model, State(p[i], q[i])), (H[i], Hc[i], Hi[i]))
+
+
 # --- The member-minor kernel against the member-major loop it replaced ----------
 
 def reference_forces(model, q):
@@ -336,7 +357,7 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
     assert same_bits(bi.energies()[0], ref_records[-1])
     assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
     assert len(records) == len(ref_records)
-    for (_step, _t, H, _Hc, _Hi, rec_p, rec_q), ref_H in zip(records, ref_records):
+    for (_step, H, _Hc, _Hi, rec_p, rec_q), ref_H in zip(records, ref_records):
         assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
 
 
@@ -357,7 +378,7 @@ def test_batch_integrator_keeps_what_the_benchmark_instrument_uses(monkeypatch):
     bi = BatchIntegrator(model, np.zeros((5, 4, 2)), np.ones((5, 4, 2)), 0.01,
                          [seed_stream(1, i) for i in range(5)])
     shapes = []
-    bi.run(6, record_stride=3, on_record=lambda step, t, H, Hc, Hi, p, q: shapes.append((p.shape, q.shape)))
+    bi.run(6, record_stride=3, on_record=lambda step, H, Hc, Hi, p, q: shapes.append((p.shape, q.shape)))
     assert bi.m == 5 and bi.blown.shape == bi.H0.shape == (5,)
     assert bi.p.shape == bi.q.shape == (5, 4, 2)
     assert shapes == [((5, 4, 2), (5, 4, 2))] * 2
