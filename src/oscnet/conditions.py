@@ -94,7 +94,6 @@ def check_conditions(
     model: Model,
     nondegeneracy_samples: int = 20,
     sphere_samples: int = 256,
-    rank_tol: float = 1e-8,
 ) -> ConditionReport:
     """Run C1-C5 and CA against a model and aggregate the outcomes."""
     c1 = controls(model.topology)
@@ -103,7 +102,7 @@ def check_conditions(
     for e in model.topology.edge_list:
         spec = model.interaction[e]
         samples = default_nondegeneracy_samples(spec.dim, extra=nondegeneracy_samples)
-        c2[e] = check_nondegenerate(spec, samples, ell=_rank_order(spec.degree), tol=rank_tol)
+        c2[e] = check_nondegenerate(spec, samples, ell=_rank_order(spec.degree))
     c2_overall = all(r.overall for r in c2.values()) if c2 else True
 
     c3: dict[str, CoercivityReport] = {}

@@ -13,12 +13,17 @@ Schema sketch (defaults in parentheses):
         "pinning": {"default": <potential>, "per_vertex": {"<vertex>": <potential>}},
         "interaction": {"default": <potential>, "per_edge": [{"edge": [u, v], "potential": <potential>}]}
       },
-      "integrator": {"h0": 1e-3},
       "experiment": {"kind": "check" | "simulate" | "equilibrium-test" |
                               "lyapunov-scan" | "dissipation-scan" |
-                              "decay-fit" | "counterexample-c4", ...},
+                              "decay-fit" | "counterexample-c4",
+                     "h": <step size>, ...},
       "output": {"directory": "out", "formats": ["json", "csv"]}
     }
+
+Each kind's parameters, with their defaults and checks, are the rows of
+``_EXPERIMENTS``.  ``h`` is the step size of every kind but ``check``; the
+two energy scans shrink it with the energy (``dynamics.scaled_step``).
+An unknown top-level key or experiment parameter is an error.
 
 Potentials: {"family": "soft_power", "degree": r} |
             {"family": "even_power", "degree": r} |
@@ -37,23 +42,13 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from .diagnostics import resolve_observable
 from .errors import ConfigError
 from .model import BathSpec, Model
 from .potentials import EvenPower, LocalPiece, Quadratic, SoftPower
 from .topology import Edge, NetworkTopology, builtin_fixture, fixture_table
 
 __all__ = ["ExperimentConfig", "parse_config", "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = (
-    "check",
-    "simulate",
-    "equilibrium-test",
-    "lyapunov-scan",
-    "dissipation-scan",
-    "decay-fit",
-    "counterexample-c4",
-)
-
 
 class _Errors:
     def __init__(self):
@@ -74,6 +69,10 @@ def _expect_mapping(doc, path, errors) -> dict:
     return doc
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _get_number(doc, key, path, errors, default=None, required=False,
                 minimum=None, strict_min=None, integer=False):
     if key not in doc:
@@ -81,7 +80,7 @@ def _get_number(doc, key, path, errors, default=None, required=False,
             errors.add(f"{path}.{key}", "is required")
         return default
     val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         errors.add(f"{path}.{key}", f"expected a number, got {val!r}")
         return default
     if integer and int(val) != val:
@@ -112,7 +111,7 @@ def _parse_potential(doc, path, dim, errors):
             return EvenPower(degree=int(degree), dim=dim)
         if family == "quadratic":
             K = doc.get("stiffness")
-            if isinstance(K, (int, float)) and not isinstance(K, bool):
+            if _is_number(K):
                 return Quadratic.isotropic(float(K), dim)
             if isinstance(K, list):
                 return Quadratic(stiffness=tuple(tuple(float(v) for v in row) for row in K), dim=dim)
@@ -156,10 +155,8 @@ class ExperimentConfig:
 
     seed: int
     experiment: dict
-    integrator: dict
     output: dict
     model: Model | None
-    vertex_names: tuple[str, ...] | None
     echo_doc: dict
 
     @property
@@ -168,11 +165,6 @@ class ExperimentConfig:
 
     def echo(self) -> str:
         return json.dumps(self.echo_doc, sort_keys=True, indent=2) + "\n"
-
-    def vertex_id(self, name: str) -> int:
-        if self.vertex_names is None:
-            raise ValueError("no model section in this config")
-        return self.vertex_names.index(name)
 
 
 def _parse_topology(doc, path, errors):
@@ -241,7 +233,7 @@ def _parse_model(doc, errors):
     dim = _get_number(doc, "dimension", path, errors, default=1, minimum=1, integer=True) or 1
     topo, names, topo_canon = _parse_topology(doc.get("topology", {}), f"{path}.topology", errors)
     if names is None:
-        return None, None, None
+        return None, None
     bath_ids = sorted(topo.baths) if topo is not None else []
 
     defaults = _expect_mapping(doc.get("bath_defaults", {}), f"{path}.bath_defaults", errors)
@@ -307,14 +299,14 @@ def _parse_model(doc, errors):
             interaction[e] = pot
 
     if topo is None or errors.messages:
-        return None, None, None
+        return None, None
     if any(p is None for p in pinning.values()) or any(p is None for p in interaction.values()):
-        return None, None, None
+        return None, None
     try:
         model = Model(topology=topo, dim=dim, pinning=pinning, interaction=interaction, baths=baths)
     except ValueError as exc:
         errors.add(path, str(exc))
-        return None, None, None
+        return None, None
 
     canon = {
         "dimension": dim,
@@ -341,89 +333,103 @@ def _parse_model(doc, errors):
             ],
         },
     }
-    return model, names, canon
+    return model, canon
 
 
-_EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
-    "check": {"sphere_samples": 256, "nondegeneracy_samples": 20},
-    "simulate": {"t_end": 10.0, "record_every": 10, "record_states": False,
-                 "initial": {"kind": "zero"}},
-    "equilibrium-test": {"observables": ["H"], "n_samples": 4000, "t_check": 10.0,
-                         "h": 0.005, "sample_temperature": None},
-    "lyapunov-scan": {"theta": 0.25, "t_star": 1.0, "ensemble": 2000,
-                      "energy_grid": [25.0, 50.0, 100.0, 200.0], "lambda": 0.5,
-                      "placement": "interaction"},
-    "dissipation-scan": {"epsilon": 1e-3, "ensemble": 400,
-                         "energy_grid": [100.0, 1000.0, 10000.0], "lambda": 0.5,
-                         "placement": "interaction"},
-    "decay-fit": {"observable": "p2:0", "horizon": 30.0, "ensemble": 6000,
-                  "h": 0.01, "grid_points": 120, "stationary_samples": 16000,
-                  "initial": {"kind": "slow-mode", "scale": 30.0}},
-    "counterexample-c4": {"h": 1e-4, "x_stop": 3.5},
+# How each experiment parameter is checked: keyword arguments of
+# _get_number for a number, else a test of the value and the message a
+# failed test gives.
+_POSITIVE = {"strict_min": 0}
+
+
+def _count(least: int) -> dict:
+    return {"minimum": least, "integer": True}
+
+
+_OBJECT = (lambda v: isinstance(v, dict), "expected an object")
+_NAMES = (lambda v: isinstance(v, list) and v and all(isinstance(o, str) for o in v),
+          "expected a non-empty list of observable names")
+_ENERGIES = (lambda v: (isinstance(v, list) and v and all(_is_number(g) and g > 0 for g in v)
+                        and sorted(v) == v),
+             "expected an increasing list of positive energies")
+_PLACEMENT = (lambda v: v in ("interaction", "pinning"), "expected 'interaction' or 'pinning'")
+
+# Every parameter of each experiment kind: its default and its check.
+# Observable names are resolved against the built model in parse_config.
+_EXPERIMENTS: dict[str, dict[str, tuple[Any, Any]]] = {
+    "check": {
+        "sphere_samples": (256, _count(100)),
+        "nondegeneracy_samples": (20, _count(0)),
+    },
+    "simulate": {
+        "t_end": (10.0, _POSITIVE),
+        "h": (1e-3, _POSITIVE),
+        "record_every": (10, _count(1)),
+        "record_states": (False, (lambda v: isinstance(v, bool), "expected true or false")),
+        "initial": ({"kind": "zero"}, _OBJECT),
+    },
+    "equilibrium-test": {
+        "observables": (["H"], _NAMES),
+        "n_samples": (4000, _count(100)),
+        "t_check": (10.0, _POSITIVE),
+        "h": (0.005, _POSITIVE),
+        "sample_temperature": (None, (lambda v: v is None or (_is_number(v) and v > 0),
+                                      "expected a positive number or null")),
+    },
+    "lyapunov-scan": {
+        "theta": (0.25, _POSITIVE),
+        "t_star": (1.0, _POSITIVE),
+        "ensemble": (2000, _count(100)),
+        "energy_grid": ([25.0, 50.0, 100.0, 200.0], _ENERGIES),
+        "lambda": (0.5, _POSITIVE),
+        "placement": ("interaction", _PLACEMENT),
+        "h": (1e-3, _POSITIVE),
+    },
+    "dissipation-scan": {
+        "epsilon": (1e-3, _POSITIVE),
+        "ensemble": (400, _count(100)),
+        "energy_grid": ([100.0, 1000.0, 10000.0], _ENERGIES),
+        "lambda": (0.5, _POSITIVE),
+        "placement": ("interaction", _PLACEMENT),
+        "h": (1e-3, _POSITIVE),
+    },
+    "decay-fit": {
+        "observable": ("p2:0", (lambda v: isinstance(v, str), "expected an observable name")),
+        "horizon": (30.0, _POSITIVE),
+        "ensemble": (6000, _count(100)),
+        "h": (0.01, _POSITIVE),
+        "grid_points": (120, _count(10)),
+        "stationary_samples": (16000, _count(100)),
+        "initial": ({"kind": "slow-mode", "scale": 30.0}, _OBJECT),
+    },
+    "counterexample-c4": {
+        "h": (1e-4, _POSITIVE),
+        "x_stop": (3.5, _POSITIVE),
+    },
 }
+
+EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
 def _parse_experiment(doc, errors) -> dict:
     path = "experiment"
     doc = _expect_mapping(doc, path, errors)
     kind = doc.get("kind")
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _EXPERIMENTS:
         errors.add(f"{path}.kind", f"expected one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
         return {"kind": kind}
-    out = {"kind": kind}
-    defaults = _EXPERIMENT_DEFAULTS[kind]
-    for key, dflt in defaults.items():
-        out[key] = doc.get(key, dflt)
-    unknown = set(doc) - set(defaults) - {"kind", "h"}
-    for key in sorted(unknown):
+    params = _EXPERIMENTS[kind]
+    for key in sorted(set(doc) - set(params) - {"kind"}):
         errors.add(f"{path}.{key}", f"unknown parameter for kind {kind!r}")
-    if "h" in doc:
-        out["h"] = doc["h"]
-
-    def num(key, **kw):
-        if key in out and out[key] is not None:
-            out[key] = _get_number(out, key, path, errors, **kw)
-
-    if kind == "simulate":
-        num("t_end", strict_min=0)
-        num("record_every", minimum=1, integer=True)
-        if "h" in out:
-            num("h", strict_min=0)
-    elif kind == "equilibrium-test":
-        num("n_samples", minimum=100, integer=True)
-        num("t_check", strict_min=0)
-        num("h", strict_min=0)
-        if out.get("sample_temperature") is not None:
-            num("sample_temperature", strict_min=0)
-        obs = out.get("observables")
-        if not isinstance(obs, list) or not all(isinstance(o, str) for o in obs) or not obs:
-            errors.add(f"{path}.observables", "expected a non-empty list of observable names")
-    elif kind in ("lyapunov-scan", "dissipation-scan"):
-        if kind == "lyapunov-scan":
-            num("theta", strict_min=0)
-            num("t_star", strict_min=0)
-        else:
-            num("epsilon", strict_min=0)
-        num("ensemble", minimum=100, integer=True)
-        num("lambda", strict_min=0)
-        grid = out.get("energy_grid")
-        if (not isinstance(grid, list) or len(grid) < 1
-                or not all(isinstance(g, (int, float)) and g > 0 for g in grid)
-                or sorted(grid) != grid):
-            errors.add(f"{path}.energy_grid", "expected an increasing list of positive energies")
-        else:
-            out["energy_grid"] = [float(g) for g in grid]
-        if out.get("placement") not in ("interaction", "pinning"):
-            errors.add(f"{path}.placement", "expected 'interaction' or 'pinning'")
-    elif kind == "decay-fit":
-        num("horizon", strict_min=0)
-        num("ensemble", minimum=100, integer=True)
-        num("h", strict_min=0)
-        num("grid_points", minimum=10, integer=True)
-        num("stationary_samples", minimum=100, integer=True)
-    elif kind == "counterexample-c4":
-        num("h", strict_min=0)
-        num("x_stop", strict_min=0)
+    out = {"kind": kind}
+    for key, (default, check) in params.items():
+        if isinstance(check, dict):
+            out[key] = _get_number(doc, key, path, errors, default=default, **check)
+            continue
+        out[key] = doc.get(key, default)
+        test, message = check
+        if not test(out[key]):
+            errors.add(f"{path}.{key}", message)
     return out
 
 
@@ -441,13 +447,10 @@ def parse_config(text: str) -> ExperimentConfig:
     doc = _expect_mapping(doc, "<root>", errors)
     errors.raise_if_any()
 
+    for key in sorted(set(doc) - {"seed", "model", "experiment", "output"}):
+        errors.add(key, "unknown top-level key")
     seed = _get_number(doc, "seed", "<root>", errors, default=0, integer=True)
     experiment = _parse_experiment(doc.get("experiment", {}), errors)
-
-    integrator = _expect_mapping(doc.get("integrator", {}), "integrator", errors)
-    h0 = _get_number(integrator, "h0", "integrator", errors, default=1e-3, strict_min=0)
-    for key in sorted(set(integrator) - {"h0"}):
-        errors.add(f"integrator.{key}", "unknown parameter")
 
     output = _expect_mapping(doc.get("output", {}), "output", errors)
     directory = output.get("directory", "out")
@@ -460,39 +463,39 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.add("output.formats", "expected a non-empty list drawn from ['json', 'csv']")
         formats = ["json", "csv"]
 
-    model = None
-    names = None
-    model_canon = None
-    needs_model = experiment.get("kind") != "counterexample-c4"
-    if "model" in doc or needs_model:
-        if "model" not in doc and needs_model:
-            errors.add("model", f"a model section is required for kind {experiment.get('kind')!r}")
-        else:
-            model, names, model_canon = _parse_model(doc["model"], errors)
+    kind = experiment.get("kind")
+    model = model_canon = None
+    if "model" in doc:
+        model, model_canon = _parse_model(doc["model"], errors)
+    elif kind != "counterexample-c4":
+        errors.add("model", f"a model section is required for kind {kind!r}")
 
     # Cross-section constraints mirroring library preconditions.
-    if model is not None and experiment.get("kind") == "lyapunov-scan":
-        theta = experiment.get("theta")
-        tmax = model.t_max
-        if isinstance(theta, float) and tmax > 0 and theta * tmax >= 1:
+    if model is not None and kind == "lyapunov-scan":
+        theta, tmax = experiment["theta"], model.t_max
+        if tmax > 0 and theta * tmax >= 1:
             errors.add("experiment.theta", f"theta*T_max must be < 1 (theta={theta}, T_max={tmax})")
-    if model is not None and experiment.get("kind") in ("lyapunov-scan", "dissipation-scan"):
+    if model is not None and kind in ("lyapunov-scan", "dissipation-scan"):
         degrees = model.common_degrees()
         if degrees is None:
             errors.add("experiment", "energy scans need common interaction and pinning degrees")
-        else:
-            li, lp = degrees
-            lam = experiment.get("lambda")
-            t_star = experiment.get("t_star", 1.0)
-            if isinstance(lam, float) and lp == 2 and isinstance(t_star, float) and lam > t_star / 2:
-                errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= t_star/2")
+        elif degrees[1] == 2 and experiment["lambda"] > experiment.get("t_star", 1.0) / 2:
+            errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= t_star/2")
+    if model is not None:
+        key = "observables" if "observables" in experiment else "observable"
+        listed = experiment.get(key)
+        for name in listed if isinstance(listed, list) else [listed]:
+            if isinstance(name, str):
+                try:
+                    resolve_observable(model, name)
+                except ValueError as exc:
+                    errors.add(f"experiment.{key}", str(exc))
 
     errors.raise_if_any()
 
     echo_doc: dict[str, Any] = {
         "seed": seed,
         "experiment": experiment,
-        "integrator": {"h0": h0},
         "output": {"directory": directory, "formats": sorted(formats)},
     }
     if model_canon is not None:
@@ -500,9 +503,7 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         seed=seed,
         experiment=experiment,
-        integrator=echo_doc["integrator"],
         output=echo_doc["output"],
         model=model,
-        vertex_names=names,
         echo_doc=echo_doc,
     )

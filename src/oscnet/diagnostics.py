@@ -262,13 +262,8 @@ def run_ensemble(
     """
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
-    m = p0.shape[0]
-    th = None
-    if thresholds is not None:
-        lo, hi = thresholds
-        th = (np.full(m, lo), np.full(m, hi))
-    streams = [seed_stream(seed, stream_offset + i) for i in range(m)]
-    bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=th)
+    streams = [seed_stream(seed, stream_offset + i) for i in range(p0.shape[0])]
+    bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=thresholds)
 
     def record(step, H, Hc, Hi, p, q) -> None:
         on_record(step, p, q)
@@ -308,35 +303,38 @@ def resolve_observable(model: Model, name: str) -> Callable[[np.ndarray, np.ndar
     Formats: ``H`` (total energy), ``p2:v`` = |p_v|^2, ``q2:v`` = |q_v|^2,
     ``pq:v`` = p_v . q_v, ``p:v:i`` and ``q:v:i`` single components.
     """
-    kern = _Kernel(model)
     if name == "H":
+        kern = _Kernel(model)
         return lambda p, q: kern.split_energies(p, q)[0]
-    parts = name.split(":")
-    kind = parts[0]
+    kind, *index = name.split(":")
     try:
-        if kind in ("p2", "q2", "pq") and len(parts) == 2:
-            v = int(parts[1])
+        index = [int(k) for k in index]
+    except ValueError:
+        index = None
+    if index is not None and all(0 <= k < n for k, n in zip(index, (model.vertex_count, model.dim))):
+        if kind in ("p2", "q2", "pq") and len(index) == 1:
+            v = index[0]
             if kind == "p2":
                 return lambda p, q: np.sum(p[..., v, :] ** 2, axis=-1)
             if kind == "q2":
                 return lambda p, q: np.sum(q[..., v, :] ** 2, axis=-1)
             return lambda p, q: np.sum(p[..., v, :] * q[..., v, :], axis=-1)
-        if kind in ("p", "q") and len(parts) == 3:
-            v, i = int(parts[1]), int(parts[2])
+        if kind in ("p", "q") and len(index) == 2:
+            v, i = index
             if kind == "p":
                 return lambda p, q: p[..., v, i]
             return lambda p, q: q[..., v, i]
-    except ValueError:
-        pass
     raise ValueError(
-        f"unknown observable {name!r}; use H, p2:v, q2:v, pq:v, p:v:i or q:v:i"
+        f"unknown observable {name!r}; use H, p2:v, q2:v, pq:v, p:v:i or q:v:i "
+        f"with vertex 0 <= v < {model.vertex_count} and component 0 <= i < {model.dim}"
     )
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if total <= 0:
         raise ValueError("total must be positive")
+    z = 1.96
     phat = successes / total
     denom = 1 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -381,27 +379,6 @@ class StationaryMomentReport:
     second_moment_se: np.ndarray | None = None
     oracle_sigma: np.ndarray | None = None
     max_dev_in_se: float | None = None
-
-    def as_dict(self) -> dict:
-        d = {
-            "p2_mean": [float(v) for v in self.p2_mean],
-            "p2_se": [float(v) for v in self.p2_se],
-            "bath_dissipation": self.bath_dissipation,
-            "bath_dissipation_se": self.bath_dissipation_se,
-            "bath_target": self.bath_target,
-            "balance_ratio": self.balance_ratio,
-            "balance_ratio_se": self.balance_ratio_se,
-            "replicas": self.replicas,
-            "samples_per_replica": self.samples_per_replica,
-            "sample_stride_time": self.sample_stride_time,
-            "burn_in": self.burn_in,
-            "recorded_samples": self.recorded_samples,
-            "lag1_autocorr": self.lag1_autocorr,
-            "effective_samples": self.effective_samples,
-        }
-        if self.max_dev_in_se is not None:
-            d["max_dev_in_se"] = self.max_dev_in_se
-        return d
 
 
 def stationary_moment_test(
@@ -647,19 +624,6 @@ class DriftEstimate:
     def excludes_one(self) -> bool:
         return self.ci95[1] < 1.0
 
-    def as_dict(self) -> dict:
-        return {
-            "H0": self.H0,
-            "mean": self.mean,
-            "se": self.se,
-            "ci95": list(self.ci95),
-            "n": self.n,
-            "events": dict(self.events),
-            "blowups": self.blowups,
-            "mean_gamma": self.mean_gamma,
-            "h": self.h,
-        }
-
 
 def drift_estimate(
     model: Model,
@@ -731,21 +695,6 @@ class DriftReport:
     t_star: float
     placement: str
 
-    def as_dict(self) -> dict:
-        return {
-            "levels": [lv.as_dict() for lv in self.levels],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "c1_hat": self.c1_hat,
-            "qualifying": self.qualifying,
-            "inconclusive": self.inconclusive,
-            "exploratory_exponent": self.exploratory_exponent,
-            "theta": self.theta,
-            "t_star": self.t_star,
-            "placement": self.placement,
-        }
-
 
 def drift_scan(model: Model, config: DriftConfig, seed: int) -> DriftReport:
     """Drift estimates on the energy grid and a least-squares fit of
@@ -806,19 +755,6 @@ class DissipationTailReport:
     H0: float
     contained: int
     starved: int
-
-    def as_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "ci95": list(self.ci95),
-            "n": self.n,
-            "tau_window": self.tau_window,
-            "threshold": self.threshold,
-            "epsilon": self.epsilon,
-            "H0": self.H0,
-            "contained": self.contained,
-            "starved": self.starved,
-        }
 
 
 def dissipation_tail(
@@ -1159,17 +1095,6 @@ class GibbsReport:
     @property
     def max_abs_z(self) -> float:
         return max(abs(v) for v in self.z_scores.values())
-
-    def as_dict(self) -> dict:
-        return {
-            "z_scores": dict(self.z_scores),
-            "mean_before": dict(self.mean_before),
-            "mean_after": dict(self.mean_after),
-            "se": dict(self.se),
-            "n": self.n,
-            "t_check": self.t_check,
-            "sample_temperature": self.sample_temperature,
-        }
 
 
 def gibbs_invariance_test(

@@ -619,7 +619,7 @@ class BatchIntegrator:
         q0: np.ndarray,
         h: float,
         streams: Sequence,
-        thresholds: tuple[np.ndarray, np.ndarray] | None = None,
+        thresholds: tuple[float, float] | None = None,
     ):
         if not (h > 0):
             raise ValueError("h must be > 0")

@@ -69,7 +69,7 @@ def c4_naive_pinning_piece() -> LocalPiece:
     )
 
 
-def c4_counterexample_model(gamma: float = 1.0, temperature: float = 1.0) -> Model:
+def c4_counterexample_model() -> Model:
     """Two masses, one bath on mass 1, spring with locally constant force."""
     topo = NetworkTopology(vertex_count=2, edges=frozenset({Edge(0, 1)}), baths=frozenset({0}))
     return Model(
@@ -77,7 +77,7 @@ def c4_counterexample_model(gamma: float = 1.0, temperature: float = 1.0) -> Mod
         dim=3,
         pinning={0: _PIN1, 1: _PIN2},
         interaction={Edge(0, 1): _SPRING},
-        baths={0: BathSpec(gamma=gamma, temperature=temperature)},
+        baths={0: BathSpec(gamma=1.0, temperature=1.0)},
     )
 
 

@@ -231,11 +231,6 @@ class LocalPiece:
     def degree(self) -> float:
         return float(max(sum(e) for _, e in self.terms))
 
-    @property
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for _, e in self.terms}
-        return len(degs) == 1
-
     def _tables(self):
         return _local_piece_tables(self)
 
@@ -366,12 +361,13 @@ class NondegeneracyReport:
         }
 
 
-def check_nondegenerate(spec: PotentialSpec, samples, ell: int, tol: float = 1e-8) -> NondegeneracyReport:
+def check_nondegenerate(spec: PotentialSpec, samples, ell: int) -> NondegeneracyReport:
     """Test numerical rank n of {D^a grad V(x) : 1 <= |a| <= ell} at each sample.
 
-    Singular values below ``tol`` times the largest singular value count as
+    Singular values below 1e-8 times the largest singular value count as
     zero, which keeps the test scale-invariant; a zero matrix has rank 0.
     """
+    tol = 1e-8
     if not (1 <= ell <= MAX_NONDEGENERACY_ORDER):
         raise ValueError(f"ell must be in 1..{MAX_NONDEGENERACY_ORDER}")
     samples = [np.asarray(s, dtype=float).reshape(spec.dim) for s in samples]
@@ -394,8 +390,8 @@ def check_nondegenerate(spec: PotentialSpec, samples, ell: int, tol: float = 1e-
     )
 
 
-def default_nondegeneracy_samples(dim: int, extra: int = 20, radius: float = 5.0) -> list[np.ndarray]:
-    """Origin, unit basis vectors, and a deterministic cloud in |x| <= radius.
+def default_nondegeneracy_samples(dim: int, extra: int = 20) -> list[np.ndarray]:
+    """Origin, unit basis vectors, and a deterministic cloud in |x| <= 5.
 
     The structured points matter: the known degenerate examples fail at the
     origin and on coordinate axes.
@@ -409,7 +405,7 @@ def default_nondegeneracy_samples(dim: int, extra: int = 20, radius: float = 5.0
     rng = np.random.Generator(np.random.Philox(key=np.array([0x5EED, dim], dtype=np.uint64)))
     for _ in range(extra):
         v = rng.standard_normal(dim)
-        r = radius * rng.random() ** (1.0 / dim)
+        r = 5.0 * rng.random() ** (1.0 / dim)
         nv = np.linalg.norm(v)
         pts.append(v / nv * r if nv > 0 else v)
     return pts
@@ -419,7 +415,7 @@ def default_nondegeneracy_samples(dim: int, extra: int = 20, radius: float = 5.0
 # Coercivity and near-homogeneity of the limiting form
 # ---------------------------------------------------------------------------
 
-def unit_sphere_samples(dim: int, count: int = 256, seed: int = 0) -> np.ndarray:
+def unit_sphere_samples(dim: int, count: int = 256) -> np.ndarray:
     """Deterministic quasi-uniform sample of the unit sphere, including +-e_i."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
@@ -429,7 +425,7 @@ def unit_sphere_samples(dim: int, count: int = 256, seed: int = 0) -> np.ndarray
         e[i] = 1.0
         pts.append(e.copy())
         pts.append(-e)
-    rng = np.random.Generator(np.random.Philox(key=np.array([0xC0E, seed], dtype=np.uint64)))
+    rng = np.random.Generator(np.random.Philox(key=np.array([0xC0E, 0], dtype=np.uint64)))
     while len(pts) < count:
         v = rng.standard_normal(dim)
         nv = np.linalg.norm(v)
@@ -492,13 +488,6 @@ class HomogeneityProfile:
     lambdas: tuple[float, ...]
     value_dev: tuple[float, ...]
     gradient_dev: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "value_dev": list(self.value_dev),
-            "gradient_dev": list(self.gradient_dev),
-        }
 
 
 def check_near_homogeneous(spec: PotentialSpec, lambdas, sphere_samples: int = 128) -> HomogeneityProfile:

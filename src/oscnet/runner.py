@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +124,7 @@ class _Workspace:
             pass  # directory pre-existed or holds other files
 
 
-def _initial_state(config: ExperimentConfig, spec: dict) -> State:
-    model = config.model
+def _initial_state(model, spec: dict) -> State:
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return State.zero(model.vertex_count, model.dim)
@@ -144,19 +144,6 @@ def _initial_state(config: ExperimentConfig, spec: dict) -> State:
             (scale * v[d:]).reshape(model.vertex_count, model.dim),
         )
     raise ValueError(f"unknown initial-state kind {kind!r}")
-
-
-def _step_size(config: ExperimentConfig) -> float:
-    h = config.experiment.get("h")
-    return float(h) if h else float(config.integrator["h0"])
-
-
-def _rule_for(model) -> TimescaleRule:
-    degrees = model.common_degrees()
-    if degrees is None:
-        raise ValueError("energy scans need common interaction and pinning degrees")
-    li, lp = degrees
-    return TimescaleRule(lam=1.0, li=li, lp=lp)
 
 
 def run(config: ExperimentConfig, command: str | None = None,
@@ -191,34 +178,32 @@ def run(config: ExperimentConfig, command: str | None = None,
 
 
 def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
-    exp = config.experiment
+    exp, model = config.experiment, config.model
     if kind == "check":
         report = check_conditions(
-            config.model,
-            nondegeneracy_samples=int(exp["nondegeneracy_samples"]),
-            sphere_samples=int(exp["sphere_samples"]),
+            model,
+            nondegeneracy_samples=exp["nondegeneracy_samples"],
+            sphere_samples=exp["sphere_samples"],
         )
         ws.write_report({"kind": kind, "seed": seed, "conditions": report.as_dict()})
         return "complete", EXIT_OK
 
     if kind == "simulate":
-        h = _step_size(config)
-        z0 = _initial_state(config, exp["initial"])
-        record_states = bool(exp.get("record_states"))
+        z0 = _initial_state(model, exp["initial"])
         trace = integrate(
-            config.model, z0, float(exp["t_end"]), h,
+            model, z0, exp["t_end"], exp["h"],
             seed_stream(seed, 0),
-            record_every=int(exp["record_every"]),
-            record_states=record_states,
+            record_every=exp["record_every"],
+            record_states=exp["record_states"],
         )
         if "csv" in config.output["formats"]:
             ws.write_trace("trace_main.csv", trace)
-        if record_states:
+        if exp["record_states"]:
             ws.write_states("states", trace)
         ws.write_report({
             "kind": kind,
             "seed": seed,
-            "h": h,
+            "h": exp["h"],
             "t_end": float(trace.times[-1]),
             "samples": int(len(trace.times)),
             "H_first": float(trace.H[0]),
@@ -231,29 +216,30 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
 
     if kind == "equilibrium-test":
         rep = gibbs_invariance_test(
-            config.model,
-            list(exp["observables"]),
-            int(exp["n_samples"]),
-            float(exp["t_check"]),
+            model,
+            exp["observables"],
+            exp["n_samples"],
+            exp["t_check"],
             seed,
-            h=float(exp["h"]),
-            sample_temperature=exp.get("sample_temperature"),
+            h=exp["h"],
+            sample_temperature=exp["sample_temperature"],
         )
-        ws.write_report({"kind": kind, "seed": seed, **rep.as_dict()})
+        ws.write_report({"kind": kind, "seed": seed, **asdict(rep)})
         return "complete", EXIT_OK
 
+    if kind in ("lyapunov-scan", "dissipation-scan"):
+        li, lp = model.common_degrees()
+        rule = TimescaleRule(lam=exp["lambda"], li=li, lp=lp)
+
     if kind == "lyapunov-scan":
-        model = config.model
-        rule = _rule_for(model)
-        rule = TimescaleRule(lam=float(exp["lambda"]), li=rule.li, lp=rule.lp)
         cfg = DriftConfig(
-            theta=float(exp["theta"]),
-            t_star=float(exp["t_star"]),
-            ensemble=int(exp["ensemble"]),
-            energy_grid=tuple(exp["energy_grid"]),
+            theta=exp["theta"],
+            t_star=exp["t_star"],
+            ensemble=exp["ensemble"],
+            energy_grid=exp["energy_grid"],
             rule=rule,
             placement=exp["placement"],
-            h0=float(config.integrator["h0"]),
+            h0=exp["h"],
         )
         conditions = check_conditions(model)
         report = drift_scan(model, cfg, seed)
@@ -262,7 +248,7 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
             "seed": seed,
             "conditions_pass": conditions.all_pass,
             "c1_ok": conditions.c1_ok,
-            **report.as_dict(),
+            **asdict(report),
         })
         rows = ["H0,mean,se,ci_lo,ci_hi,n,A1,A2,A3,blowups,mean_gamma,h"]
         write_levels = "csv" in config.output["formats"]
@@ -279,31 +265,25 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
         return "complete", EXIT_OK
 
     if kind == "dissipation-scan":
-        model = config.model
-        rule = _rule_for(model)
-        rule = TimescaleRule(lam=float(exp["lambda"]), li=rule.li, lp=rule.lp)
         levels = []
         for k, H0 in enumerate(exp["energy_grid"]):
-            z0 = initial_state_at_energy(model, float(H0), exp["placement"])
-            rep = dissipation_tail(
-                model, z0, rule, float(exp["epsilon"]), int(exp["ensemble"]),
-                seed + k, h0=float(config.integrator["h0"]),
-            )
-            levels.append(rep.as_dict())
+            z0 = initial_state_at_energy(model, H0, exp["placement"])
+            rep = dissipation_tail(model, z0, rule, exp["epsilon"], exp["ensemble"],
+                                   seed + k, h0=exp["h"])
+            levels.append(asdict(rep))
         ws.write_report({"kind": kind, "seed": seed, "levels": levels})
         return "complete", EXIT_OK
 
     if kind == "decay-fit":
-        model = config.model
-        z0 = _initial_state(config, exp["initial"])
+        z0 = _initial_state(model, exp["initial"])
         rep = observable_decay_fit(
             model, exp["observable"], z0,
-            horizon=float(exp["horizon"]),
-            ensemble=int(exp["ensemble"]),
+            horizon=exp["horizon"],
+            ensemble=exp["ensemble"],
             seed=seed,
-            h=float(exp["h"]),
-            grid_points=int(exp["grid_points"]),
-            stationary_samples=int(exp["stationary_samples"]),
+            h=exp["h"],
+            grid_points=exp["grid_points"],
+            stationary_samples=exp["stationary_samples"],
         )
         doc = {"kind": kind, "seed": seed, "observable": exp["observable"], **rep.as_dict()}
         try:
@@ -324,8 +304,8 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
     if kind == "counterexample-c4":
         model = c4_counterexample_model()
         z0 = c4_initial_state()
-        h = float(exp["h"])
-        x_stop = float(exp["x_stop"])
+        h = exp["h"]
+        x_stop = exp["x_stop"]
         trace = integrate_deterministic(
             model, z0, t_end=5.0, h=h,
             record_every=max(1, int(round(1e-3 / h))),

@@ -51,13 +51,6 @@ class Edge:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 
-    def other(self, v: int) -> int:
-        if v == self.a:
-            return self.b
-        if v == self.b:
-            return self.a
-        raise ValueError(f"vertex {v} is not an endpoint of {self}")
-
 
 @dataclass(frozen=True)
 class NetworkTopology:

@@ -35,16 +35,19 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.kind == "simulate"
     assert cfg.model is not None
     assert cfg.model.vertex_count == 3
-    assert cfg.integrator["h0"] == 1e-3
+    assert cfg.experiment["h"] == 1e-3
     assert cfg.experiment["record_every"] == 10
     assert cfg.experiment["initial"] == {"kind": "zero"}
 
 
 def test_config_echo_is_a_fixpoint():
-    cfg = parse_config(MINIMAL)
-    echoed = cfg.echo()
-    again = parse_config(echoed)
-    assert again.echo() == echoed
+    # The minimal config and every bundled one parse, and each echo
+    # re-parses to itself.
+    texts = [MINIMAL] + [path.read_text() for path in sorted(CONFIG_DIR.glob("*.json"))]
+    assert len(texts) == 8
+    for text in texts:
+        echoed = parse_config(text).echo()
+        assert parse_config(echoed).echo() == echoed
 
 
 def test_theta_tmax_constraint_reported():
@@ -76,14 +79,42 @@ def test_all_errors_collected_not_just_first():
     assert len(err.value.messages) >= 3
 
 
-def test_unknown_integrator_parameter_is_named():
-    # The integrator section takes only h0; a key the runner would ignore
-    # is an error, like an unknown experiment parameter.
+def test_integrator_section_is_rejected():
+    # The step size is experiment.h; a config that still sets it in an
+    # integrator section is told so by name, not silently run at 1e-3.
     doc = json.loads(MINIMAL)
-    doc["integrator"] = {"h0": 1e-3, "record_every": 100}
+    doc["integrator"] = {"h0": 1e-2}
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
-    assert any(m.startswith("integrator.record_every:") for m in err.value.messages)
+    assert any(m.startswith("integrator:") for m in err.value.messages)
+
+
+def test_unknown_top_level_key_is_named():
+    doc = json.loads(MINIMAL)
+    doc["outptu"] = doc.pop("output")
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert any(m.startswith("outptu:") for m in err.value.messages)
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("check", "h", "abc"),
+    ("check", "sphere_samples", 50),
+    ("simulate", "record_states", "yes please"),
+    ("equilibrium-test", "observables", ["H", "bogus"]),
+    ("decay-fit", "observable", "p2:3"),
+])
+def test_bad_experiment_setting_is_a_config_error(kind, key, value, tmp_path, capsys):
+    # Each of these was accepted by the parser and either ignored or left
+    # to fail mid-run; now the CLI names the setting and writes nothing.
+    doc = json.loads(MINIMAL)
+    doc["experiment"] = {"kind": kind, key: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: experiment.{key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_syntax_error_reports_position():

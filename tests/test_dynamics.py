@@ -414,6 +414,19 @@ def test_self_consistency_deterministic_is_second_order():
     assert errs[2e-3] / errs[1e-3] >= 3.0
 
 
+def run_paths(model, z0, t_end, h, xis, h_fine):
+    """Run one member per fine Brownian path in ``xis``, aggregated to step
+    h, as one batch from z0 to t_end.  Each member is bit for bit the path
+    ``integrate`` gives (test_integrate_is_one_member_of_the_batch)."""
+    n_steps = int(round(t_end / h))
+    m = len(xis)
+    bi = BatchIntegrator(model, np.broadcast_to(z0.p, (m,) + z0.p.shape),
+                         np.broadcast_to(z0.q, (m,) + z0.q.shape), h,
+                         [PrecomputedNoise.from_brownian(xi, h_fine, h) for xi in xis])
+    bi.run(n_steps, record_stride=n_steps)
+    return bi
+
+
 def test_self_consistency_with_noise_is_first_order():
     # With a common driving path, the pathwise error of the splitting is
     # first order in h for additive noise: halving h halves the error.
@@ -425,20 +438,14 @@ def test_self_consistency_with_noise_is_first_order():
     h_coarse = 2e-3
     h_fine = h_coarse / 20
     n_fine = int(round(t_end / h_fine))
-    errs = {h: [] for h in (h_coarse, h_coarse / 2)}
-    for path in range(16):
-        xi = seed_stream(7, path).standard_normal((n_fine, 2, 1))
-        ref = integrate(m, z0, t_end, h_fine,
-                        PrecomputedNoise.from_brownian(xi, h_fine, h_fine),
-                        record_every=10 ** 9, record_states=True)
-        zf = ref.states[-1]
-        for h in errs:
-            tr = integrate(m, z0, t_end, h,
-                           PrecomputedNoise.from_brownian(xi, h_fine, h),
-                           record_every=10 ** 9, record_states=True)
-            z = tr.states[-1]
-            errs[h].append(np.linalg.norm(z.p - zf.p) + np.linalg.norm(z.q - zf.q))
-    rms = {h: np.sqrt(np.mean(np.square(v))) for h, v in errs.items()}
+    xis = [seed_stream(7, path).standard_normal((n_fine, 2, 1)) for path in range(16)]
+    ref = run_paths(m, z0, t_end, h_fine, xis, h_fine)
+    rms = {}
+    for h in (h_coarse, h_coarse / 2):
+        bi = run_paths(m, z0, t_end, h, xis, h_fine)
+        errs = [np.linalg.norm(bi.p[i] - ref.p[i]) + np.linalg.norm(bi.q[i] - ref.q[i])
+                for i in range(len(xis))]
+        rms[h] = np.sqrt(np.mean(np.square(errs)))
     assert 1.7 <= rms[h_coarse] / rms[h_coarse / 2] <= 2.7
 
 
@@ -471,15 +478,13 @@ def test_budget_residual_is_small_and_refines():
     hs = (1e-3, 5e-4)
     h_fine = hs[-1]
     n_fine = int(round(t_end / h_fine))
+    xis = [seed_stream(2024, path).standard_normal((n_fine, 2, 1)) for path in range(24)]
     rms = {}
     for h in hs:
-        acc = []
-        for path in range(24):
-            xi = seed_stream(2024, path).standard_normal((n_fine, 2, 1))
-            tr = integrate(m, z0, t_end, h,
-                           PrecomputedNoise.from_brownian(xi, h_fine, h),
-                           record_every=10 ** 9)
-            acc.append(tr.residual()[-1])
+        bi = run_paths(m, z0, t_end, h, xis, h_fine)
+        H, _, _ = bi.energies()
+        # Trace.residual's arithmetic on each member's final values.
+        acc = H - bi.H0 + bi.gamma_acc - m.noise_work_rate * (int(round(t_end / h)) * h) - bi.m_acc
         rms[h] = float(np.sqrt(np.mean(np.square(acc))))
     assert rms[1e-3] < 5e-3
     assert 1.4 <= rms[1e-3] / rms[5e-4] <= 2.6
