@@ -23,7 +23,16 @@ Schema sketch (defaults in parentheses):
 Each kind's parameters, with their defaults and checks, are the rows of
 ``_EXPERIMENTS``.  ``h`` is the step size of every kind but ``check``; the
 two energy scans shrink it with the energy (``dynamics.scaled_step``).
-An unknown top-level key or experiment parameter is an error.
+The ``initial`` state of ``simulate`` and ``decay-fit`` is checked against
+the built model the same way (``_initial_states``):
+
+    {"kind": "zero"} | {"kind": "energy", "H0": H0 > 0, "mode": "interaction" | "pinning"}
+    | {"kind": "explicit", "p": rows, "q": rows}   (vertices x dim numbers)
+    | {"kind": "slow-mode", "scale": 30.0}
+
+An unknown key at the top level, in ``model``, its ``bath_defaults`` and
+``bath_overrides`` entries, ``output``, ``experiment`` or
+``experiment.initial`` is an error.
 
 Potentials: {"family": "soft_power", "degree": r} |
             {"family": "even_power", "degree": r} |
@@ -71,6 +80,11 @@ def _expect_mapping(doc, path, errors) -> dict:
 
 def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _reject_unknown(doc, known, path, errors) -> None:
+    for key in sorted(set(doc) - set(known)):
+        errors.add(f"{path}.{key}", "unknown key")
 
 
 def _get_number(doc, key, path, errors, default=None, required=False,
@@ -227,9 +241,14 @@ def _parse_topology(doc, path, errors):
     return topo, tuple(vertices), canon
 
 
+_BATH_KEYS = ("gamma", "temperature")
+
+
 def _parse_model(doc, errors):
     path = "model"
     doc = _expect_mapping(doc, path, errors)
+    _reject_unknown(doc, ("dimension", "topology", "bath_defaults", "bath_overrides",
+                          "pinning", "interaction"), path, errors)
     dim = _get_number(doc, "dimension", path, errors, default=1, minimum=1, integer=True) or 1
     topo, names, topo_canon = _parse_topology(doc.get("topology", {}), f"{path}.topology", errors)
     if names is None:
@@ -237,6 +256,7 @@ def _parse_model(doc, errors):
     bath_ids = sorted(topo.baths) if topo is not None else []
 
     defaults = _expect_mapping(doc.get("bath_defaults", {}), f"{path}.bath_defaults", errors)
+    _reject_unknown(defaults, _BATH_KEYS, f"{path}.bath_defaults", errors)
     g0 = _get_number(defaults, "gamma", f"{path}.bath_defaults", errors, default=1.0, strict_min=0)
     t0 = _get_number(defaults, "temperature", f"{path}.bath_defaults", errors, default=1.0, minimum=0)
     overrides = _expect_mapping(doc.get("bath_overrides", {}), f"{path}.bath_overrides", errors)
@@ -246,6 +266,7 @@ def _parse_model(doc, errors):
         name = names[b]
         if name in overrides:
             od = _expect_mapping(overrides[name], f"{path}.bath_overrides.{name}", errors)
+            _reject_unknown(od, _BATH_KEYS, f"{path}.bath_overrides.{name}", errors)
             g = _get_number(od, "gamma", f"{path}.bath_overrides.{name}", errors, default=g0, strict_min=0)
             T = _get_number(od, "temperature", f"{path}.bath_overrides.{name}", errors, default=t0, minimum=0)
         if g is not None and T is not None:
@@ -411,14 +432,29 @@ _EXPERIMENTS: dict[str, dict[str, tuple[Any, Any]]] = {
 EXPERIMENT_KINDS = tuple(_EXPERIMENTS)
 
 
-def _parse_experiment(doc, errors) -> dict:
-    path = "experiment"
-    doc = _expect_mapping(doc, path, errors)
-    kind = doc.get("kind")
-    if kind not in _EXPERIMENTS:
-        errors.add(f"{path}.kind", f"expected one of {', '.join(EXPERIMENT_KINDS)}; got {kind!r}")
+def _initial_states(shape: tuple[int, int]) -> dict[str, dict[str, tuple[Any, Any]]]:
+    """Every parameter of each initial-state kind of a model whose states
+    have ``shape`` (vertices, dim), as in ``_EXPERIMENTS``."""
+    rows = (lambda v: (isinstance(v, list) and len(v) == shape[0]
+                       and all(isinstance(r, list) and len(r) == shape[1]
+                               and all(_is_number(x) for x in r) for r in v)),
+            f"expected {shape[0]} rows of {shape[1]} numbers (vertices, dim)")
+    return {
+        "zero": {},
+        "energy": {"H0": (None, {"strict_min": 0, "required": True}), "mode": ("interaction", _PLACEMENT)},
+        "explicit": {"p": (None, rows), "q": (None, rows)},
+        "slow-mode": {"scale": (30.0, _POSITIVE)},
+    }
+
+
+def _parse_kind(doc, kinds, path, errors, default_kind=None) -> dict:
+    """``{"kind": ..., <parameter>: <value>, ...}`` with every parameter of
+    the kind checked, defaults filled in, and unknown keys named."""
+    kind = doc.get("kind", default_kind)
+    if kind not in kinds:
+        errors.add(f"{path}.kind", f"expected one of {', '.join(kinds)}; got {kind!r}")
         return {"kind": kind}
-    params = _EXPERIMENTS[kind]
+    params = kinds[kind]
     for key in sorted(set(doc) - set(params) - {"kind"}):
         errors.add(f"{path}.{key}", f"unknown parameter for kind {kind!r}")
     out = {"kind": kind}
@@ -450,9 +486,11 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in sorted(set(doc) - {"seed", "model", "experiment", "output"}):
         errors.add(key, "unknown top-level key")
     seed = _get_number(doc, "seed", "<root>", errors, default=0, integer=True)
-    experiment = _parse_experiment(doc.get("experiment", {}), errors)
+    experiment = _parse_kind(_expect_mapping(doc.get("experiment", {}), "experiment", errors),
+                             _EXPERIMENTS, "experiment", errors)
 
     output = _expect_mapping(doc.get("output", {}), "output", errors)
+    _reject_unknown(output, ("directory", "formats"), "output", errors)
     directory = output.get("directory", "out")
     if not isinstance(directory, str) or not directory:
         errors.add("output.directory", "expected a non-empty string")
@@ -481,6 +519,10 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.add("experiment", "energy scans need common interaction and pinning degrees")
         elif degrees[1] == 2 and experiment["lambda"] > experiment.get("t_star", 1.0) / 2:
             errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= t_star/2")
+    if model is not None and isinstance(experiment.get("initial"), dict):
+        experiment["initial"] = _parse_kind(
+            experiment["initial"], _initial_states((model.vertex_count, model.dim)),
+            "experiment.initial", errors, default_kind="zero")
     if model is not None:
         key = "observables" if "observables" in experiment else "observable"
         listed = experiment.get(key)

@@ -41,6 +41,16 @@ member-major copies, so every reduction keeps the order it has on a
 group terms, which numpy evaluates pairwise there, is taken on a
 member-major copy as well.  Each member's path is therefore the same bits
 whatever the ensemble size or chunking.
+
+Noise comes from one source per member: any object whose
+``standard_normal(out=array)`` fills a (steps, baths, dim) array and
+returns it, as numpy's ``Generator`` and :class:`PrecomputedNoise` do.
+The stepping loop refills a step-major (steps, baths, dim, members) chunk
+every ``NOISE_CHUNK`` steps, so step k's draws are the contiguous view
+``chunk[k]``.  The chunk is filled in tiles of ``_NOISE_TILE`` members:
+each source writes its own contiguous row of a member-major tile, and one
+transposed copy moves the tile into its member columns.  The step itself
+updates the state in place through work arrays allocated once per run.
 """
 
 from __future__ import annotations
@@ -272,11 +282,14 @@ class _Kernel:
         self.noise_amp = np.sqrt(2.0 * self.bath_gamma * self.bath_temp)[:, None]
         self.noise_power = (self.bath_gamma * self.bath_temp)[:, None]
 
-    def forces(self, q: np.ndarray) -> np.ndarray:
-        """Conservative forces at member-minor positions (vertices, dim, members)."""
-        F = np.zeros_like(q)
+    def forces(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Conservative forces at member-minor positions (vertices, dim,
+        members), written into ``out`` when given.  The pin groups
+        partition the vertices, so ``0.0 - g`` sets every entry with the
+        bits of subtracting ``g`` from zero, signed zeros included."""
+        F = np.empty_like(q) if out is None else out
         for idx, _val, grad in self.pin_groups:
-            F[idx] -= grad(_points(q[idx])).transpose(0, 2, 1)
+            F[idx] = 0.0 - grad(_points(q[idx])).transpose(0, 2, 1)
         for ea, eb, plan, _val, grad in self.edge_groups:
             g = grad(_points(q[eb] - q[ea])).transpose(0, 2, 1)
             for v, j, add in plan:
@@ -361,51 +374,86 @@ def step_sde(model: Model, state: State, h: float, gaussian_draws) -> State:
     # A one-member batch in the member-minor layout of the stepping loop.
     p = state.p[..., None].copy()
     q = state.q[..., None].copy()
-    F = kern.forces(q)
-    _step_arrays(kern, p, q, F, h, draws[..., None], _ou_coeffs(kern, h))
+    _Step(kern, h, 1)(p, q, kern.forces(q), draws[..., None])
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise BlowupError(step=1, time=h, detail="non-finite state after one step")
     return State(p[..., 0], q[..., 0])
 
 
-def _ou_coeffs(kern: _Kernel, h: float):
-    a = np.exp(-kern.bath_gamma * h)
-    b = np.sqrt(kern.bath_temp * (1.0 - a * a))
-    return a[:, None, None], b[:, None, None]
+class _Step:
+    """The B-A-O-A-B step of member-minor (vertices, dim, members) arrays,
+    with its work arrays allocated once per run.
 
+    Each update is written with ``out=`` into a work array and then added
+    in place, with the operands in the order of the plain expression, so
+    the bits are those of expressions such as ``p += (0.5 * h) * F``."""
 
-def _step_arrays(kern: _Kernel, p, q, F, h, draws, ou):
-    """In-place B-A-O-A-B update of member-minor (vertices, dim, members)
-    arrays; returns (F_new, p_pre_O, p_post_O).
+    def __init__(self, kern: _Kernel, h: float, members: int):
+        self.kern = kern
+        self.h = h
+        self.half = 0.5 * h
+        self.sqrt_h = math.sqrt(h)
+        a = np.exp(-kern.bath_gamma * h)
+        b = np.sqrt(kern.bath_temp * (1.0 - a * a))
+        self.a, self.b = a[:, None, None], b[:, None, None]
+        nb, n = len(kern.bath_idx), kern.n
+        self.work = np.empty((kern.N, n, members))
+        # O-map endpoint momenta and a scratch array, (baths, dim, members).
+        self.p_pre = np.empty((nb, n, members))
+        self.p_post = np.empty((nb, n, members))
+        self.scratch = np.empty((nb, n, members))
+        # Per-bath budget terms, (baths, members).
+        self.u = np.empty((nb, members))
+        self.v = np.empty((nb, members))
 
-    Without bath vertices the O map is the identity and is skipped, so the
-    step is velocity Verlet and both O-map momenta are None."""
-    half = 0.5 * h
-    p += half * F
-    q += half * p
-    p_pre = p_post = None
-    if len(kern.bath_idx):
-        a, b = ou
-        idx = kern.bath_sel
-        p_pre = p[idx].copy()
-        p_post = a * p_pre + b * draws
-        p[idx] = p_post
-    q += half * p
-    F_new = kern.forces(q)
-    p += half * F_new
-    return F_new, p_pre, p_post
+    def __call__(self, p, q, F, draws) -> None:
+        """One step in place: p and q advance, F becomes the force at the
+        new q.  Without bath vertices the O map is the identity and is
+        skipped, so the step is velocity Verlet."""
+        kern, work, half = self.kern, self.work, self.half
+        p += np.multiply(half, F, out=work)
+        q += np.multiply(half, p, out=work)
+        if len(kern.bath_idx):
+            # "clip" writes straight into out (the indices are in range).
+            np.take(p, kern.bath_idx, axis=0, out=self.p_pre, mode="clip")
+            np.multiply(self.a, self.p_pre, out=self.p_post)
+            self.p_post += np.multiply(self.b, draws, out=self.scratch)
+            p[kern.bath_sel] = self.p_post
+        q += np.multiply(half, p, out=work)
+        kern.forces(q, out=F)
+        p += np.multiply(half, F, out=work)
 
+    def _dot(self, x, y, out):
+        """The component sum of ``x * y`` over (baths, dim, members) arrays,
+        into the (baths, members) ``out``: in dim 1 the one product."""
+        if self.kern.n == 1:
+            return np.multiply(x[:, 0], y[:, 0], out=out)
+        out[...] = _sum(np.multiply(x, y, out=self.scratch), 1)
+        return out
 
-def _budget_increments(kern: _Kernel, h, draws, p_pre, p_post):
-    """(dGamma, dM) for one step from the O-map endpoint momenta and draws,
-    all (baths, dim, members)."""
-    p2 = 0.5 * (_sum(p_pre * p_pre, 1) + _sum(p_post * p_post, 1))
-    dgamma = h * _sum(kern.gamma_col * p2, 0)
-    xi_dot_p = _sum(p_pre * draws, 1)
-    xi_sq = _sum(draws * draws, 1)
-    dm = math.sqrt(h) * _sum(kern.noise_amp * xi_dot_p, 0)
-    dm = dm + h * _sum(kern.noise_power * (xi_sq - kern.n), 0)
-    return dgamma, dm
+    def budget(self, draws):
+        """(dGamma, dM) of the last step, from its O-map endpoint momenta
+        and its draws."""
+        kern, h, u, v = self.kern, self.h, self.u, self.v
+        # dGamma = h sum_b gamma_b (|p_pre|^2 + |p_post|^2) / 2
+        self._dot(self.p_pre, self.p_pre, u)
+        u += self._dot(self.p_post, self.p_post, v)
+        u *= 0.5
+        u *= kern.gamma_col
+        dgamma = _sum(u, 0)
+        dgamma *= h
+        # dM = sqrt(h) sum_b amp_b xi.p_pre + h sum_b power_b (|xi|^2 - n)
+        self._dot(self.p_pre, draws, u)
+        u *= kern.noise_amp
+        dm = _sum(u, 0)
+        dm *= self.sqrt_h
+        self._dot(draws, draws, v)
+        v -= kern.n
+        v *= kern.noise_power
+        quad = _sum(v, 0)
+        quad *= h
+        dm += quad
+        return dgamma, dm
 
 
 def integrate(
@@ -420,10 +468,11 @@ def integrate(
     """Integrate the SDE, recording (H, Hc, Hi, Gamma, M) every
     ``record_every`` steps.
 
-    ``rng_stream`` is any noise source with a ``standard_normal(shape)``
-    method, such as :func:`oscnet.rng.seed_stream` or
-    :class:`PrecomputedNoise`.  This is the one-member case of
-    :class:`BatchIntegrator`: the trace matches that member bit for bit.
+    ``rng_stream`` is any noise source whose ``standard_normal(out=array)``
+    fills a (steps, baths, dim) array with its next draws, such as
+    :func:`oscnet.rng.seed_stream` or :class:`PrecomputedNoise`.  This is
+    the one-member case of :class:`BatchIntegrator`: the trace matches
+    that member bit for bit.
     Blowup (non-finite energy, or H exceeding 1e12 times the initial
     energy) raises :class:`BlowupError` carrying the partial trace.
     Identical (model, state0, h, stream) reproduce the trace bit-for-bit.
@@ -564,12 +613,19 @@ def scaled_step(model: Model, h0: float, H0: float) -> float:
 
 # Steps of noise drawn per request to each member's noise source.
 NOISE_CHUNK = 256
+# Members whose draws are staged member-major before one transposed copy
+# moves them into the step-major noise chunk.
+_NOISE_TILE = 64
 
 
 class PrecomputedNoise:
     """Array-backed noise source, for coupling runs across step sizes: feed
     the O-step the normals reconstructed from a common Brownian path (coarse
-    xi = sum of fine dW over the step, divided by sqrt(h))."""
+    xi = sum of fine dW over the step, divided by sqrt(h)).
+
+    It keeps the noise-source contract of the stepping loop:
+    ``standard_normal(out=array)`` copies the next stored steps into a
+    (steps, baths, dim) array and returns it."""
 
     def __init__(self, draws: np.ndarray):
         self._draws = np.asarray(draws, dtype=float)
@@ -586,20 +642,23 @@ class PrecomputedNoise:
         dw = dw.reshape(steps, ratio, *fine_xi.shape[1:]).sum(axis=1)
         return cls(dw / math.sqrt(coarse_h))
 
-    def standard_normal(self, shape) -> np.ndarray:
-        """The next ``shape[0]`` stored steps, for a (steps, baths, dim) request."""
-        out = self._draws[self._next:self._next + shape[0]]
-        if out.shape != tuple(shape):
-            raise ValueError(f"stored draws {out.shape} cannot answer a request for {tuple(shape)}")
-        self._next += shape[0]
+    def standard_normal(self, *, out: np.ndarray) -> np.ndarray:
+        """Fill the (steps, baths, dim) array ``out`` with the next
+        ``out.shape[0]`` stored steps and return it."""
+        draws = self._draws[self._next:self._next + out.shape[0]]
+        if draws.shape != out.shape:
+            raise ValueError(f"stored draws {draws.shape} cannot answer a request for {out.shape}")
+        out[...] = draws
+        self._next += out.shape[0]
         return out
 
 
 class BatchIntegrator:
     """March an ensemble of independent trajectories in lockstep.
 
-    Member ``i`` draws its noise from ``streams[i]``, any object with a
-    ``standard_normal(shape)`` method.  Each member's path is a pure
+    Member ``i`` draws its noise from ``streams[i]``, any object whose
+    ``standard_normal(out=array)`` fills a (steps, baths, dim) array, one
+    request per ``NOISE_CHUNK`` steps.  Each member's path is a pure
     function of its own stream, so results do not depend on ensemble size
     or on how members are split across runs.  Per-member dissipation and
     injected work are accumulated every step; blowups and the
@@ -609,7 +668,8 @@ class BatchIntegrator:
     States go in and come out as (members, vertices, dim) arrays: ``p``,
     ``q`` and the arrays handed to ``on_record`` are member-major copies.
     Between records the state is held member-minor, (vertices, dim,
-    members), as described in the module docstring.
+    members), and the noise step-major, (steps, baths, dim, members), as
+    described in the module docstring.
     """
 
     def __init__(
@@ -633,7 +693,6 @@ class BatchIntegrator:
         if len(streams) != self.m:
             raise ValueError("need one stream per ensemble member")
         self.streams = list(streams)
-        self.ou = _ou_coeffs(self.kern, h)
         self._p = p0.transpose(1, 2, 0).copy()
         self._q = q0.transpose(1, 2, 0).copy()
         self.F = self.kern.forces(self._q)
@@ -657,11 +716,17 @@ class BatchIntegrator:
         """Positions, as a (members, vertices, dim) copy."""
         return self._q.transpose(2, 0, 1).copy()
 
-    def _draw(self, buf: np.ndarray) -> None:
-        """Fill the member-major (members, steps, baths, dim) noise buffer,
-        one contiguous block per member."""
-        for i, stream in enumerate(self.streams):
-            buf[i] = stream.standard_normal(buf.shape[1:])
+    def _draw(self, chunk: np.ndarray, tile: np.ndarray) -> None:
+        """Fill the step-major (steps, baths, dim, members) noise chunk.
+        Each member's source writes its contiguous (steps, baths, dim) row
+        of the member-major ``tile``; one transposed copy per tile of
+        ``_NOISE_TILE`` members moves the rows into their member columns."""
+        steps = chunk.shape[0]
+        for lo in range(0, self.m, _NOISE_TILE):
+            rows = tile[:min(_NOISE_TILE, self.m - lo), :steps]
+            for row, stream in zip(rows, self.streams[lo:lo + _NOISE_TILE]):
+                stream.standard_normal(out=row)
+            chunk[..., lo:lo + len(rows)] = rows.transpose(1, 2, 3, 0)
 
     def _observe(self, step: int, H: np.ndarray) -> None:
         bad = ~np.isfinite(H) | (H > self._ceiling)
@@ -694,11 +759,15 @@ class BatchIntegrator:
         member-major copies of the state; a true return ends the run.
         ``on_step(step, p, q)``, for one member, fires after every step
         with (vertices, dim) views of its state."""
-        kern, h, ou = self.kern, self.h, self.ou
-        p, q = self._p, self._q
+        kern, p, q, F = self.kern, self._p, self._q, self.F
+        step_once = _Step(kern, self.h, self.m)
         nb = len(kern.bath_idx)
-        # One member-major noise buffer, refilled every NOISE_CHUNK steps.
-        buf = np.empty((self.m, min(NOISE_CHUNK, n_steps), nb, kern.n)) if nb else None
+        # One step-major noise chunk, refilled every NOISE_CHUNK steps:
+        # step k's draws are the contiguous (baths, dim, members) view buf[k].
+        chunk_steps = min(NOISE_CHUNK, n_steps)
+        if nb:
+            buf = np.empty((chunk_steps, nb, kern.n, self.m))
+            tile = np.empty((min(_NOISE_TILE, self.m), chunk_steps, nb, kern.n))
         done = 0
         # Overflow in a diverging member is reported through ``blown``, not
         # as a numpy warning.
@@ -706,13 +775,13 @@ class BatchIntegrator:
             while done < n_steps:
                 count = min(NOISE_CHUNK, n_steps - done)
                 if nb:
-                    self._draw(buf[:, :count])
+                    self._draw(buf[:count], tile)
                 for k in range(count):
                     step = done + k + 1
-                    xi = np.ascontiguousarray(buf[:, k].transpose(1, 2, 0)) if nb else None
-                    self.F, p_pre, p_post = _step_arrays(kern, p, q, self.F, h, xi, ou)
+                    xi = buf[k] if nb else None
+                    step_once(p, q, F, xi)
                     if nb:
-                        dg, dm = _budget_increments(kern, h, xi, p_pre, p_post)
+                        dg, dm = step_once.budget(xi)
                         self.gamma_acc += dg
                         self.m_acc += dm
                     if on_step is not None:

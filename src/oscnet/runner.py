@@ -125,25 +125,25 @@ class _Workspace:
 
 
 def _initial_state(model, spec: dict) -> State:
-    kind = spec.get("kind", "zero")
+    """The initial state ``spec`` describes; ``config`` has checked it."""
+    kind = spec["kind"]
     if kind == "zero":
         return State.zero(model.vertex_count, model.dim)
     if kind == "energy":
-        return initial_state_at_energy(model, float(spec["H0"]), spec.get("mode", "interaction"))
+        return initial_state_at_energy(model, spec["H0"], spec["mode"])
     if kind == "explicit":
         return State(np.asarray(spec["p"], dtype=float), np.asarray(spec["q"], dtype=float))
-    if kind == "slow-mode":
-        oracle = gaussian_stationary_covariance(model)
-        evals, evecs = np.linalg.eig(oracle.drift)
-        v = evecs[:, int(np.argmax(evals.real))].real
-        v = v / np.linalg.norm(v)
-        scale = float(spec.get("scale", 30.0))
-        d = model.vertex_count * model.dim
-        return State(
-            (scale * v[:d]).reshape(model.vertex_count, model.dim),
-            (scale * v[d:]).reshape(model.vertex_count, model.dim),
-        )
-    raise ValueError(f"unknown initial-state kind {kind!r}")
+    # "slow-mode": along the slowest mode of the linear drift.
+    oracle = gaussian_stationary_covariance(model)
+    evals, evecs = np.linalg.eig(oracle.drift)
+    v = evecs[:, int(np.argmax(evals.real))].real
+    v = v / np.linalg.norm(v)
+    scale = spec["scale"]
+    d = model.vertex_count * model.dim
+    return State(
+        (scale * v[:d]).reshape(model.vertex_count, model.dim),
+        (scale * v[d:]).reshape(model.vertex_count, model.dim),
+    )
 
 
 def run(config: ExperimentConfig, command: str | None = None,

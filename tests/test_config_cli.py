@@ -117,6 +117,61 @@ def test_bad_experiment_setting_is_a_config_error(kind, key, value, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("initial, key", [
+    ({"kind": "energy"}, "H0"),
+    ({"kind": "energy", "H0": -1.0}, "H0"),
+    ({"kind": "energy", "H0": 10.0, "mode": "both"}, "mode"),
+    ({"kind": "explicit", "p": [[0.0], [0.0], [0.0]]}, "q"),
+    ({"kind": "explicit", "p": [[0.0, 1.0]] * 3, "q": [[0.0]] * 3}, "p"),
+    ({"kind": "slow-mode", "scale": 0}, "scale"),
+    ({"kind": "warm"}, "kind"),
+    ({"kind": "zero", "H0": 10.0}, "H0"),
+])
+def test_bad_initial_state_is_a_config_error(initial, key, tmp_path, capsys):
+    # The initial state was read only at run time: {"kind": "energy"} died
+    # with a KeyError and left config.echo.json and manifest.json behind.
+    doc = json.loads(MINIMAL)
+    doc["experiment"]["initial"] = initial
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: experiment.initial.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checked_initial_state_fills_its_defaults():
+    doc = json.loads(MINIMAL)
+    doc["experiment"]["initial"] = {"kind": "energy", "H0": 10}
+    assert parse_config(json.dumps(doc)).experiment["initial"] == {
+        "kind": "energy", "H0": 10.0, "mode": "interaction"}
+    doc["experiment"]["initial"] = {"kind": "explicit", "p": [[1], [0], [0]], "q": [[0]] * 3}
+    assert parse_config(json.dumps(doc)).experiment["initial"]["p"] == [[1], [0], [0]]
+
+
+@pytest.mark.parametrize("section, key", [
+    (("model",), "pinnig"),
+    (("model", "bath_defaults"), "gama"),
+    (("model", "bath_overrides", "c"), "temp"),
+    (("output",), "bogus"),
+])
+def test_unknown_key_in_a_section_is_named(section, key, tmp_path, capsys):
+    # These keys were ignored: a misspelt "pinnig" ran with the default
+    # pinning and exited 0.
+    doc = json.loads(MINIMAL)
+    doc["model"]["bath_overrides"] = {"c": {"temperature": 2.0}}
+    target = doc
+    for name in section:
+        target = target[name]
+    target[key] = 1.0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: {'.'.join(section)}.{key}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_syntax_error_reports_position():
     with pytest.raises(ConfigError) as err:
         parse_config("{ not json }")

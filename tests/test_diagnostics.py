@@ -230,8 +230,8 @@ def test_run_ensemble_results_do_not_depend_on_chunking():
                        dict(chain10.pinning), dict(chain10.interaction), baths)
     for m in (chain3, nine_baths):
         z0 = initial_state_at_energy(m, 25.0, "interaction")
-        p0 = np.broadcast_to(z0.p, (64,) + z0.p.shape).copy()
-        q0 = np.broadcast_to(z0.q, (64,) + z0.q.shape).copy()
+        p0 = np.broadcast_to(z0.p, (131,) + z0.p.shape).copy()
+        q0 = np.broadcast_to(z0.q, (131,) + z0.q.shape).copy()
 
         p2_0 = resolve_observable(m, "p2:0")
 
@@ -242,13 +242,15 @@ def test_run_ensemble_results_do_not_depend_on_chunking():
                                on_record=lambda step, p, q: series.append(p2_0(p, q)))
             return out, np.array(series)
 
-        whole, whole_series = run(0, 64)
-        parts = [run(0, 1), run(1, 23), run(23, 64)]
+        # 131 members fill two noise tiles and part of a third; the
+        # parts split them across tile boundaries.
+        whole, whole_series = run(0, 131)
+        parts = [run(0, 1), run(1, 65), run(65, 131)]
         assert np.any(whole.first_low >= 0) and np.any(whole.first_high >= 0)
         for field in ("h_final", "gamma", "work", "first_low", "first_high"):
             joined = np.concatenate([getattr(part, field) for part, _ in parts])
             assert getattr(whole, field).tobytes() == joined.tobytes(), field
-        assert whole_series.shape == (11, 64)
+        assert whole_series.shape == (11, 131)
         joined = np.concatenate([series for _, series in parts], axis=1)
         assert whole_series.tobytes() == joined.tobytes()
 

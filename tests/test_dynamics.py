@@ -22,6 +22,7 @@ from oscnet.dynamics import (
     tau,
     u_infinity,
     _Kernel,
+    _NOISE_TILE,
 )
 from oscnet.errors import BlowupError, ValidityRegionError
 from oscnet.fixtures import (
@@ -359,6 +360,46 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
     assert len(records) == len(ref_records)
     for (_step, H, _Hc, _Hi, rec_p, rec_q), ref_H in zip(records, ref_records):
         assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
+
+
+class ForwardingStream:
+    """A noise source that only forwards ``standard_normal``, as the
+    benchmark's counting proxy does."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def standard_normal(self, *args, **kwargs):
+        return self._gen.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("source", ["forwarding", "precomputed"])
+def test_noise_tiles_and_refills_keep_the_bits(source, dim):
+    # Two full member tiles and a partial one, and a run of one full noise
+    # chunk and a short one: the tile fill and the refill must give every
+    # member the draws of its own stream, step by step.
+    model = chain_model(5, dim, temperatures=(1.0, 2.0))
+    members, h, stride = 2 * _NOISE_TILE + 3, 0.01, 100
+    n_steps = NOISE_CHUNK + 37
+    rng = np.random.default_rng(dim)
+    p0 = rng.standard_normal((members, 5, dim))
+    q0 = 0.5 * rng.standard_normal((members, 5, dim))
+    if source == "forwarding":
+        streams = [ForwardingStream(seed_stream(11, i)) for i in range(members)]
+    else:
+        streams = [PrecomputedNoise(seed_stream(11, i).standard_normal((n_steps, 2, dim)))
+                   for i in range(members)]
+
+    bi = BatchIntegrator(model, p0, q0, h, streams)
+    records = []
+    bi.run(n_steps, record_stride=stride, on_record=lambda step, H, *rest: records.append(H))
+    p, q, gamma_acc, m_acc, ref_records = reference_run(
+        model, p0, q0, h, [seed_stream(11, i) for i in range(members)], n_steps, stride)
+    assert same_bits(bi.p, p) and same_bits(bi.q, q)
+    assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
+    assert len(records) == len(ref_records) == 3
+    assert all(same_bits(H, ref_H) for H, ref_H in zip(records, ref_records))
 
 
 def test_batch_integrator_keeps_what_the_benchmark_instrument_uses(monkeypatch):
