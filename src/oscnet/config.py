@@ -30,9 +30,11 @@ the built model the same way (``_initial_states``):
     | {"kind": "explicit", "p": rows, "q": rows}   (vertices x dim numbers)
     | {"kind": "slow-mode", "scale": 30.0}
 
-An unknown key at the top level, in ``model``, its ``bath_defaults`` and
-``bath_overrides`` entries, ``output``, ``experiment`` or
-``experiment.initial`` is an error.
+An unknown key is an error wherever it appears: at the top level, in
+``model``, its ``topology`` (a fixture topology has only ``fixture``),
+``bath_defaults`` and ``bath_overrides`` entries, ``pinning``,
+``interaction`` and its ``per_edge`` entries, in any potential spec (per
+family, below), in ``output``, ``experiment`` or ``experiment.initial``.
 
 Potentials: {"family": "soft_power", "degree": r} |
             {"family": "even_power", "degree": r} |
@@ -109,9 +111,20 @@ def _get_number(doc, key, path, errors, default=None, required=False,
     return int(val) if integer else float(val)
 
 
+# The keys of each potential family's spec.
+_POTENTIAL_KEYS = {
+    "soft_power": ("family", "degree"),
+    "even_power": ("family", "degree"),
+    "quadratic": ("family", "stiffness"),
+    "local_piece": ("family", "terms", "offset"),
+}
+
+
 def _parse_potential(doc, path, dim, errors):
     doc = _expect_mapping(doc, path, errors)
     family = doc.get("family")
+    if family in _POTENTIAL_KEYS:
+        _reject_unknown(doc, _POTENTIAL_KEYS[family], path, errors)
     try:
         if family == "soft_power":
             degree = _get_number(doc, "degree", path, errors, required=True, minimum=2)
@@ -183,6 +196,8 @@ class ExperimentConfig:
 
 def _parse_topology(doc, path, errors):
     doc = _expect_mapping(doc, path, errors)
+    _reject_unknown(doc, ("fixture",) if "fixture" in doc else ("vertices", "edges", "baths"),
+                    path, errors)
     if "fixture" in doc:
         name = doc["fixture"]
         try:
@@ -281,6 +296,7 @@ def _parse_model(doc, errors):
             errors.add(f"{path}.bath_overrides.{name}", "vertex is not a bath")
 
     pin_doc = _expect_mapping(doc.get("pinning", {}), f"{path}.pinning", errors)
+    _reject_unknown(pin_doc, ("default", "per_vertex"), f"{path}.pinning", errors)
     pin_default = _parse_potential(
         pin_doc.get("default", {"family": "quadratic", "stiffness": 1.0}),
         f"{path}.pinning.default", dim, errors,
@@ -294,6 +310,7 @@ def _parse_model(doc, errors):
         pinning[names.index(name)] = _parse_potential(pot, f"{path}.pinning.per_vertex.{name}", dim, errors)
 
     int_doc = _expect_mapping(doc.get("interaction", {}), f"{path}.interaction", errors)
+    _reject_unknown(int_doc, ("default", "per_edge"), f"{path}.interaction", errors)
     int_default = _parse_potential(
         int_doc.get("default", {"family": "quadratic", "stiffness": 1.0}),
         f"{path}.interaction.default", dim, errors,
@@ -305,6 +322,7 @@ def _parse_model(doc, errors):
         per_edge = []
     for k, entry in enumerate(per_edge):
         entry = _expect_mapping(entry, f"{path}.interaction.per_edge[{k}]", errors)
+        _reject_unknown(entry, ("edge", "potential"), f"{path}.interaction.per_edge[{k}]", errors)
         pair = entry.get("edge")
         if not (isinstance(pair, list) and len(pair) == 2 and all(x in names for x in pair)):
             errors.add(f"{path}.interaction.per_edge[{k}].edge",

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 
 from .dynamics import (
     BatchIntegrator,
@@ -209,6 +208,8 @@ def gaussian_stationary_covariance(model: Model) -> GaussianOracle:
             "drift matrix is not Hurwitz: the linear system has no unique "
             "stationary covariance (is the topology controlled and pinned?)"
         )
+    from scipy import linalg as sla  # imported here so that the package loads no scipy
+
     S = sla.solve_continuous_lyapunov(A, -2.0 * D)
     S = 0.5 * (S + S.T)
     residual = float(np.max(np.abs(A @ S + S @ A.T + 2.0 * D)))

@@ -13,7 +13,9 @@ Every family exposes values, analytic gradients, and the homogeneous form
 the potential approaches at infinity (``limiting_value`` and
 ``limiting_gradient``).  Higher derivative tensors needed by the
 non-degeneracy rank test are generated symbolically once per (spec, order)
-pair and cached as compiled numpy callables.
+pair and cached as compiled numpy callables.  sympy and ``scipy.optimize``
+are imported inside the functions that use them, so that importing the
+package loads neither.
 
 All evaluation methods are vectorized over leading axes: ``x`` may have
 shape ``(..., dim)``.
@@ -27,8 +29,8 @@ from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
-import sympy as sp
-from scipy import optimize
+
+from .rng import seed_stream
 
 __all__ = [
     "SoftPower",
@@ -95,6 +97,8 @@ class SoftPower:
     limiting_strictly_convex = True
 
     def _sympy_expr(self, xs):
+        import sympy as sp
+
         return (1 + sum(xi ** 2 for xi in xs)) ** (sp.S(self.degree) / 2)
 
 
@@ -187,6 +191,8 @@ class Quadratic:
         return bool(np.min(np.linalg.eigvalsh(self.matrix)) > 0)
 
     def _sympy_expr(self, xs):
+        import sympy as sp
+
         K = self.matrix
         return sum(
             sp.Rational(1, 2) * sp.Float(K[i, j]) * xs[i] * xs[j]
@@ -264,6 +270,8 @@ class LocalPiece:
     limiting_strictly_convex = None
 
     def _sympy_expr(self, xs):
+        import sympy as sp
+
         expr = sp.Float(self.offset)
         for coeff, exps in self.terms:
             term = sp.Float(coeff)
@@ -303,6 +311,8 @@ def _multi_indices(dim: int, max_order: int):
 @lru_cache(maxsize=None)
 def _derivative_row_fn(spec: PotentialSpec, ell: int):
     """Compiled function x -> matrix of rows D^a grad V(x), 1 <= |a| <= ell."""
+    import sympy as sp
+
     xs = sp.symbols(f"x0:{spec.dim}", real=True)
     V = spec._sympy_expr(xs)
     grad = [sp.diff(V, xi) for xi in xs]
@@ -402,7 +412,7 @@ def default_nondegeneracy_samples(dim: int, extra: int = 20) -> list[np.ndarray]
         e[i] = 1.0
         pts.append(e.copy())
         pts.append(-e)
-    rng = np.random.Generator(np.random.Philox(key=np.array([0x5EED, dim], dtype=np.uint64)))
+    rng = seed_stream(0x5EED, dim)
     for _ in range(extra):
         v = rng.standard_normal(dim)
         r = 5.0 * rng.random() ** (1.0 / dim)
@@ -425,7 +435,7 @@ def unit_sphere_samples(dim: int, count: int = 256) -> np.ndarray:
         e[i] = 1.0
         pts.append(e.copy())
         pts.append(-e)
-    rng = np.random.Generator(np.random.Philox(key=np.array([0xC0E, 0], dtype=np.uint64)))
+    rng = seed_stream(0xC0E, 0)
     while len(pts) < count:
         v = rng.standard_normal(dim)
         nv = np.linalg.norm(v)
@@ -463,6 +473,8 @@ def check_coercive_limit(spec: PotentialSpec, sphere_samples: int = 256) -> Coer
     argmin = pts[best]
     min_val = float(vals[best])
     if spec.dim > 1:
+        from scipy import optimize
+
         def objective(y):
             ny = np.linalg.norm(y)
             if ny < 1e-9:

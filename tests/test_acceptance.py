@@ -6,12 +6,16 @@ failure).  Everything is seeded; reruns are bit-for-bit identical.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscnet
 from oscnet.cli import main as cli_main
 from oscnet.diagnostics import (
     DriftConfig,
@@ -350,8 +354,9 @@ def test_criterion_9_decay_rate_matches_oracle():
 
 
 # -----------------------------------------------------------------------------
-# 10. Byte-identical reruns of bundled configs; --threads (accepted, no
-#     effect) leaves them unchanged.
+# 10. Byte-identical reruns of bundled configs: in process, with --threads
+#     (accepted, no effect), and in a fresh interpreter with another hash
+#     seed, so that no artifact depends on set or dict order.
 # -----------------------------------------------------------------------------
 
 def test_criterion_10_determinism(tmp_path):
@@ -362,16 +367,25 @@ def test_criterion_10_determinism(tmp_path):
         "counterexample_c4.json": ("counterexample-c4", ["trace_c4.csv", "report.json", "manifest.json"]),
         "lyapunov_harmonic3.json": ("lyapunov-scan", ["drift_levels.csv", "report.json", "manifest.json"]),
     }
+    src = str(Path(oscnet.__file__).resolve().parent.parent)
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for cfg_name, (command, files) in compare.items():
         digests = []
-        for run_id, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+        for run_id, threads in (("r1", "1"), ("r2", "1"), ("r3", "4"), ("r4", None)):
             out = tmp_path / cfg_name.replace(".json", "") / run_id
-            code = cli_main([command, "--config", str(CONFIG_DIR / cfg_name),
-                             "--out", str(out), "--threads", threads])
+            args = [command, "--config", str(CONFIG_DIR / cfg_name), "--out", str(out)]
+            if threads is None:
+                code = subprocess.run([sys.executable, "-m", "oscnet.cli", *args], env=env,
+                                      capture_output=True, timeout=600).returncode
+            else:
+                code = cli_main(args + ["--threads", threads])
             ok &= code == 0
             digests.append({f: (out / f).read_bytes() for f in files})
-        ok &= digests[0] == digests[1] == digests[2]
+        ok &= all(d == digests[0] for d in digests[1:])
     elapsed = time.time() - t0
     report("criterion 10 (byte-identical reruns)", ok,
-           f"3 configs x (rerun + --threads 4) identical in {elapsed:.0f}s")
+           f"3 configs x (rerun + --threads 4 + fresh interpreter with PYTHONHASHSEED={hash_seed}) "
+           f"identical in {elapsed:.0f}s")
     assert ok

@@ -154,10 +154,16 @@ def test_checked_initial_state_fills_its_defaults():
     (("model", "bath_defaults"), "gama"),
     (("model", "bath_overrides", "c"), "temp"),
     (("output",), "bogus"),
+    (("model", "pinning"), "defualt"),
+    (("model", "pinning", "default"), "degre"),
+    (("model", "topology"), "bath"),
+    (("model", "interaction"), "per_edges"),
+    (("model", "interaction", "default"), "ofset"),
 ])
 def test_unknown_key_in_a_section_is_named(section, key, tmp_path, capsys):
     # These keys were ignored: a misspelt "pinnig" ran with the default
-    # pinning and exited 0.
+    # pinning and exited 0, and so did "pinning.defualt", a "degre" added
+    # to a quadratic spec and "topology.bath".
     doc = json.loads(MINIMAL)
     doc["model"]["bath_overrides"] = {"c": {"temperature": 2.0}}
     target = doc
@@ -170,6 +176,19 @@ def test_unknown_key_in_a_section_is_named(section, key, tmp_path, capsys):
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config error: {'.'.join(section)}.{key}: unknown key" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, path", [
+    ({"topology": {"fixture": "fig2_chain11", "baths": ["v0"]}}, "model.topology.baths"),
+    ({"interaction": {"per_edge": [{"edge": ["a", "b"], "potentail": {}}]}},
+     "model.interaction.per_edge[0].potentail"),
+])
+def test_unknown_key_in_fixture_topology_or_edge_entry_is_named(section, path):
+    doc = json.loads(MINIMAL)
+    doc["model"].update(section)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert f"{path}: unknown key" in err.value.messages
 
 
 def test_syntax_error_reports_position():

@@ -1,0 +1,54 @@
+"""Import graph: importing the package loads neither sympy nor scipy.
+
+Only the non-degeneracy tensors (sympy), the coercivity refinement
+(``scipy.optimize``) and the Lyapunov oracle (``scipy.linalg``) need them,
+and each loads its library when first called.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import oscnet
+
+SCRIPT = """
+import json, sys
+import numpy as np
+import oscnet, oscnet.config, oscnet.cli
+
+def heavy():
+    return sorted(k for k in sys.modules if k.split(".")[0] in ("sympy", "scipy"))
+
+after_import = heavy()
+from oscnet import EvenPower, Quadratic, chain_model, check_coercive_limit, check_nondegenerate
+from oscnet.diagnostics import gaussian_stationary_covariance
+
+oracle = gaussian_stationary_covariance(chain_model(3, 1))
+print(json.dumps({
+    "after_import": after_import,
+    "quartic_nondegenerate": check_nondegenerate(EvenPower(4, 1), [[0.0], [1.0]], 3).overall,
+    "flat_direction_nondegenerate": check_nondegenerate(
+        Quadratic(((1.0, 0.0), (0.0, 0.0)), 2), [[0.5, 0.5]], 2).overall,
+    "coercive": check_coercive_limit(Quadratic.isotropic(2.0, 2)).coercive,
+    "oracle_matches_gibbs": bool(np.allclose(oracle.sigma_inf, oracle.gibbs_covariance(1.0))),
+    "after_calls": sorted({k.split(".")[0] for k in heavy()}),
+}))
+"""
+
+
+def test_package_import_loads_no_sympy_or_scipy():
+    src = str(Path(oscnet.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["after_import"] == []
+    # The functions that need the libraries still load and use them.
+    assert out["quartic_nondegenerate"] is True
+    assert out["flat_direction_nondegenerate"] is False
+    assert out["coercive"] is True
+    assert out["oracle_matches_gibbs"] is True
+    assert out["after_calls"] == ["scipy", "sympy"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oscnet.rng import seed_stream
+from oscnet.rng import _PhiloxKey, seed_stream
 
 
 def test_same_key_reproduces_draws():
@@ -44,3 +44,25 @@ def test_seed_wraps_and_index_validates():
     assert np.array_equal(s, t)
     with pytest.raises(ValueError):
         seed_stream(1, -1)
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (1, 4095), (2 ** 64 + 5, 0), (123456789, 2 ** 40)])
+def test_stream_is_philox_keyed_by_seed_and_index(seed, index):
+    # The stream is Philox(key=[seed mod 2^64, index mod 2^64]) with counter
+    # 0: the same state and the same bits, however the key is handed over.
+    mask = (1 << 64) - 1
+    ours = seed_stream(seed, index)
+    ref = np.random.Generator(np.random.Philox(key=[seed & mask, index & mask]))
+    # The state dict holds small arrays (key, counter, buffer): its repr
+    # shows every value.
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(ours.standard_normal(10 ** 4), ref.standard_normal(10 ** 4))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(2, np.uint32), (4, np.uint32), (1, np.uint64),
+                                            (4, np.uint64), (2, np.int64)])
+def test_key_sequence_serves_only_a_philox_key(n_words, dtype):
+    key = _PhiloxKey(3, 4)
+    assert np.array_equal(key.generate_state(2, np.uint64), np.array([3, 4], dtype=np.uint64))
+    with pytest.raises(ValueError):
+        key.generate_state(n_words, dtype)
