@@ -226,12 +226,14 @@ def gaussian_stationary_covariance(model: Model) -> GaussianOracle:
 
 @dataclass
 class EnsembleOutcome:
-    """Per-member results of a lockstep ensemble run (member order = stream index)."""
+    """Per-member results of a lockstep ensemble run (member order = stream
+    index).  ``gamma`` and ``work`` are ``None`` for a run without the
+    energy budget."""
 
     h_init: np.ndarray
     h_final: np.ndarray
-    gamma: np.ndarray
-    work: np.ndarray
+    gamma: np.ndarray | None
+    work: np.ndarray | None
     first_low: np.ndarray
     first_high: np.ndarray
     blown: np.ndarray
@@ -250,6 +252,7 @@ def run_ensemble(
     record_stride: int = 1,
     thresholds: tuple[float, float] | None = None,
     on_record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    budget: bool = True,
 ) -> EnsembleOutcome:
     """Run M independent trajectories; member i draws from stream
     (seed, stream_offset + i).
@@ -260,11 +263,17 @@ def run_ensemble(
     every record step: each multiple of ``record_stride``, and the last
     step.  Splitting the members over several calls with matching
     ``stream_offset`` gives the same per-member results.
+
+    The energy budget (``gamma``, the dissipation integral, and ``work``,
+    the injected-work martingale) costs about as much per step as the
+    force evaluation; a check that does not read it passes
+    ``budget=False`` and gets ``None`` for both, with every other result
+    the same bits.
     """
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
     streams = [seed_stream(seed, stream_offset + i) for i in range(p0.shape[0])]
-    bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=thresholds)
+    bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=thresholds, budget=budget)
 
     def record(step, H, Hc, Hi, p, q) -> None:
         on_record(step, p, q)
@@ -445,7 +454,7 @@ def stationary_moment_test(
 
     zeros = np.zeros((replicas, N, n))
     out = run_ensemble(model, zeros, zeros, h, total_steps, seed,
-                       record_stride=stride_steps, on_record=on_record)
+                       record_stride=stride_steps, on_record=on_record, budget=False)
     _require_no_blowup(out.blown, total_steps, h, "replicas")
 
     rep_p2 = sum_p2 / count
@@ -895,6 +904,7 @@ def observable_decay_fit(
         stream_offset=ensemble,
         record_stride=stride_steps,
         on_record=collect,
+        budget=False,
     )
     _require_no_blowup(ref.blown, long_steps, h, "reference runs")
     ref_means = ref_sum / max(ref_cnt, 1)
@@ -919,6 +929,7 @@ def observable_decay_fit(
         seed,
         record_stride=stride,
         on_record=sample,
+        budget=False,
     )
     _require_no_blowup(out.blown, n_steps, h, "members")
     f_series = np.array(values)
@@ -1133,7 +1144,7 @@ def gibbs_invariance_test(
     p0, q0 = sample_gibbs(model, sample_temperature, n_samples, rng)
     before = {name: fn(p0, q0) for name, fn in fns.items()}
     n_steps = max(1, int(round(t_check / h)))
-    out = run_ensemble(model, p0, q0, h, n_steps, seed, record_stride=n_steps)
+    out = run_ensemble(model, p0, q0, h, n_steps, seed, record_stride=n_steps, budget=False)
     _require_no_blowup(out.blown, n_steps, h, "members")
     after = {name: fn(out.p, out.q) for name, fn in fns.items()}
 

@@ -23,12 +23,12 @@ from oscnet.diagnostics import (
     stationary_moment_test,
     wilson_interval,
 )
-from oscnet.dynamics import State, TimescaleRule, Trace, hamiltonian
+from oscnet.dynamics import _NOISE_TILE, State, TimescaleRule, Trace, hamiltonian
 from oscnet.errors import BlowupError, OracleError
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import EvenPower, LocalPiece, Quadratic, SoftPower
 from oscnet.rng import seed_stream
-from oscnet.topology import Edge, NetworkTopology
+from oscnet.topology import Edge, NetworkTopology, random_topology
 
 
 def synthetic_trace(H_values):
@@ -228,10 +228,15 @@ def test_run_ensemble_results_do_not_depend_on_chunking():
     baths = {b: BathSpec(1.0, 1.0 + 0.2 * b) for b in range(10) if b != 4}
     nine_baths = Model(NetworkTopology(10, chain10.topology.edges, frozenset(baths)), 1,
                        dict(chain10.pinning), dict(chain10.interaction), baths)
+    # Two full noise tiles and part of a third.  Of the parts [0, 1),
+    # [1, tile + 1) and [tile + 1, members), the second crosses the whole
+    # run's tile edge at tile and the third its edge at 2 tile.
+    members = 2 * _NOISE_TILE + 3
+    cuts = [0, 1, _NOISE_TILE + 1, members]
     for m in (chain3, nine_baths):
         z0 = initial_state_at_energy(m, 25.0, "interaction")
-        p0 = np.broadcast_to(z0.p, (131,) + z0.p.shape).copy()
-        q0 = np.broadcast_to(z0.q, (131,) + z0.q.shape).copy()
+        p0 = np.broadcast_to(z0.p, (members,) + z0.p.shape).copy()
+        q0 = np.broadcast_to(z0.q, (members,) + z0.q.shape).copy()
 
         p2_0 = resolve_observable(m, "p2:0")
 
@@ -242,17 +247,47 @@ def test_run_ensemble_results_do_not_depend_on_chunking():
                                on_record=lambda step, p, q: series.append(p2_0(p, q)))
             return out, np.array(series)
 
-        # 131 members fill two noise tiles and part of a third; the
-        # parts split them across tile boundaries.
-        whole, whole_series = run(0, 131)
-        parts = [run(0, 1), run(1, 65), run(65, 131)]
+        whole, whole_series = run(0, members)
+        parts = [run(i0, i1) for i0, i1 in zip(cuts, cuts[1:])]
         assert np.any(whole.first_low >= 0) and np.any(whole.first_high >= 0)
         for field in ("h_final", "gamma", "work", "first_low", "first_high"):
             joined = np.concatenate([getattr(part, field) for part, _ in parts])
             assert getattr(whole, field).tobytes() == joined.tobytes(), field
-        assert whole_series.shape == (11, 131)
+        assert whole_series.shape == (11, members)
         joined = np.concatenate([series for _, series in parts], axis=1)
         assert whole_series.tobytes() == joined.tobytes()
+
+
+def test_run_ensemble_without_budget_keeps_every_other_result():
+    # Five vertices in dim 2 with baths {0, 1, 2, 4}, an index-array bath
+    # selection; the energy band is crossed both ways during the run.
+    rng = np.random.default_rng(5)
+    topo = random_topology(rng, max_vertices=6)
+    assert topo.vertex_count == 5 and sorted(topo.baths) == [0, 1, 2, 4]
+    pin, inter = SoftPower(degree=3.0, dim=2), EvenPower(degree=4, dim=2)
+    model = Model(topo, 2, {v: pin for v in topo.vertices}, {e: inter for e in topo.edge_list},
+                  {b: BathSpec(1.0, 0.5 + b) for b in topo.baths})
+    members = 40
+    p0 = rng.standard_normal((members, 5, 2))
+    q0 = 0.5 * rng.standard_normal((members, 5, 2))
+
+    def run(budget):
+        series = []
+        out = run_ensemble(model, p0, q0, 0.01, 300, seed=4, record_stride=25,
+                           thresholds=(15.0, 30.0), budget=budget,
+                           on_record=lambda step, p, q: series.append((step, p, q)))
+        return out, series
+
+    with_budget, series = run(True)
+    without, series_off = run(False)
+    assert without.gamma is None and without.work is None
+    assert with_budget.gamma.shape == with_budget.work.shape == (members,)
+    assert np.any(without.first_low > 0) and np.any(without.first_high > 0)
+    for field in ("p", "q", "h_init", "h_final", "blown", "first_low", "first_high"):
+        assert getattr(with_budget, field).tobytes() == getattr(without, field).tobytes(), field
+    assert len(series) == len(series_off) == 13
+    for (s0, p_a, q_a), (s1, p_b, q_b) in zip(series, series_off):
+        assert s0 == s1 and p_a.tobytes() == p_b.tobytes() and q_a.tobytes() == q_b.tobytes()
 
 
 def test_decay_fit_records_step_zero_every_stride_and_the_last_step():

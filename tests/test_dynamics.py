@@ -402,6 +402,34 @@ def test_noise_tiles_and_refills_keep_the_bits(source, dim):
     assert all(same_bits(H, ref_H) for H, ref_H in zip(records, ref_records))
 
 
+@pytest.mark.parametrize("with_baths", [True, False])
+def test_consecutive_runs_continue_one_path_bitwise(with_baths):
+    # run(a) then run(b) equals run(a + b), with a + b crossing a noise
+    # chunk refill: every run starts a new step object, which must open
+    # with the half-kick of the force the previous run left behind.
+    # Without baths the step is velocity Verlet.
+    model = chain_model(4, 2, interaction=SoftPower(degree=3.0, dim=2), temperatures=(1.0, 2.0))
+    if not with_baths:
+        model = Model(NetworkTopology(4, model.topology.edges, frozenset()), 2,
+                      dict(model.pinning), dict(model.interaction), {})
+    members = 5
+    rng = np.random.default_rng(8)
+    p0 = rng.standard_normal((members, 4, 2))
+    q0 = 0.5 * rng.standard_normal((members, 4, 2))
+
+    def batch():
+        return BatchIntegrator(model, p0, q0, 0.01, [seed_stream(3, i) for i in range(members)])
+
+    a, b = NOISE_CHUNK - 10, 30
+    split, whole = batch(), batch()
+    split.run(a)
+    split.run(b)
+    whole.run(a + b)
+    assert same_bits(split.p, whole.p) and same_bits(split.q, whole.q)
+    assert same_bits(split.gamma_acc, whole.gamma_acc) and same_bits(split.m_acc, whole.m_acc)
+    assert np.all(whole.gamma_acc > 0) == with_baths
+
+
 def test_batch_integrator_keeps_what_the_benchmark_instrument_uses(monkeypatch):
     # perfbench/instrument.py patches these in the class bodies, reads
     # m, blown, H0 and the member-major state, and counts member-steps in
