@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -307,6 +307,12 @@ def _require_no_blowup(blown: np.ndarray, n_steps: int, h: float, what: str) -> 
                           detail=f"{count} of {len(blown)} {what} blew up")
 
 
+def _replicas(z0: State, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` copies of the state ``z0`` as (members, vertices, dim) arrays."""
+    return (np.broadcast_to(z0.p, (m,) + z0.p.shape).copy(),
+            np.broadcast_to(z0.q, (m,) + z0.q.shape).copy())
+
+
 def resolve_observable(model: Model, name: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Named observables for reports and configs.
 
@@ -427,15 +433,15 @@ def stationary_moment_test(
     sum_zz = np.zeros((replicas, d, d)) if oracle is not None else None
     count = 0
     gammas = np.array([model.gamma_of(v) for v in range(N)])
-    # Lag-1 statistics of the bath statistic, for the effective-sample count.
-    lag_prev = np.full(replicas, np.nan)
+    # Lag-1 statistics of the bath statistic, for the effective-sample count;
+    # all replicas record at the same steps, so they share one lag count.
+    lag_prev = None
     lag_sum = np.zeros(replicas)
     lag_sumsq = np.zeros(replicas)
     lag_cross = np.zeros(replicas)
-    lag_n = np.zeros(replicas, dtype=int)
 
     def on_record(step, p, q):
-        nonlocal count
+        nonlocal count, lag_prev
         if step <= burn_steps:
             return
         p2 = np.sum(p * p, axis=-1)
@@ -445,12 +451,11 @@ def stationary_moment_test(
             sum_zz[:] += z[:, :, None] * z[:, None, :]
         count += 1
         stat = p2 @ gammas
-        have = ~np.isnan(lag_prev)
-        lag_cross[have] += stat[have] * lag_prev[have]
-        lag_n[have] += 1
+        if lag_prev is not None:
+            lag_cross[:] += stat * lag_prev
         lag_sum[:] += stat
         lag_sumsq[:] += stat * stat
-        lag_prev[:] = stat
+        lag_prev = stat
 
     zeros = np.zeros((replicas, N, n))
     out = run_ensemble(model, zeros, zeros, h, total_steps, seed,
@@ -483,7 +488,7 @@ def stationary_moment_test(
     total = float(lag_sum.sum())
     mean_stat = total / n_rec
     var_stat = float(lag_sumsq.sum()) / n_rec - mean_stat ** 2
-    n_pairs = int(lag_n.sum())
+    n_pairs = (count - 1) * replicas
     if var_stat > 0 and n_pairs > 0:
         cov1 = float(lag_cross.sum()) / n_pairs - mean_stat ** 2
         rho1 = max(-0.99, min(0.99, cov1 / var_stat))
@@ -656,8 +661,7 @@ def drift_estimate(
     m = config.ensemble
     out = run_ensemble(
         model,
-        np.broadcast_to(z0.p, (m,) + z0.p.shape).copy(),
-        np.broadcast_to(z0.q, (m,) + z0.q.shape).copy(),
+        *_replicas(z0, m),
         h,
         n_steps,
         seed,
@@ -787,8 +791,7 @@ def dissipation_tail(
     n_steps = max(1, int(round(window / h)))
     out = run_ensemble(
         model,
-        np.broadcast_to(z0.p, (ensemble,) + z0.p.shape).copy(),
-        np.broadcast_to(z0.q, (ensemble,) + z0.q.shape).copy(),
+        *_replicas(z0, ensemble),
         h,
         n_steps,
         seed,
@@ -828,15 +831,20 @@ class DecayFitReport:
     mu_se: float
     inconclusive: bool
     fit_points: int
+    # Twice the oracle's spectral abscissa; None without a Gaussian oracle.
+    oracle_slowest_rate: float | None = None
 
     def as_dict(self) -> dict:
-        return {
+        doc = {
             "rate": self.rate,
             "mu_hat": self.mu_hat,
             "mu_se": self.mu_se,
             "inconclusive": self.inconclusive,
             "fit_points": self.fit_points,
         }
+        if self.oracle_slowest_rate is not None:
+            doc["oracle_slowest_rate"] = self.oracle_slowest_rate
+        return doc
 
     def curve_rows(self) -> list[tuple[float, float, float, bool]]:
         return [
@@ -877,8 +885,10 @@ def observable_decay_fit(
     try:
         oracle = gaussian_stationary_covariance(model)
         burn = 10.0 / max(abs(oracle.spectral_abscissa), 1e-6)
+        slowest = oracle.slowest_decay_rate
     except (ValueError, OracleError):
         burn = 50.0
+        slowest = None
     n_ref = 8
     stride_time = 0.5
     stride_steps = max(1, int(round(stride_time / h)))
@@ -896,8 +906,7 @@ def observable_decay_fit(
 
     ref = run_ensemble(
         model,
-        np.broadcast_to(z0.p, (n_ref,) + z0.p.shape).copy(),
-        np.broadcast_to(z0.q, (n_ref,) + z0.q.shape).copy(),
+        *_replicas(z0, n_ref),
         h,
         long_steps,
         seed,
@@ -922,8 +931,7 @@ def observable_decay_fit(
 
     out = run_ensemble(
         model,
-        np.broadcast_to(z0.p, (ensemble,) + z0.p.shape).copy(),
-        np.broadcast_to(z0.q, (ensemble,) + z0.q.shape).copy(),
+        *_replicas(z0, ensemble),
         h,
         n_steps,
         seed,
@@ -985,6 +993,7 @@ def observable_decay_fit(
         mu_se=mu_se,
         inconclusive=inconclusive,
         fit_points=fit_points,
+        oracle_slowest_rate=slowest,
     )
 
 
@@ -1111,7 +1120,7 @@ class GibbsReport:
 
 def gibbs_invariance_test(
     model: Model,
-    observables: Sequence[str] | Mapping[str, Callable],
+    observables: Sequence[str],
     n_samples: int,
     t_check: float,
     seed: int,
@@ -1135,10 +1144,7 @@ def gibbs_invariance_test(
                 "bath temperatures differ; pass sample_temperature explicitly"
             )
         sample_temperature = temps[0]
-    if isinstance(observables, Mapping):
-        fns = dict(observables)
-    else:
-        fns = {name: resolve_observable(model, name) for name in observables}
+    fns = {name: resolve_observable(model, name) for name in observables}
 
     rng = seed_stream(seed, n_samples)  # sampling stream, disjoint from members
     p0, q0 = sample_gibbs(model, sample_temperature, n_samples, rng)

@@ -372,21 +372,13 @@ def _check_state(model: Model, state: State) -> None:
 
 def step_sde(model: Model, state: State, h: float, gaussian_draws) -> State:
     """One B-A-O-A-B step; ``gaussian_draws`` supplies one standard normal
-    per bath vertex and spatial component, shape (n_baths, dim)."""
-    if not (h > 0):
-        raise ValueError("h must be > 0")
-    _check_state(model, state)
-    kern = _Kernel(model)
+    per bath vertex and spatial component, shape (n_baths, dim).  This is
+    one step of :func:`integrate`, with its blowup rule."""
     draws = np.asarray(gaussian_draws, dtype=float)
-    if draws.shape != (len(kern.bath_idx), model.dim):
-        raise ValueError(f"gaussian_draws must have shape ({len(kern.bath_idx)}, {model.dim})")
-    # A one-member batch in the member-minor layout of the stepping loop.
-    p = state.p[..., None].copy()
-    q = state.q[..., None].copy()
-    _Step(kern, h, kern.forces(q))(p, q, draws[..., None])
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise BlowupError(step=1, time=h, detail="non-finite state after one step")
-    return State(p[..., 0], q[..., 0])
+    if draws.shape != (len(model.topology.baths), model.dim):
+        raise ValueError(f"gaussian_draws must have shape ({len(model.topology.baths)}, {model.dim})")
+    return integrate(model, state, h, h, PrecomputedNoise(draws[None]),
+                     record_states=True).states[-1]
 
 
 class _Step:
@@ -490,8 +482,8 @@ def integrate(
     :func:`oscnet.rng.seed_stream` or :class:`PrecomputedNoise`.  This is
     the one-member case of :class:`BatchIntegrator`: the trace matches
     that member bit for bit.
-    Blowup (non-finite energy, or H exceeding 1e12 times the initial
-    energy) raises :class:`BlowupError` carrying the partial trace.
+    Blowup (non-finite energy, or H exceeding 1e12 max(|H(0)|, 1) at a
+    record) raises :class:`BlowupError` carrying the partial trace.
     Identical (model, state0, h, stream) reproduce the trace bit-for-bit.
     """
     return _integrate_path(model, state0, t_end, h, rng_stream, record_every,

@@ -63,10 +63,7 @@ C4_VALIDITY_BOX = {
 def c4_naive_pinning_piece() -> LocalPiece:
     """The second pinning piece extended naively (no offset): its limiting
     form is negative at (0, 1, 0), so it fails the coercivity check."""
-    return LocalPiece(
-        terms=((1.0 / 64.0, (4, 0, 0)), (-1.0 / 32.0, (0, 4, 0)), (0.25, (0, 0, 4))),
-        dim=3,
-    )
+    return _PIN2
 
 
 def c4_counterexample_model() -> Model:

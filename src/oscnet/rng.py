@@ -38,11 +38,7 @@ class _PhiloxKey(ISeedSequence):
         self._key = (seed & _MASK64, index & _MASK64)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # Philox asks once per stream and passes the np.uint64 type itself;
-        # the identity test spares that request a dtype construction.  The
-        # key stays a tuple until then: an array built in __init__ would
-        # cost the same construction and a copy on top.
-        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise ValueError(f"a Philox key sequence yields only (2, uint64), "
                              f"not ({n_words}, {np.dtype(dtype)})")
         return np.array(self._key, dtype=np.uint64)

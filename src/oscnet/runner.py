@@ -1,17 +1,19 @@
-"""Experiment orchestration: dispatch, deterministic artifacts, manifests.
-
-Every run writes into its output directory:
+"""Experiment orchestration: one function per experiment kind, and one
+writer of the artifacts every kind leaves in its output directory:
 
 * ``manifest.json``  -- config hash, seed, tool version, command, status,
   and an inventory of produced files with sizes and SHA-256 digests.
   Deterministic: reruns with the same config and seed are byte-identical.
 * ``timing.json``    -- wall-clock start/finish; the only file allowed to
   differ between identical reruns.
-* ``report.json``    -- the experiment's result document.
-* ``trace_*.csv``    -- time series where the experiment produces one.
+* ``report.json``    -- ``{"kind", "seed"}`` and the kind's report fields.
+* ``*.csv``          -- the kind's tables, when ``output.formats`` lists
+  ``csv``; a numerical failure's ``trace_partial.csv`` is always kept.
+* ``states_*.npy``   -- state snapshots, where the kind keeps them.
 
 Exit status: 0 success, 1 validation failure (no artifacts), 2 numerical
-failure (partial artifacts kept, marked), 3 statistically inconclusive.
+failure (partial artifacts kept, marked), 3 statistically inconclusive
+(the report's ``inconclusive`` field is true).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -53,15 +55,18 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _csv(header: str, rows):
+    """A writer of CSV text to a path: the header, then one line of
+    ``repr`` values per row."""
+    text = "".join([header + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
+    return lambda path: path.write_text(text)
 
 
 class _Workspace:
     def __init__(self, directory: Path, config: ExperimentConfig, command: str, seed: int):
         self.dir = directory
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.files: list[str] = []
+        self.files: set[str] = set()
         self.config_hash = hashlib.sha256(config.echo().encode()).hexdigest()
         self.command = command
         self.seed = seed
@@ -72,7 +77,8 @@ class _Workspace:
         outputs = []
         for name in sorted(self.files):
             path = self.dir / name
-            outputs.append({"name": name, "bytes": path.stat().st_size, "sha256": _sha256(path)})
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            outputs.append({"name": name, "bytes": path.stat().st_size, "sha256": digest})
         doc = {
             "command": self.command,
             "config_sha256": self.config_hash,
@@ -83,24 +89,10 @@ class _Workspace:
         }
         (self.dir / "manifest.json").write_text(_dump_json(doc))
 
-    def write_text(self, name: str, text: str) -> None:
-        (self.dir / name).write_text(text)
-        if name not in self.files:
-            self.files.append(name)
-
-    def write_report(self, doc) -> None:
-        self.write_text("report.json", _dump_json(doc))
-
-    def write_trace(self, name: str, trace: Trace) -> None:
-        trace.to_csv(self.dir / name)
-        if name not in self.files:
-            self.files.append(name)
-
-    def write_states(self, prefix: str, trace: Trace) -> None:
-        for path in trace.save_states(self.dir / prefix):
-            name = Path(path).name
-            if name not in self.files:
-                self.files.append(name)
+    def path(self, name: str) -> Path:
+        """Register ``name`` as an output of this run and return its path."""
+        self.files.add(name)
+        return self.dir / name
 
     def finalize(self, status: str) -> None:
         finished = time.time()
@@ -114,7 +106,7 @@ class _Workspace:
     def discard(self) -> None:
         """Remove everything this run wrote (validation failures leave no
         partial artifacts behind)."""
-        for name in self.files + ["manifest.json", "timing.json"]:
+        for name in [*self.files, "manifest.json", "timing.json"]:
             path = self.dir / name
             if path.exists():
                 path.unlink()
@@ -122,6 +114,17 @@ class _Workspace:
             self.dir.rmdir()
         except OSError:
             pass  # directory pre-existed or holds other files
+
+
+@dataclass
+class _Outcome:
+    """What an experiment kind hands to :func:`run`: its report fields,
+    its CSV tables as file name -> writer of that file to a path, and the
+    trace whose snapshots are saved as ``states_*.npy``."""
+
+    fields: dict
+    tables: dict = field(default_factory=dict)
+    states: Trace | None = None
 
 
 def _initial_state(model, spec: dict) -> State:
@@ -152,20 +155,19 @@ def run(config: ExperimentConfig, command: str | None = None,
     kind = config.kind
     if command is not None and command != kind:
         raise ValueError(f"command {command!r} does not match configured experiment kind {kind!r}")
+    experiment = _RUNNERS[kind]
     seed = config.seed if seed is None else int(seed)
     directory = Path(out_dir if out_dir is not None else config.output["directory"])
     ws = _Workspace(directory, config, kind, seed)
-    ws.write_text("config.echo.json", config.echo())
+    ws.path("config.echo.json").write_text(config.echo())
     try:
-        status, code = _dispatch(config, kind, seed, ws)
-    except (BlowupError, ValidityRegionError) as exc:
-        ws.write_report({"status": "partial", "error": str(exc), "kind": kind})
-        if isinstance(exc, BlowupError) and exc.partial_trace is not None:
-            ws.write_trace("trace_partial.csv", exc.partial_trace)
-        ws.finalize("failed:numerical")
-        return EXIT_NUMERICAL
-    except OracleError as exc:
-        ws.write_report({"status": "partial", "error": str(exc), "kind": kind})
+        outcome = experiment(config.model, config.experiment, seed)
+    except (BlowupError, ValidityRegionError, OracleError) as exc:
+        ws.path("report.json").write_text(
+            _dump_json({"status": "partial", "error": str(exc), "kind": kind}))
+        partial = getattr(exc, "partial_trace", None)
+        if partial is not None:
+            partial.to_csv(ws.path("trace_partial.csv"))
         ws.finalize("failed:numerical")
         return EXIT_NUMERICAL
     except ValueError:
@@ -173,36 +175,39 @@ def run(config: ExperimentConfig, command: str | None = None,
         # model); validation failures must leave no artifacts behind.
         ws.discard()
         raise
-    ws.finalize(status)
-    return code
+    ws.path("report.json").write_text(_dump_json({"kind": kind, "seed": seed, **outcome.fields}))
+    if "csv" in config.output["formats"]:
+        for name, write in outcome.tables.items():
+            write(ws.path(name))
+    if outcome.states is not None:
+        for path in outcome.states.save_states(ws.dir / "states"):
+            ws.path(Path(path).name)
+    if outcome.fields.get("inconclusive") is True:
+        ws.finalize("inconclusive")
+        return EXIT_INCONCLUSIVE
+    ws.finalize("complete")
+    return EXIT_OK
 
 
-def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
-    exp, model = config.experiment, config.model
-    if kind == "check":
-        report = check_conditions(
-            model,
-            nondegeneracy_samples=exp["nondegeneracy_samples"],
-            sphere_samples=exp["sphere_samples"],
-        )
-        ws.write_report({"kind": kind, "seed": seed, "conditions": report.as_dict()})
-        return "complete", EXIT_OK
+def _check(model, exp: dict, seed: int) -> _Outcome:
+    report = check_conditions(
+        model,
+        nondegeneracy_samples=exp["nondegeneracy_samples"],
+        sphere_samples=exp["sphere_samples"],
+    )
+    return _Outcome({"conditions": report.as_dict()})
 
-    if kind == "simulate":
-        z0 = _initial_state(model, exp["initial"])
-        trace = integrate(
-            model, z0, exp["t_end"], exp["h"],
-            seed_stream(seed, 0),
-            record_every=exp["record_every"],
-            record_states=exp["record_states"],
-        )
-        if "csv" in config.output["formats"]:
-            ws.write_trace("trace_main.csv", trace)
-        if exp["record_states"]:
-            ws.write_states("states", trace)
-        ws.write_report({
-            "kind": kind,
-            "seed": seed,
+
+def _simulate(model, exp: dict, seed: int) -> _Outcome:
+    z0 = _initial_state(model, exp["initial"])
+    trace = integrate(
+        model, z0, exp["t_end"], exp["h"],
+        seed_stream(seed, 0),
+        record_every=exp["record_every"],
+        record_states=exp["record_states"],
+    )
+    return _Outcome(
+        {
             "h": exp["h"],
             "t_end": float(trace.times[-1]),
             "samples": int(len(trace.times)),
@@ -211,121 +216,101 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
             "Gamma_last": float(trace.Gamma[-1]),
             "M_last": float(trace.M[-1]),
             "residual_last": float(trace.residual()[-1]),
-        })
-        return "complete", EXIT_OK
+        },
+        tables={"trace_main.csv": trace.to_csv},
+        states=trace if exp["record_states"] else None,
+    )
 
-    if kind == "equilibrium-test":
-        rep = gibbs_invariance_test(
-            model,
-            exp["observables"],
-            exp["n_samples"],
-            exp["t_check"],
-            seed,
-            h=exp["h"],
-            sample_temperature=exp["sample_temperature"],
-        )
-        ws.write_report({"kind": kind, "seed": seed, **asdict(rep)})
-        return "complete", EXIT_OK
 
-    if kind in ("lyapunov-scan", "dissipation-scan"):
-        li, lp = model.common_degrees()
-        rule = TimescaleRule(lam=exp["lambda"], li=li, lp=lp)
+def _equilibrium_test(model, exp: dict, seed: int) -> _Outcome:
+    rep = gibbs_invariance_test(
+        model,
+        exp["observables"],
+        exp["n_samples"],
+        exp["t_check"],
+        seed,
+        h=exp["h"],
+        sample_temperature=exp["sample_temperature"],
+    )
+    return _Outcome(asdict(rep))
 
-    if kind == "lyapunov-scan":
-        cfg = DriftConfig(
-            theta=exp["theta"],
-            t_star=exp["t_star"],
-            ensemble=exp["ensemble"],
-            energy_grid=exp["energy_grid"],
-            rule=rule,
-            placement=exp["placement"],
-            h0=exp["h"],
-        )
-        conditions = check_conditions(model)
-        report = drift_scan(model, cfg, seed)
-        ws.write_report({
-            "kind": kind,
-            "seed": seed,
-            "conditions_pass": conditions.all_pass,
-            "c1_ok": conditions.c1_ok,
-            **asdict(report),
-        })
-        rows = ["H0,mean,se,ci_lo,ci_hi,n,A1,A2,A3,blowups,mean_gamma,h"]
-        write_levels = "csv" in config.output["formats"]
-        for lv in report.levels:
-            rows.append(",".join(repr(v) for v in (
-                lv.H0, lv.mean, lv.se, lv.ci95[0], lv.ci95[1], float(lv.n),
-                float(lv.events["A1"]), float(lv.events["A2"]), float(lv.events["A3"]),
-                float(lv.blowups), lv.mean_gamma, lv.h,
-            )))
-        if write_levels:
-            ws.write_text("drift_levels.csv", "\n".join(rows) + "\n")
-        if report.inconclusive:
-            return "inconclusive", EXIT_INCONCLUSIVE
-        return "complete", EXIT_OK
 
-    if kind == "dissipation-scan":
-        levels = []
-        for k, H0 in enumerate(exp["energy_grid"]):
-            z0 = initial_state_at_energy(model, H0, exp["placement"])
-            rep = dissipation_tail(model, z0, rule, exp["epsilon"], exp["ensemble"],
-                                   seed + k, h0=exp["h"])
-            levels.append(asdict(rep))
-        ws.write_report({"kind": kind, "seed": seed, "levels": levels})
-        return "complete", EXIT_OK
+def _lyapunov_scan(model, exp: dict, seed: int) -> _Outcome:
+    li, lp = model.common_degrees()
+    cfg = DriftConfig(
+        theta=exp["theta"],
+        t_star=exp["t_star"],
+        ensemble=exp["ensemble"],
+        energy_grid=exp["energy_grid"],
+        rule=TimescaleRule(lam=exp["lambda"], li=li, lp=lp),
+        placement=exp["placement"],
+        h0=exp["h"],
+    )
+    conditions = check_conditions(model)
+    report = drift_scan(model, cfg, seed)
+    levels = _csv("H0,mean,se,ci_lo,ci_hi,n,A1,A2,A3,blowups,mean_gamma,h", [
+        (lv.H0, lv.mean, lv.se, lv.ci95[0], lv.ci95[1], float(lv.n),
+         float(lv.events["A1"]), float(lv.events["A2"]), float(lv.events["A3"]),
+         float(lv.blowups), lv.mean_gamma, lv.h)
+        for lv in report.levels
+    ])
+    return _Outcome(
+        {"conditions_pass": conditions.all_pass, "c1_ok": conditions.c1_ok, **asdict(report)},
+        tables={"drift_levels.csv": levels},
+    )
 
-    if kind == "decay-fit":
-        z0 = _initial_state(model, exp["initial"])
-        rep = observable_decay_fit(
-            model, exp["observable"], z0,
-            horizon=exp["horizon"],
-            ensemble=exp["ensemble"],
-            seed=seed,
-            h=exp["h"],
-            grid_points=exp["grid_points"],
-            stationary_samples=exp["stationary_samples"],
-        )
-        doc = {"kind": kind, "seed": seed, "observable": exp["observable"], **rep.as_dict()}
-        try:
-            oracle = gaussian_stationary_covariance(model)
-            doc["oracle_slowest_rate"] = oracle.slowest_decay_rate
-        except (ValueError, OracleError):
-            pass
-        ws.write_report(doc)
-        if "csv" in config.output["formats"]:
-            rows = ["t,curve,noise,in_fit"]
-            for t, c, s, m in rep.curve_rows():
-                rows.append(f"{t!r},{c!r},{s!r},{int(m)}")
-            ws.write_text("decay_curve.csv", "\n".join(rows) + "\n")
-        if rep.inconclusive:
-            return "inconclusive", EXIT_INCONCLUSIVE
-        return "complete", EXIT_OK
 
-    if kind == "counterexample-c4":
-        model = c4_counterexample_model()
-        z0 = c4_initial_state()
-        h = exp["h"]
-        x_stop = exp["x_stop"]
-        trace = integrate_deterministic(
-            model, z0, t_end=5.0, h=h,
-            record_every=max(1, int(round(1e-3 / h))),
-            record_states=True,
-            guard=c4_guard,
-            stop_when=lambda s: s.q[1, 0] <= x_stop,
-        )
-        p1 = np.array([s.p[0] for s in trace.states])
-        q1 = np.array([s.q[0] for s in trace.states])
-        x2 = np.array([s.q[1, 0] for s in trace.states])
-        spring = model.interaction[next(iter(model.topology.edges))]
-        f1 = np.array([spring.gradient(s.q[1] - s.q[0]) for s in trace.states])
-        rows = ["t,p1_0,p1_1,p1_2,q1_0,q1_1,q1_2,x2,f1_0,f1_1,f1_2"]
-        for i, t in enumerate(trace.times):
-            vals = [t, *p1[i], *q1[i], x2[i], *f1[i]]
-            rows.append(",".join(repr(float(v)) for v in vals))
-        ws.write_text("trace_c4.csv", "\n".join(rows) + "\n")
-        ws.write_report({
-            "kind": kind,
-            "seed": seed,
+def _dissipation_scan(model, exp: dict, seed: int) -> _Outcome:
+    li, lp = model.common_degrees()
+    rule = TimescaleRule(lam=exp["lambda"], li=li, lp=lp)
+    levels = []
+    for k, H0 in enumerate(exp["energy_grid"]):
+        z0 = initial_state_at_energy(model, H0, exp["placement"])
+        rep = dissipation_tail(model, z0, rule, exp["epsilon"], exp["ensemble"],
+                               seed + k, h0=exp["h"])
+        levels.append(asdict(rep))
+    return _Outcome({"levels": levels})
+
+
+def _decay_fit(model, exp: dict, seed: int) -> _Outcome:
+    z0 = _initial_state(model, exp["initial"])
+    rep = observable_decay_fit(
+        model, exp["observable"], z0,
+        horizon=exp["horizon"],
+        ensemble=exp["ensemble"],
+        seed=seed,
+        h=exp["h"],
+        grid_points=exp["grid_points"],
+        stationary_samples=exp["stationary_samples"],
+    )
+    curve = _csv("t,curve,noise,in_fit", [(t, c, s, int(m)) for t, c, s, m in rep.curve_rows()])
+    return _Outcome(
+        {"observable": exp["observable"], **rep.as_dict()},
+        tables={"decay_curve.csv": curve},
+    )
+
+
+def _counterexample_c4(model, exp: dict, seed: int) -> _Outcome:
+    model = c4_counterexample_model()
+    z0 = c4_initial_state()
+    h = exp["h"]
+    x_stop = exp["x_stop"]
+    trace = integrate_deterministic(
+        model, z0, t_end=5.0, h=h,
+        record_every=max(1, int(round(1e-3 / h))),
+        record_states=True,
+        guard=c4_guard,
+        stop_when=lambda s: s.q[1, 0] <= x_stop,
+    )
+    p1 = np.array([s.p[0] for s in trace.states])
+    q1 = np.array([s.q[0] for s in trace.states])
+    x2 = np.array([s.q[1, 0] for s in trace.states])
+    spring = model.interaction[next(iter(model.topology.edges))]
+    f1 = np.array([spring.gradient(s.q[1] - s.q[0]) for s in trace.states])
+    rows = [[float(v) for v in (t, *p1[i], *q1[i], x2[i], *f1[i])]
+            for i, t in enumerate(trace.times)]
+    return _Outcome(
+        {
             "h": h,
             "x2_start": float(x2[0]),
             "x2_end": float(x2[-1]),
@@ -334,7 +319,18 @@ def _dispatch(config: ExperimentConfig, kind: str, seed: int, ws: _Workspace):
             "max_q1_drift": float(np.max(np.abs(q1 - q1[0]))),
             "max_f1_deviation": float(np.max(np.abs(f1 - np.array([0.0, 1.0, 0.0])))),
             "energy_drift": float(np.max(np.abs(trace.H - trace.H[0]))),
-        })
-        return "complete", EXIT_OK
+        },
+        tables={"trace_c4.csv": _csv("t,p1_0,p1_1,p1_2,q1_0,q1_1,q1_2,x2,f1_0,f1_1,f1_2", rows)},
+    )
 
-    raise ValueError(f"unknown experiment kind {kind!r}")
+
+# One function per ``config.EXPERIMENT_KINDS`` entry.
+_RUNNERS = {
+    "check": _check,
+    "simulate": _simulate,
+    "equilibrium-test": _equilibrium_test,
+    "lyapunov-scan": _lyapunov_scan,
+    "dissipation-scan": _dissipation_scan,
+    "decay-fit": _decay_fit,
+    "counterexample-c4": _counterexample_c4,
+}

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from oscnet.cli import main as cli_main
-from oscnet.config import parse_config
+from oscnet.config import EXPERIMENT_KINDS, parse_config
 from oscnet.errors import ConfigError
-from oscnet.runner import run
+from oscnet.runner import _RUNNERS, run
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -241,7 +241,9 @@ def test_run_check_writes_report(tmp_path):
 
 
 def test_run_simulate_blowup_exits_2(tmp_path):
+    # The partial trace of a numerical failure is kept whatever the formats.
     doc = json.loads(MINIMAL)
+    doc["output"]["formats"] = ["json"]
     doc["model"]["pinning"]["default"] = {"family": "even_power", "degree": 4}
     doc["model"]["interaction"]["default"] = {"family": "even_power", "degree": 4}
     doc["experiment"] = {"kind": "simulate", "t_end": 10.0, "h": 0.5,
@@ -360,6 +362,20 @@ def test_json_only_format_omits_trace_csv(tmp_path):
     assert run(cfg, command="simulate", out_dir=str(tmp_path)) == 0
     assert (tmp_path / "report.json").exists()
     assert not (tmp_path / "trace_main.csv").exists()
+
+
+def test_json_only_format_omits_c4_trace_csv(tmp_path):
+    doc = json.loads((CONFIG_DIR / "counterexample_c4.json").read_text())
+    doc["output"]["formats"] = ["json"]
+    cfg = parse_config(json.dumps(doc))
+    assert run(cfg, command="counterexample-c4", out_dir=str(tmp_path)) == 0
+    assert (tmp_path / "report.json").exists()
+    assert not (tmp_path / "trace_c4.csv").exists()
+
+
+def test_every_experiment_kind_has_one_runner_function():
+    assert sorted(_RUNNERS) == sorted(EXPERIMENT_KINDS)
+    assert len(set(_RUNNERS.values())) == len(EXPERIMENT_KINDS)
 
 
 def test_cli_simulate_rerun_is_byte_identical(tmp_path):

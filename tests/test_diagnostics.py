@@ -349,6 +349,18 @@ def test_wilson_interval_basic():
 
 # --- Observable decay ----------------------------------------------------------------------
 
+def test_decay_fit_reports_the_oracle_rate_only_with_an_oracle():
+    quad = chain_model(3, 1, temperatures=(1.0, 2.0))
+    soft = chain_model(3, 1, interaction=SoftPower(degree=4.0, dim=1), temperatures=(1.0, 2.0))
+    reports = [observable_decay_fit(m, "p2:0", initial_state_at_energy(m, 25.0, "interaction"),
+                                    horizon=0.5, ensemble=16, seed=3, h=0.01, grid_points=10,
+                                    stationary_samples=8) for m in (quad, soft)]
+    assert reports[0].oracle_slowest_rate == gaussian_stationary_covariance(quad).slowest_decay_rate
+    assert reports[0].as_dict()["oracle_slowest_rate"] == reports[0].oracle_slowest_rate
+    assert reports[1].oracle_slowest_rate is None
+    assert "oracle_slowest_rate" not in reports[1].as_dict()
+
+
 def test_decay_fit_constant_observable_is_flat():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
     z0 = initial_state_at_energy(m, 25.0, "interaction")

@@ -362,6 +362,17 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
         assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
 
 
+def test_step_sde_with_baths_is_one_reference_step_bitwise():
+    model = chain_model(4, 2, interaction=SoftPower(degree=3.0, dim=2), temperatures=(1.0, 2.0))
+    rng = np.random.default_rng(12)
+    p0 = rng.standard_normal((1, 4, 2))
+    q0 = 0.5 * rng.standard_normal((1, 4, 2))
+    draws = seed_stream(5, 0).standard_normal((2, 2))
+    st = step_sde(model, State(p0[0], q0[0]), 0.01, draws)
+    p, q, _, _, _ = reference_run(model, p0, q0, 0.01, [seed_stream(5, 0)], 1, 1)
+    assert same_bits(st.p, p[0]) and same_bits(st.q, q[0])
+
+
 class ForwardingStream:
     """A noise source that only forwards ``standard_normal``, as the
     benchmark's counting proxy does."""
