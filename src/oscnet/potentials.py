@@ -11,11 +11,12 @@ Four families are supported:
 
 Every family exposes values, analytic gradients, and the homogeneous form
 the potential approaches at infinity (``limiting_value`` and
-``limiting_gradient``).  Higher derivative tensors needed by the
-non-degeneracy rank test are generated symbolically once per (spec, order)
-pair and cached as compiled numpy callables.  sympy and ``scipy.optimize``
-are imported inside the functions that use them, so that importing the
-package loads neither.
+``limiting_gradient``).  The higher derivatives needed by the
+non-degeneracy rank test come from closed-form Taylor coefficients: a
+multinomial expansion for the polynomial families and a binomial series
+for ``SoftPower``, tabulated once per (spec, order) pair.
+``scipy.optimize`` is imported inside the one function that uses it, so
+that importing the package does not load it.
 
 All evaluation methods are vectorized over leading axes: ``x`` may have
 shape ``(..., dim)``.
@@ -24,6 +25,7 @@ shape ``(..., dim)``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
@@ -96,11 +98,6 @@ class SoftPower:
     # Limiting form |x|^r with r >= 2 is strictly convex.
     limiting_strictly_convex = True
 
-    def _sympy_expr(self, xs):
-        import sympy as sp
-
-        return (1 + sum(xi ** 2 for xi in xs)) ** (sp.S(self.degree) / 2)
-
 
 @dataclass(frozen=True)
 class EvenPower:
@@ -129,8 +126,16 @@ class EvenPower:
     limiting_gradient = gradient
     limiting_strictly_convex = True
 
-    def _sympy_expr(self, xs):
-        return sum(xi ** 2 for xi in xs) ** (self.degree // 2)
+    def _monomials(self):
+        """``(coeff, exponents)`` terms of the multinomial expansion of
+        ``(sum_i x_i^2)^(r/2)``."""
+        m = self.degree // 2
+        terms = []
+        for combo in itertools.combinations_with_replacement(range(self.dim), m):
+            k = [combo.count(i) for i in range(self.dim)]
+            coeff = math.factorial(m) // math.prod(math.factorial(ki) for ki in k)
+            terms.append((float(coeff), tuple(2 * ki for ki in k)))
+        return terms
 
 
 @dataclass(frozen=True)
@@ -190,15 +195,10 @@ class Quadratic:
     def limiting_strictly_convex(self):
         return bool(np.min(np.linalg.eigvalsh(self.matrix)) > 0)
 
-    def _sympy_expr(self, xs):
-        import sympy as sp
-
-        K = self.matrix
-        return sum(
-            sp.Rational(1, 2) * sp.Float(K[i, j]) * xs[i] * xs[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+    def _monomials(self):
+        """``(coeff, exponents)`` terms ``K_ij / 2 * x_i * x_j``."""
+        return [(0.5 * self.stiffness[i][j], tuple((k == i) + (k == j) for k in range(self.dim)))
+                for i in range(self.dim) for j in range(self.dim)]
 
     @classmethod
     def isotropic(cls, k: float, dim: int) -> "Quadratic":
@@ -269,16 +269,8 @@ class LocalPiece:
     # No analytic convexity criterion for an arbitrary polynomial piece.
     limiting_strictly_convex = None
 
-    def _sympy_expr(self, xs):
-        import sympy as sp
-
-        expr = sp.Float(self.offset)
-        for coeff, exps in self.terms:
-            term = sp.Float(coeff)
-            for xi, e in zip(xs, exps):
-                term *= xi ** e
-            expr += term
-        return expr
+    def _monomials(self):
+        return self.terms
 
 
 PotentialSpec = Union[SoftPower, EvenPower, Quadratic, LocalPiece]
@@ -308,32 +300,62 @@ def _multi_indices(dim: int, max_order: int):
         yield from itertools.combinations_with_replacement(range(dim), k)
 
 
+def _factorial(exps) -> int:
+    """``e!`` of a multi-index: the product of its entries' factorials."""
+    return math.prod(math.factorial(e) for e in exps)
+
+
 @lru_cache(maxsize=None)
 def _derivative_row_fn(spec: PotentialSpec, ell: int):
-    """Compiled function x -> matrix of rows D^a grad V(x), 1 <= |a| <= ell."""
-    import sympy as sp
+    """Function x -> matrix of rows D^a grad V(x), 1 <= |a| <= ell.
 
-    xs = sp.symbols(f"x0:{spec.dim}", real=True)
-    V = spec._sympy_expr(xs)
-    grad = [sp.diff(V, xi) for xi in xs]
-    # Derivatives share prefixes; cache intermediate results per component.
-    memo: list[dict[tuple[int, ...], sp.Expr]] = [dict() for _ in range(spec.dim)]
-    for i, g in enumerate(grad):
-        memo[i][()] = g
+    Entry (a, i) is ``beta! c_beta`` with ``beta = a + e_i``, where
+    ``c_beta`` is the coefficient of ``h^beta`` in the Taylor expansion of
+    ``V(x + h)``.  Each entry is a fixed sum of terms ``w u^g x^k`` with
+    ``u = 1 + |x|^2``, listed once here:
 
-    def deriv(i: int, alpha: tuple[int, ...]) -> sp.Expr:
-        if alpha in memo[i]:
-            return memo[i][alpha]
-        expr = sp.diff(deriv(i, alpha[:-1]), xs[alpha[-1]])
-        memo[i][alpha] = expr
-        return expr
+    * a monomial ``c x^e`` of a polynomial family contributes
+      ``c_beta = c prod_i C(e_i, beta_i) x_i^(e_i - beta_i)``: ``g = 0``;
+    * ``SoftPower``'s ``V(x + h) = (u + delta)^p`` with ``p = r/2`` and
+      ``delta = 2 x.h + |h|^2`` is the binomial series
+      ``sum_j C(p, j) u^(p - j) delta^j``, and each split
+      ``beta = a + 2b`` takes ``(2 x_i h_i)^(a_i) (h_i^2)^(b_i)`` from
+      ``delta^j``, ``j = |a| + |b|``, with multinomial weight
+      ``j! / (a! b!)``.
 
-    rows = [[deriv(i, alpha) for i in range(spec.dim)] for alpha in _multi_indices(spec.dim, ell)]
-    fn = sp.lambdify(xs, sp.Matrix(rows), modules="numpy")
+    The arithmetic is exact up to rounding: a derivative that vanishes
+    at x (at the origin, on an axis, or past a polynomial's degree) is an
+    exact zero.
+    """
+    dim = spec.dim
+    betas = [tuple(alpha.count(j) + (j == i) for j in range(dim))
+             for alpha in _multi_indices(dim, ell) for i in range(dim)]
+    terms = []  # (entry, w, g, k)
+    if isinstance(spec, SoftPower):
+        p = spec.degree / 2.0
+        for n, beta in enumerate(betas):
+            for b in itertools.product(*(range(bi // 2 + 1) for bi in beta)):
+                a = tuple(bi - 2 * bj for bi, bj in zip(beta, b))
+                j = sum(a) + sum(b)
+                binom = math.prod(p - t for t in range(j)) / math.factorial(j)
+                count = (_factorial(beta) * math.factorial(j) * 2 ** sum(a)
+                         // (_factorial(a) * _factorial(b)))
+                terms.append((n, binom * count, p - j, a))
+    else:
+        monomials = spec._monomials()
+        for n, beta in enumerate(betas):
+            for coeff, exps in monomials:
+                k = tuple(e - bi for e, bi in zip(exps, beta))
+                if min(k) >= 0:
+                    terms.append((n, coeff * (_factorial(exps) // _factorial(k)), 0.0, k))
+    entry = np.array([t[0] for t in terms], dtype=np.intp)
+    weight = np.array([t[1] for t in terms], dtype=float)
+    u_power = np.array([t[2] for t in terms], dtype=float)
+    x_power = np.array([t[3] for t in terms], dtype=float).reshape(-1, dim)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(*x), dtype=float)
-        return np.broadcast_to(out, (len(rows), spec.dim)).astype(float)
+        values = weight * (1.0 + x @ x) ** u_power * np.prod(x ** x_power, axis=1)
+        return np.bincount(entry, values, minlength=len(betas)).reshape(-1, dim)
 
     return evaluate
 

@@ -137,7 +137,11 @@ def _initial_state(model, spec: dict) -> State:
     if kind == "explicit":
         return State(np.asarray(spec["p"], dtype=float), np.asarray(spec["q"], dtype=float))
     # "slow-mode": along the slowest mode of the linear drift.
-    oracle = gaussian_stationary_covariance(model)
+    try:
+        oracle = gaussian_stationary_covariance(model)
+    except OracleError as exc:
+        # No step has run: the config asks for a start this model lacks.
+        raise ValueError(f"experiment.initial: no slow-mode start for this model: {exc}") from exc
     evals, evecs = np.linalg.eig(oracle.drift)
     v = evecs[:, int(np.argmax(evals.real))].real
     v = v / np.linalg.norm(v)
@@ -164,7 +168,7 @@ def run(config: ExperimentConfig, command: str | None = None,
         outcome = experiment(config.model, config.experiment, seed)
     except (BlowupError, ValidityRegionError, OracleError) as exc:
         ws.path("report.json").write_text(
-            _dump_json({"status": "partial", "error": str(exc), "kind": kind}))
+            _dump_json({"kind": kind, "seed": seed, "status": "partial", "error": str(exc)}))
         partial = getattr(exc, "partial_trace", None)
         if partial is not None:
             partial.to_csv(ws.path("trace_partial.csv"))

@@ -255,9 +255,26 @@ def test_run_simulate_blowup_exits_2(tmp_path):
     assert code == 2
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["status"] == "partial"
+    assert report["kind"] == "simulate" and report["seed"] == 7
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "failed:numerical"
     assert (tmp_path / "trace_partial.csv").exists()
+
+
+def test_slow_mode_start_without_a_stationary_law_exits_1(tmp_path, capsys):
+    # One bath and no pinning: the drift is not Hurwitz, so the default
+    # slow-mode start does not exist.  This exited 2 as a numerical failure
+    # with partial artifacts, though no step had run.
+    doc = json.loads(MINIMAL)
+    doc["model"]["topology"]["baths"] = ["a"]
+    doc["model"]["pinning"]["default"]["stiffness"] = 0.0
+    doc["experiment"] = {"kind": "decay-fit"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["decay-fit", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: experiment.initial:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_command_mismatch_is_rejected(tmp_path):

@@ -1,8 +1,9 @@
 """Import graph: importing the package loads neither sympy nor scipy.
 
-Only the non-degeneracy tensors (sympy), the coercivity refinement
-(``scipy.optimize``) and the Lyapunov oracle (``scipy.linalg``) need them,
-and each loads its library when first called.
+sympy is never loaded: the non-degeneracy rows come from closed-form
+Taylor coefficients.  Only the coercivity refinement (``scipy.optimize``)
+and the Lyapunov oracle (``scipy.linalg``) need scipy, and each loads it
+when first called.
 """
 
 import json
@@ -38,17 +39,38 @@ print(json.dumps({
 """
 
 
-def test_package_import_loads_no_sympy_or_scipy():
+CHECK_SCRIPT = """
+import json, sys
+from oscnet import cli
+
+code = cli.main(["check", "--config", sys.argv[1], "--out", sys.argv[2]])
+sympy = sorted(k for k in sys.modules if k.split(".")[0] == "sympy")
+print(json.dumps({"exit": code, "sympy": sympy}))
+"""
+
+
+def fresh_interpreter(script, *args):
+    """Last line of ``script``'s output, as JSON, from a new interpreter."""
     src = str(Path(oscnet.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_import_loads_no_sympy_or_scipy():
+    out = fresh_interpreter(SCRIPT)
     assert out["after_import"] == []
-    # The functions that need the libraries still load and use them.
+    # The functions that need scipy still load and use it.
     assert out["quartic_nondegenerate"] is True
     assert out["flat_direction_nondegenerate"] is False
     assert out["coercive"] is True
     assert out["oracle_matches_gibbs"] is True
-    assert out["after_calls"] == ["scipy", "sympy"]
+    assert out["after_calls"] == ["scipy"]
+
+
+def test_check_command_loads_no_sympy(tmp_path):
+    config = Path(__file__).resolve().parent.parent / "configs" / "check_chain11.json"
+    out = fresh_interpreter(CHECK_SCRIPT, str(config), str(tmp_path / "out"))
+    assert out == {"exit": 0, "sympy": []}

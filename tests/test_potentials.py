@@ -1,5 +1,9 @@
 """Potential families: values, gradients, limiting forms, and checkers."""
 
+import itertools
+from functools import lru_cache
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +242,77 @@ def test_derivative_rows_shapes_and_values():
     assert rows.shape == (9, 2)
     # Third derivatives of the gradient are constant: d^3/dx^3 grad_1 = 24.
     assert rows.max() == pytest.approx(24.0)
+
+
+def _oracle_specs():
+    from oscnet.fixtures import c4_counterexample_model, c4_naive_pinning_piece
+
+    c4 = c4_counterexample_model()
+    specs = [SoftPower(2.5, 1), LocalPiece(((1.0, (4,)), (-2.0, (2,))), 1),
+             LocalPiece(((1.0, (2, 2)), (0.5, (4, 0))), 2), LocalPiece(((1.0, (4, 0)),), 2),
+             c4.pinning[0], c4.pinning[1], *c4.interaction.values(), c4_naive_pinning_piece()]
+    for dim in (1, 2, 3):
+        A = np.random.default_rng(dim).standard_normal((dim, dim))
+        flat = tuple(tuple(float(i == j == 0) for j in range(dim)) for i in range(dim))
+        specs += [SoftPower(3.5, dim), SoftPower(4, dim), EvenPower(4, dim), EvenPower(6, dim),
+                  Quadratic(tuple(map(tuple, A @ A.T)), dim), Quadratic(flat, dim)]
+    return specs
+
+
+ORACLE_SPECS = _oracle_specs()
+
+
+@lru_cache(maxsize=None)
+def sympy_rows(spec):
+    """x -> rows D^a grad V(x) for 1 <= |a| <= 6, differentiated by sympy, in
+    the order of ``itertools.combinations_with_replacement`` by order."""
+    import sympy as sp
+
+    xs = sp.symbols(f"x0:{spec.dim}", real=True)
+    if isinstance(spec, SoftPower):
+        V = (1 + sum(x ** 2 for x in xs)) ** (sp.Rational(spec.degree) / 2)
+    elif isinstance(spec, EvenPower):
+        V = sum(x ** 2 for x in xs) ** (spec.degree // 2)
+    elif isinstance(spec, Quadratic):
+        V = sum(sp.Float(k) * xs[i] * xs[j] for (i, j), k in np.ndenumerate(spec.matrix)) / 2
+    else:
+        V = spec.offset + sum(c * sp.Mul(*(x ** e for x, e in zip(xs, exps)))
+                              for c, exps in spec.terms)
+    memo = {(): V}
+
+    def diff(key):  # key: sorted coordinates to differentiate along
+        if key not in memo:
+            memo[key] = sp.diff(diff(key[:-1]), xs[key[-1]])
+        return memo[key]
+
+    rows = [[diff(tuple(sorted(alpha + (i,)))) for i in range(spec.dim)]
+            for k in range(1, 7)
+            for alpha in itertools.combinations_with_replacement(range(spec.dim), k)]
+    fn = sp.lambdify(xs, rows, modules="numpy")
+    return lambda x: np.array(fn(*x), dtype=float)
+
+
+def oracle_point(dim):
+    # The origin and +-e_i are where the degenerate examples fail; values are
+    # kept off the underflow range, where the two evaluation orders could
+    # round a product to zero differently.
+    coordinate = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-5.0, 5.0).filter(
+        lambda v: abs(v) > 1e-3)
+    return st.lists(coordinate, min_size=dim, max_size=dim).map(np.array)
+
+
+@given(spec=st.sampled_from(ORACLE_SPECS), ell=st.integers(1, 6), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_derivative_rows_match_sympy(spec, ell, data):
+    x = data.draw(oracle_point(spec.dim))
+    rows = derivative_rows(spec, x, ell)
+    want = sympy_rows(spec)(x)[:len(rows)]
+    assert rows.shape == (sum(comb(spec.dim + k - 1, k) for k in range(1, ell + 1)), spec.dim)
+    np.testing.assert_allclose(rows, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    np.testing.assert_array_equal(rows == 0, want == 0)
+    sv = np.linalg.svd(want, compute_uv=False)
+    full_rank = sv[0] > 0 and int(np.sum(sv > 1e-8 * sv[0])) == spec.dim
+    assert check_nondegenerate(spec, [x], ell).passes == (full_rank,)
 
 
 # --- Coercivity of the limiting form ---------------------------------------------
