@@ -21,15 +21,11 @@ from .dynamics import (
     State,
     TimescaleRule,
     Trace,
-    com_coords,
     forces,
     hamiltonian,
     integrate,
     integrate_deterministic,
-    rescale_state,
-    step_sde,
     tau,
-    u_infinity,
 )
 from .errors import BlowupError, ConfigError, OracleError, OscnetError, ValidityRegionError
 from .model import BathSpec, Model, chain_model
@@ -39,7 +35,6 @@ from .potentials import (
     Quadratic,
     SoftPower,
     check_coercive_limit,
-    check_near_homogeneous,
     check_nondegenerate,
 )
 from .rng import seed_stream
@@ -77,9 +72,7 @@ __all__ = [
     "chain_model",
     "check_coercive_limit",
     "check_conditions",
-    "check_near_homogeneous",
     "check_nondegenerate",
-    "com_coords",
     "controls",
     "forces",
     "hamiltonian",
@@ -87,9 +80,6 @@ __all__ = [
     "integrate_deterministic",
     "is_connected",
     "nicely_connected_step",
-    "rescale_state",
     "seed_stream",
-    "step_sde",
     "tau",
-    "u_infinity",
 ]

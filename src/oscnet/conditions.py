@@ -98,18 +98,24 @@ def check_conditions(
     """Run C1-C5 and CA against a model and aggregate the outcomes."""
     c1 = controls(model.topology)
 
-    c2: dict[Edge, NondegeneracyReport] = {}
-    for e in model.topology.edge_list:
-        spec = model.interaction[e]
-        samples = default_nondegeneracy_samples(spec.dim, extra=nondegeneracy_samples)
-        c2[e] = check_nondegenerate(spec, samples, ell=_rank_order(spec.degree))
+    # Each check is a pure function of its spec, so it runs once per
+    # distinct spec and its report is shared by every key that uses it.
+    interactions = {e: model.interaction[e] for e in model.topology.edge_list}
+    ranks = {
+        spec: check_nondegenerate(
+            spec,
+            default_nondegeneracy_samples(spec.dim, extra=nondegeneracy_samples),
+            ell=_rank_order(spec.degree),
+        )
+        for spec in dict.fromkeys(interactions.values())
+    }
+    c2: dict[Edge, NondegeneracyReport] = {e: ranks[spec] for e, spec in interactions.items()}
     c2_overall = all(r.overall for r in c2.values()) if c2 else True
 
-    c3: dict[str, CoercivityReport] = {}
-    for v in model.topology.vertices:
-        c3[f"pinning:{v}"] = check_coercive_limit(model.pinning[v], sphere_samples)
-    for e in model.topology.edge_list:
-        c3[f"interaction:{e.a}-{e.b}"] = check_coercive_limit(model.interaction[e], sphere_samples)
+    c3_specs = {f"pinning:{v}": model.pinning[v] for v in model.topology.vertices}
+    c3_specs.update((f"interaction:{e.a}-{e.b}", spec) for e, spec in interactions.items())
+    limits = {spec: check_coercive_limit(spec, sphere_samples) for spec in dict.fromkeys(c3_specs.values())}
+    c3: dict[str, CoercivityReport] = {k: limits[spec] for k, spec in c3_specs.items()}
     c3_overall = all(r.coercive for r in c3.values())
 
     c4: dict[Edge, bool | None] = {}

@@ -50,6 +50,7 @@ The canonical echo of a parsed config re-parses to the same echo.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -81,7 +82,14 @@ def _expect_mapping(doc, path, errors) -> dict:
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A number that is finite as a float.  ``json`` also parses NaN,
+    Infinity and integers beyond the float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _reject_unknown(doc, known, path, errors) -> None:
@@ -140,14 +148,18 @@ def _parse_potential(doc, path, dim, errors):
             K = doc.get("stiffness")
             if _is_number(K):
                 return Quadratic.isotropic(float(K), dim)
-            if isinstance(K, list):
+            if isinstance(K, list) and all(isinstance(row, list) and all(_is_number(v) for v in row)
+                                           for row in K):
                 return Quadratic(stiffness=tuple(tuple(float(v) for v in row) for row in K), dim=dim)
-            errors.add(f"{path}.stiffness", "expected a scalar or a matrix (list of rows)")
+            errors.add(f"{path}.stiffness", "expected a number or a matrix (list of rows of numbers)")
             return None
         if family == "local_piece":
             raw = doc.get("terms")
             if not isinstance(raw, list) or not raw:
                 errors.add(f"{path}.terms", "expected a non-empty list of [coeff, [exponents]] pairs")
+                return None
+            if not all(_is_number(c) for c, _ in raw):
+                errors.add(f"{path}.terms", "expected a number as each term's coefficient")
                 return None
             terms = tuple((float(c), tuple(int(e) for e in exps)) for c, exps in raw)
             offset = _get_number(doc, "offset", path, errors, default=0.0)

@@ -32,7 +32,6 @@ members, at its documented cap.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,7 +42,6 @@ from .dynamics import (
     BatchIntegrator,
     State,
     TimescaleRule,
-    Trace,
     _Kernel,
     hamiltonian,
     scaled_step,
@@ -55,8 +53,6 @@ from .potentials import EvenPower, Quadratic, SoftPower
 from .rng import seed_stream
 
 __all__ = [
-    "EventClass",
-    "classify_event",
     "GaussianOracle",
     "gaussian_stationary_covariance",
     "StationaryMomentReport",
@@ -80,41 +76,22 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Event classification
+# Energy-band events
 # ---------------------------------------------------------------------------
 
-class EventClass(enum.Enum):
-    """Energy-band classification of one trajectory over a fixed window."""
+def _event_counts(first_low, first_high, blown) -> dict[str, int]:
+    """Tally members by their first recorded band exit.
 
-    A1 = "A1"  # H stayed within [H0/2, 2 H0]
-    A2 = "A2"  # H dipped below H0/2 before any spike above 2 H0
-    A3 = "A3"  # H spiked above 2 H0 first
-
-
-def classify_event(trace: Trace, H0: float) -> EventClass:
-    """Classify a recorded trajectory by its first band exit.
-
-    The band thresholds can in principle both be crossed between samples;
-    classification is by first recorded crossing, ties go to A3.
+    ``first_low`` and ``first_high`` are each member's first record below
+    H0/2 and above 2 H0, -1 when never crossed.  A1: H stayed within
+    [H0/2, 2 H0].  A2: H dipped below H0/2 before any spike above 2 H0.
+    A3: H spiked first; a tie at the same record and a blown member count
+    as A3.
     """
-    H = np.asarray(trace.H, dtype=float)
-    if H.size == 0:
-        raise ValueError("empty trace")
-    low = np.nonzero(H < H0 / 2)[0]
-    high = np.nonzero(H > 2 * H0)[0]
-    i_low = int(low[0]) if low.size else -1
-    i_high = int(high[0]) if high.size else -1
-    return _classify_from_crossings(i_low, i_high)
-
-
-def _classify_from_crossings(i_low: int, i_high: int) -> EventClass:
-    if i_low < 0 and i_high < 0:
-        return EventClass.A1
-    if i_high < 0:
-        return EventClass.A2
-    if i_low < 0:
-        return EventClass.A3
-    return EventClass.A2 if i_low < i_high else EventClass.A3
+    kept = ~blown
+    a1 = int(np.count_nonzero(kept & (first_low < 0) & (first_high < 0)))
+    a2 = int(np.count_nonzero(kept & (first_low >= 0) & ((first_high < 0) | (first_low < first_high))))
+    return {"A1": a1, "A2": a2, "A3": blown.size - a1 - a2}
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +649,7 @@ def drift_estimate(
     weights = np.exp(config.theta * (out.h_final - H0))
     cap = math.exp(config.theta * 2.0 * H0)
     weights = np.where(out.blown, cap, weights)
-    events = {"A1": 0, "A2": 0, "A3": 0}
-    for i in range(m):
-        if out.blown[i]:
-            events["A3"] += 1
-            continue
-        events[_classify_from_crossings(out.first_low[i], out.first_high[i]).value] += 1
+    events = _event_counts(out.first_low, out.first_high, out.blown)
     mean = float(np.mean(weights))
     se = float(np.std(weights, ddof=1) / math.sqrt(m))
     return DriftEstimate(

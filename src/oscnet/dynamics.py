@@ -76,13 +76,9 @@ __all__ = [
     "TimescaleRule",
     "hamiltonian",
     "forces",
-    "com_coords",
-    "step_sde",
     "integrate",
     "integrate_deterministic",
     "tau",
-    "rescale_state",
-    "u_infinity",
     "scaled_step",
     "BatchIntegrator",
     "PrecomputedNoise",
@@ -109,9 +105,6 @@ class State:
     @property
     def shape(self) -> tuple[int, int]:
         return self.p.shape
-
-    def copy(self) -> "State":
-        return State(self.p.copy(), self.q.copy())
 
     @classmethod
     def zero(cls, vertices: int, dim: int) -> "State":
@@ -357,28 +350,12 @@ def forces(model: Model, state: State) -> np.ndarray:
     return _Kernel(model).forces(state.q[..., None])[..., 0]
 
 
-def com_coords(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Total momentum P = sum_v p_v and mean position Q = mean_v q_v."""
-    return np.sum(state.p, axis=0), np.mean(state.q, axis=0)
-
-
 def _check_state(model: Model, state: State) -> None:
     if state.shape != (model.vertex_count, model.dim):
         raise ValueError(
             f"state shape {state.shape} does not match model "
             f"({model.vertex_count}, {model.dim})"
         )
-
-
-def step_sde(model: Model, state: State, h: float, gaussian_draws) -> State:
-    """One B-A-O-A-B step; ``gaussian_draws`` supplies one standard normal
-    per bath vertex and spatial component, shape (n_baths, dim).  This is
-    one step of :func:`integrate`, with its blowup rule."""
-    draws = np.asarray(gaussian_draws, dtype=float)
-    if draws.shape != (len(model.topology.baths), model.dim):
-        raise ValueError(f"gaussian_draws must have shape ({len(model.topology.baths)}, {model.dim})")
-    return integrate(model, state, h, h, PrecomputedNoise(draws[None]),
-                     record_states=True).states[-1]
 
 
 class _Step:
@@ -570,7 +547,7 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
 
 
 # ---------------------------------------------------------------------------
-# Time scales, rescalings, aggregate limiting pinning
+# Time scales and energy-adaptive steps
 # ---------------------------------------------------------------------------
 
 def tau(rule: TimescaleRule, H_val: float, Hc_val: float, Hi_val: float) -> float:
@@ -580,30 +557,6 @@ def tau(rule: TimescaleRule, H_val: float, Hc_val: float, Hi_val: float) -> floa
     if Hi_val >= H_val / 2:
         return rule.lam * H_val ** (1.0 / rule.li - 0.5)
     return rule.lam * H_val ** (1.0 / rule.lp - 0.5)
-
-
-def rescale_state(state: State, energy: float, mode: str, rule: TimescaleRule) -> State:
-    """High-energy normal form: p -> E^(-1/2) p and q -> E^(-1/l) q, with
-    l the interaction degree in ``mode="interaction"`` and the pinning
-    degree in ``mode="pinning"``.  The inverse is the same call with 1/E."""
-    if not (energy > 0):
-        raise ValueError("energy must be > 0")
-    if mode == "interaction":
-        ell = rule.li
-    elif mode == "pinning":
-        ell = rule.lp
-    else:
-        raise ValueError("mode must be 'interaction' or 'pinning'")
-    return State(state.p * energy ** -0.5, state.q * energy ** (-1.0 / ell))
-
-
-def u_infinity(model: Model, Q) -> float:
-    """Aggregate limiting pinning potential evaluated at the single point Q."""
-    Q = np.asarray(Q, dtype=float)
-    total = 0.0
-    for v in model.topology.vertices:
-        total += float(model.pinning[v].limiting_value(Q))
-    return total
 
 
 def scaled_step(model: Model, h0: float, H0: float) -> float:

@@ -10,11 +10,11 @@ Four families are supported:
   locally-injective-force counterexample.
 
 Every family exposes values, analytic gradients, and the homogeneous form
-the potential approaches at infinity (``limiting_value`` and
-``limiting_gradient``).  The higher derivatives needed by the
-non-degeneracy rank test come from closed-form Taylor coefficients: a
-multinomial expansion for the polynomial families and a binomial series
-for ``SoftPower``, tabulated once per (spec, order) pair.
+the potential approaches at infinity (``limiting_value``).  The higher
+derivatives needed by the non-degeneracy rank test come from closed-form
+Taylor coefficients: a multinomial expansion for the polynomial families
+and a binomial series for ``SoftPower``, tabulated once per (spec, order)
+pair.
 ``scipy.optimize`` is imported inside the one function that uses it, so
 that importing the package does not load it.
 
@@ -46,8 +46,6 @@ __all__ = [
     "default_nondegeneracy_samples",
     "CoercivityReport",
     "check_coercive_limit",
-    "HomogeneityProfile",
-    "check_near_homogeneous",
     "unit_sphere_samples",
     "MAX_NONDEGENERACY_ORDER",
 ]
@@ -90,11 +88,6 @@ class SoftPower:
         s = np.sum(x * x, axis=-1)
         return s ** (self.degree / 2.0)
 
-    def limiting_gradient(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        s = np.sum(x * x, axis=-1)
-        return self.degree * s[..., None] ** (self.degree / 2.0 - 1.0) * x
-
     # Limiting form |x|^r with r >= 2 is strictly convex.
     limiting_strictly_convex = True
 
@@ -123,7 +116,6 @@ class EvenPower:
         return self.degree * s[..., None] ** (self.degree // 2 - 1) * x
 
     limiting_value = value
-    limiting_gradient = gradient
     limiting_strictly_convex = True
 
     def _monomials(self):
@@ -189,7 +181,6 @@ class Quadratic:
         return g
 
     limiting_value = value
-    limiting_gradient = gradient
 
     @property
     def limiting_strictly_convex(self):
@@ -262,9 +253,6 @@ class LocalPiece:
 
     def limiting_value(self, x) -> np.ndarray:
         return self._top().value(x)
-
-    def limiting_gradient(self, x) -> np.ndarray:
-        return self._top().gradient(x)
 
     # No analytic convexity criterion for an arbitrary polynomial piece.
     limiting_strictly_convex = None
@@ -444,7 +432,7 @@ def default_nondegeneracy_samples(dim: int, extra: int = 20) -> list[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# Coercivity and near-homogeneity of the limiting form
+# Coercivity of the limiting form
 # ---------------------------------------------------------------------------
 
 def unit_sphere_samples(dim: int, count: int = 256) -> np.ndarray:
@@ -513,34 +501,3 @@ def check_coercive_limit(spec: PotentialSpec, sphere_samples: int = 256) -> Coer
         min_value=min_val,
         argmin=tuple(float(v) for v in argmin),
     )
-
-
-@dataclass(frozen=True)
-class HomogeneityProfile:
-    """Per-lambda sup deviation of rescaled values/gradients from the limiting form."""
-
-    lambdas: tuple[float, ...]
-    value_dev: tuple[float, ...]
-    gradient_dev: tuple[float, ...]
-
-
-def check_near_homogeneous(spec: PotentialSpec, lambdas, sphere_samples: int = 128) -> HomogeneityProfile:
-    """Deviation profile sup_{|x|=1} |D^a V(lam x)/lam^(r-|a|) - D^a Vinf(x)|.
-
-    Computed for |a| in {0, 1} at each requested scale; callers assert the
-    profile decreases toward zero.
-    """
-    lambdas = [float(l) for l in lambdas]
-    if len(lambdas) < 2 or any(l <= 0 for l in lambdas) or sorted(lambdas) != lambdas:
-        raise ValueError("need at least two positive, increasing lambdas")
-    r = float(spec.degree)
-    pts = unit_sphere_samples(spec.dim, sphere_samples)
-    v_inf = spec.limiting_value(pts)
-    g_inf = spec.limiting_gradient(pts)
-    v_dev, g_dev = [], []
-    for lam in lambdas:
-        v = spec.value(lam * pts) / lam ** r
-        g = spec.gradient(lam * pts) / lam ** (r - 1.0)
-        v_dev.append(float(np.max(np.abs(v - v_inf))))
-        g_dev.append(float(np.max(np.abs(g - g_inf))))
-    return HomogeneityProfile(tuple(lambdas), tuple(v_dev), tuple(g_dev))

@@ -2,10 +2,17 @@
 
 import pytest
 
+from oscnet import conditions
 from oscnet.conditions import check_conditions
 from oscnet.fixtures import c4_counterexample_model
 from oscnet.model import BathSpec, Model, chain_model
-from oscnet.potentials import Quadratic, SoftPower
+from oscnet.potentials import (
+    Quadratic,
+    SoftPower,
+    check_coercive_limit,
+    check_nondegenerate,
+    default_nondegeneracy_samples,
+)
 from oscnet.topology import builtin_fixture
 
 
@@ -77,3 +84,33 @@ def test_ca_follows_coercivity():
     report = check_conditions(zero_pin)
     assert not report.c3_overall
     assert not report.ca
+
+
+@pytest.mark.parametrize("pinning, coercive_calls", [
+    (None, 1),  # the default pinning equals the default interaction spec
+    (Quadratic.isotropic(2.0, 2), 2),
+])
+def test_each_distinct_spec_is_checked_once(pinning, coercive_calls, monkeypatch):
+    # 11 vertices and 10 edges ran 21 coercivity checks and 10 rank checks,
+    # one per key, though the model has at most two distinct specs.
+    model = chain_model(11, 2, pinning=pinning)
+    calls = {"coercive": 0, "rank": 0}
+
+    def counted(name, check):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(conditions, "check_coercive_limit", counted("coercive", check_coercive_limit))
+    monkeypatch.setattr(conditions, "check_nondegenerate", counted("rank", check_nondegenerate))
+    report = check_conditions(model, nondegeneracy_samples=20, sphere_samples=256)
+    assert calls == {"coercive": coercive_calls, "rank": 1}
+
+    for v in model.topology.vertices:
+        assert report.c3[f"pinning:{v}"] == check_coercive_limit(model.pinning[v], 256)
+    for e in model.topology.edge_list:
+        spec = model.interaction[e]
+        assert report.c3[f"interaction:{e.a}-{e.b}"] == check_coercive_limit(spec, 256)
+        samples = default_nondegeneracy_samples(spec.dim, extra=20)
+        assert report.c2[e] == check_nondegenerate(spec, samples, ell=conditions._rank_order(spec.degree))

@@ -1,6 +1,7 @@
 """Config parsing/validation, the runner's artifacts, and CLI exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,37 @@ def test_bad_experiment_setting_is_a_config_error(kind, key, value, tmp_path, ca
     out = tmp_path / "out"
     assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"config error: experiment.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, path, value, reported", [
+    ("simulate", "experiment.t_end", math.inf, "experiment.t_end"),
+    ("simulate", "experiment.t_end", 10 ** 400, "experiment.t_end"),
+    ("simulate", "experiment.h", math.nan, "experiment.h"),
+    ("simulate", "seed", math.inf, "<root>.seed"),
+    ("lyapunov-scan", "experiment.energy_grid", [25.0, math.inf], "experiment.energy_grid"),
+    ("simulate", "model.pinning.default.stiffness", [[math.inf]], "model.pinning.default.stiffness"),
+    ("simulate", "model.interaction.default", {"family": "local_piece", "terms": [[math.nan, [2]]]},
+     "model.interaction.default.terms"),
+], ids=["t_end-inf", "t_end-beyond-float", "h-nan", "seed-inf", "energy_grid-inf", "stiffness-inf",
+        "local_piece-nan"])
+def test_non_finite_number_is_a_config_error(kind, path, value, reported, tmp_path, capsys):
+    # json parses NaN, Infinity and integers beyond the float range.  An
+    # infinite t_end passed validation and died with an OverflowError after
+    # writing config.echo.json and a "running" manifest; an infinite seed
+    # died inside parse_config; infinite potential coefficients built a model.
+    doc = json.loads(MINIMAL)
+    doc["experiment"] = {"kind": kind}
+    *parents, key = path.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main([kind, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: {reported}:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,8 +8,6 @@ from scipy import integrate as sci_integrate
 
 from oscnet.diagnostics import (
     DriftConfig,
-    EventClass,
-    classify_event,
     dissipation_tail,
     drift_estimate,
     drift_scan,
@@ -22,8 +20,9 @@ from oscnet.diagnostics import (
     sample_gibbs,
     stationary_moment_test,
     wilson_interval,
+    _event_counts,
 )
-from oscnet.dynamics import _NOISE_TILE, State, TimescaleRule, Trace, hamiltonian
+from oscnet.dynamics import _NOISE_TILE, State, TimescaleRule, hamiltonian
 from oscnet.errors import BlowupError, OracleError
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import EvenPower, LocalPiece, Quadratic, SoftPower
@@ -31,36 +30,23 @@ from oscnet.rng import seed_stream
 from oscnet.topology import Edge, NetworkTopology, random_topology
 
 
-def synthetic_trace(H_values):
-    H = np.asarray(H_values, dtype=float)
-    n = len(H)
-    zeros = np.zeros(n)
-    return Trace(times=np.arange(n, dtype=float), H=H, Hc=H / 2, Hi=H / 2,
-                 Gamma=zeros, M=zeros.copy(), noise_work_rate=0.0)
-
-
 # --- Event classification ---------------------------------------------------------
 
-def test_classify_constant_trace_is_contained():
-    assert classify_event(synthetic_trace([10.0] * 5), 10.0) is EventClass.A1
-
-
-def test_classify_dip_is_a2():
-    assert classify_event(synthetic_trace([10, 9, 2.4, 9]), 10.0) is EventClass.A2
-
-
-def test_classify_spike_is_a3():
-    assert classify_event(synthetic_trace([10, 11, 31, 11]), 10.0) is EventClass.A3
-
-
-def test_classify_first_hit_orders_mixed_paths():
-    assert classify_event(synthetic_trace([10, 2, 50]), 10.0) is EventClass.A2
-    assert classify_event(synthetic_trace([10, 50, 2]), 10.0) is EventClass.A3
-
-
-def test_classify_empty_trace_raises():
-    with pytest.raises(ValueError):
-        classify_event(synthetic_trace([]), 1.0)
+@pytest.mark.parametrize("first_low, first_high, blown, expected", [
+    ([-1], [-1], [False], {"A1": 1, "A2": 0, "A3": 0}),  # stayed in band
+    ([2], [-1], [False], {"A1": 0, "A2": 1, "A3": 0}),  # dip
+    ([-1], [2], [False], {"A1": 0, "A2": 0, "A3": 1}),  # spike
+    ([1], [2], [False], {"A1": 0, "A2": 1, "A3": 0}),  # dip first
+    ([2], [1], [False], {"A1": 0, "A2": 0, "A3": 1}),  # spike first
+    ([3], [3], [False], {"A1": 0, "A2": 0, "A3": 1}),  # both at one record
+    ([-1, 1], [-1, -1], [True, True], {"A1": 0, "A2": 0, "A3": 2}),  # blown
+    ([-1, 2, -1, 1, 2, 3, 1], [-1, -1, 2, 2, 1, 3, -1],
+     [False, False, False, False, False, False, True], {"A1": 1, "A2": 2, "A3": 4}),
+])
+def test_event_counts_classify_by_first_band_exit(first_low, first_high, blown, expected):
+    counts = _event_counts(np.array(first_low), np.array(first_high), np.array(blown))
+    assert counts == expected
+    assert sum(counts.values()) == len(blown)
 
 
 # --- Gaussian oracle ----------------------------------------------------------------

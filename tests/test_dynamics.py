@@ -11,16 +11,12 @@ from oscnet.dynamics import (
     PrecomputedNoise,
     State,
     TimescaleRule,
-    com_coords,
     forces,
     hamiltonian,
     integrate,
     integrate_deterministic,
-    rescale_state,
     scaled_step,
-    step_sde,
     tau,
-    u_infinity,
     _Kernel,
     _NOISE_TILE,
 )
@@ -81,24 +77,6 @@ def test_hamiltonian_dimension_mismatch():
         hamiltonian(two_mass_model(), State([[1.0, 0.0]], [[0.0, 0.0]]))
 
 
-def test_com_coords_examples():
-    P, Q = com_coords(State([[1.0], [1.0]], [[0.0], [2.0]]))
-    assert P == pytest.approx([2.0]) and Q == pytest.approx([1.0])
-    p = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    P, _ = com_coords(State(p, np.zeros((3, 2))))
-    assert P == pytest.approx([0.0, 0.0])
-
-
-def test_com_translation_covariance():
-    rng = np.random.default_rng(0)
-    st = State(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-    rho = np.array([0.7, -1.3])
-    P0, Q0 = com_coords(st)
-    P1, Q1 = com_coords(State(st.p, st.q + rho))
-    assert P1 == pytest.approx(P0)
-    assert Q1 == pytest.approx(Q0 + rho)
-
-
 # --- Forces --------------------------------------------------------------------
 
 def test_force_single_mass_quadratic():
@@ -139,27 +117,33 @@ def test_verlet_energy_error_single_mass():
     assert np.max(np.abs(tr.H - tr.H[0])) <= 1e-4
 
 
-def test_step_sde_without_baths_equals_deterministic_bitwise():
+def one_step(model, state, h, draws):
+    """One B-A-O-A-B step of ``integrate`` with the given (baths, dim) draws."""
+    noise = PrecomputedNoise(np.asarray(draws, dtype=float)[None])
+    return integrate(model, state, h, h, noise, record_states=True).states[-1]
+
+
+def test_one_step_integrate_without_baths_equals_deterministic_bitwise():
     m = chain_model(3, 1, temperatures=(1.0, 1.0))
     nb_topo = NetworkTopology(3, m.topology.edges, frozenset())
     nogamma = Model(nb_topo, 1, dict(m.pinning), dict(m.interaction), {})
     rng = np.random.default_rng(1)
     st0 = State(rng.standard_normal((3, 1)), rng.standard_normal((3, 1)))
     h = 1e-2
-    # step_sde repeatedly
+    # 50 one-step integrate calls against one deterministic run
     st = st0
     for _ in range(50):
-        st = step_sde(nogamma, st, h, np.zeros((0, 1)))
+        st = one_step(nogamma, st, h, np.zeros((0, 1)))
     tr = integrate_deterministic(nogamma, st0, 50 * h, h, record_every=50, record_states=True)
     final = tr.states[-1]
     assert np.array_equal(st.p, final.p)
     assert np.array_equal(st.q, final.q)
 
 
-def test_step_sde_validates_draw_shape():
-    m = chain_model(3, 1)
-    with pytest.raises(ValueError):
-        step_sde(m, State.zero(3, 1), 1e-2, np.zeros((1, 1)))
+def test_integrate_rejects_precomputed_draws_of_the_wrong_shape():
+    m = chain_model(3, 1)  # two baths
+    with pytest.raises(ValueError, match="stored draws"):
+        one_step(m, State.zero(3, 1), 1e-2, np.zeros((1, 1)))
 
 
 def test_ou_stationary_variance():
@@ -362,13 +346,13 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
         assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
 
 
-def test_step_sde_with_baths_is_one_reference_step_bitwise():
+def test_one_step_integrate_with_baths_is_one_reference_step_bitwise():
     model = chain_model(4, 2, interaction=SoftPower(degree=3.0, dim=2), temperatures=(1.0, 2.0))
     rng = np.random.default_rng(12)
     p0 = rng.standard_normal((1, 4, 2))
     q0 = 0.5 * rng.standard_normal((1, 4, 2))
     draws = seed_stream(5, 0).standard_normal((2, 2))
-    st = step_sde(model, State(p0[0], q0[0]), 0.01, draws)
+    st = one_step(model, State(p0[0], q0[0]), 0.01, draws)
     p, q, _, _, _ = reference_run(model, p0, q0, 0.01, [seed_stream(5, 0)], 1, 1)
     assert same_bits(st.p, p[0]) and same_bits(st.q, q[0])
 
@@ -595,7 +579,7 @@ def test_blowup_raises_with_partial_trace():
     assert len(err.value.partial_trace.H) >= 1
 
 
-# --- Time scales and rescalings -----------------------------------------------------
+# --- Time scales -----------------------------------------------------------------
 
 def test_tau_examples():
     assert tau(TimescaleRule(lam=0.4, li=2, lp=2), 123.0, 61.5, 61.5) == pytest.approx(0.4)
@@ -617,33 +601,6 @@ def test_timescale_rule_validation():
         rule.validate_against_t_star(1.0)  # lam > t*/2 with lp = 2
     TimescaleRule(lam=0.5, li=2, lp=2).validate_against_t_star(1.0)
     TimescaleRule(lam=3.0, li=4, lp=4).validate_against_t_star(1.0)  # lp > 2: free
-
-
-def test_rescale_state_examples():
-    rng = np.random.default_rng(2)
-    st = State(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-    rule = TimescaleRule(lam=1.0, li=2, lp=4)
-    same = rescale_state(st, 1.0, "interaction", rule)
-    assert np.array_equal(same.p, st.p) and np.array_equal(same.q, st.q)
-    half = rescale_state(st, 4.0, "interaction", rule)
-    assert np.allclose(half.p, st.p / 2) and np.allclose(half.q, st.q / 2)
-    # Round trip through the inverse energy.
-    back = rescale_state(rescale_state(st, 7.3, "pinning", rule), 1 / 7.3, "pinning", rule)
-    assert np.allclose(back.p, st.p, rtol=1e-14)
-    assert np.allclose(back.q, st.q, rtol=1e-14)
-
-
-def test_u_infinity_examples():
-    m = chain_model(3, 1, pinning=EvenPower(degree=2, dim=1))
-    assert u_infinity(m, [1.0]) == pytest.approx(3.0)
-    # Homogeneity of the aggregate in Q.
-    assert u_infinity(m, [2.0]) == pytest.approx(4.0 * u_infinity(m, [1.0]))
-    # Coercivity of the aggregate for a soft-power model.
-    ms = chain_model(3, 2, pinning=SoftPower(degree=4, dim=2),
-                     interaction=SoftPower(degree=4, dim=2))
-    angles = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    mins = min(u_infinity(ms, [np.cos(a), np.sin(a)]) for a in angles)
-    assert mins > 0
 
 
 def test_scaled_step_policy():

@@ -6,8 +6,10 @@ and the Lyapunov oracle (``scipy.linalg``) need scipy, and each loads it
 when first called.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -74,3 +76,15 @@ def test_check_command_loads_no_sympy(tmp_path):
     config = Path(__file__).resolve().parent.parent / "configs" / "check_chain11.json"
     out = fresh_interpreter(CHECK_SCRIPT, str(config), str(tmp_path / "out"))
     assert out == {"exit": 0, "sympy": []}
+
+
+def test_every_exported_name_resolves():
+    modules = [oscnet] + [importlib.import_module(f"oscnet.{info.name}")
+                          for info in pkgutil.iter_modules(oscnet.__path__)]
+    assert len(modules) > 10
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], f"{module.__name__}.__all__ names {missing}"
+    namespace = {}
+    exec("from oscnet import *", namespace)
+    assert set(oscnet.__all__) <= set(namespace)

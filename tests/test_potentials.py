@@ -15,7 +15,6 @@ from oscnet.potentials import (
     Quadratic,
     SoftPower,
     check_coercive_limit,
-    check_near_homogeneous,
     check_nondegenerate,
     default_nondegeneracy_samples,
     derivative_rows,
@@ -131,9 +130,6 @@ def test_limiting_form_is_homogeneous(spec):
             v1 = spec.limiting_value(lam * x)
             v2 = lam ** r * spec.limiting_value(x)
             assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-300)
-            g1 = spec.limiting_gradient(lam * x)
-            g2 = lam ** (r - 1) * spec.limiting_gradient(x)
-            assert np.allclose(g1, g2, rtol=1e-12, atol=1e-300)
 
 
 def test_soft_power_rescaled_deviation_at_ten():
@@ -142,28 +138,6 @@ def test_soft_power_rescaled_deviation_at_ten():
     x = np.array([1.0, 0.0])
     dev = abs(spec.value(10 * x) / 10 ** 4 - spec.limiting_value(x))
     assert dev == pytest.approx(0.0201, rel=1e-12)
-
-
-def test_near_homogeneity_profile_soft_power():
-    profile = check_near_homogeneous(SoftPower(degree=4, dim=2), [10.0, 100.0])
-    assert profile.value_dev[0] == pytest.approx(0.0201, rel=1e-9)
-    assert profile.value_dev[1] == pytest.approx(2.0001e-4, rel=1e-9)
-    assert profile.value_dev[1] < profile.value_dev[0]
-    assert profile.gradient_dev[1] < profile.gradient_dev[0]
-
-
-@pytest.mark.parametrize("spec", [EvenPower(degree=4, dim=2), Quadratic.isotropic(2.0, 2)])
-def test_homogeneous_families_have_zero_deviation(spec):
-    # Algebraically zero for already-homogeneous families; the rescaling
-    # division leaves only floating-point noise.
-    profile = check_near_homogeneous(spec, [2.0, 10.0, 100.0])
-    assert max(profile.value_dev) <= 1e-8
-    assert max(profile.gradient_dev) <= 1e-8
-
-
-def test_near_homogeneous_validates_lambdas():
-    with pytest.raises(ValueError):
-        check_near_homogeneous(SoftPower(degree=4, dim=2), [10.0, 5.0])
 
 
 # --- Growth and lower bounds (derived properties of the families) --------------
