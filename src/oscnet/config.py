@@ -20,9 +20,15 @@ Schema sketch (defaults in parentheses):
       "output": {"directory": "out", "formats": ["json", "csv"]}
     }
 
-Each kind's parameters, with their defaults and checks, are the rows of
-``_EXPERIMENTS``.  ``h`` is the step size of every kind but ``check``; the
-two energy scans shrink it with the energy (``dynamics.scaled_step``).
+Every keyed section is checked against a table of its parameters, each
+with a default and a check (``_parse_section``): ``output`` against
+``_OUTPUT``, ``bath_defaults`` and each ``bath_overrides`` entry against
+``_BATH`` (an override's defaults are the parsed ``bath_defaults``).  A
+tagged section's tag names its table: ``experiment.kind`` a row of
+``_EXPERIMENTS``, a potential's ``family`` a row of ``_FAMILIES`` (its
+spec class and parameters).  ``h`` is the step size of every kind but
+``check``; the two energy scans shrink it with the energy
+(``dynamics.scaled_step``).
 The ``initial`` state of ``simulate`` and ``decay-fit`` is checked against
 the built model the same way (``_initial_states``):
 
@@ -35,11 +41,15 @@ An unknown key is an error wherever it appears: at the top level, in
 ``bath_defaults`` and ``bath_overrides`` entries, ``pinning``,
 ``interaction`` and its ``per_edge`` entries, in any potential spec (per
 family, below), in ``output``, ``experiment`` or ``experiment.initial``.
+An unknown parameter of a table is reported as "unknown key".
 
 Potentials: {"family": "soft_power", "degree": r} |
             {"family": "even_power", "degree": r} |
             {"family": "quadratic", "stiffness": scalar or n x n rows} |
             {"family": "local_piece", "terms": [[coeff, [exponents]], ...], "offset": 0}.
+A ``local_piece`` exponent is a non-negative integer (``2.0`` reads as 2;
+``2.7``, ``"2"`` and ``true`` are errors).  The echo of a spec is its
+family and its spec class's fields but ``dim``.
 
 Validation walks the whole document and reports every problem (with a
 config path string) before giving up; ``parse_config`` either returns a
@@ -51,7 +61,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .diagnostics import resolve_observable
@@ -119,73 +129,43 @@ def _get_number(doc, key, path, errors, default=None, required=False,
     return int(val) if integer else float(val)
 
 
-# The keys of each potential family's spec.
-_POTENTIAL_KEYS = {
-    "soft_power": ("family", "degree"),
-    "even_power": ("family", "degree"),
-    "quadratic": ("family", "stiffness"),
-    "local_piece": ("family", "terms", "offset"),
+_STIFFNESS = (lambda v: _is_number(v) or (isinstance(v, list) and all(
+                  isinstance(row, list) and all(_is_number(x) for x in row) for row in v)),
+              "expected a number or a matrix (list of rows of numbers)")
+_TERMS = (lambda v: isinstance(v, list) and v and all(
+              isinstance(t, list) and len(t) == 2 and _is_number(t[0]) and isinstance(t[1], list)
+              and all(_is_number(e) and e >= 0 and e == int(e) for e in t[1]) for t in v),
+          "expected a non-empty list of [coeff, [exponents]] pairs: a number and a list of "
+          "non-negative integers")
+
+# Every potential family: its spec class, and the parameters of its spec
+# as in _EXPERIMENTS.  The class is called with them and ``dim``.
+_FAMILIES = {
+    "soft_power": (SoftPower, {"degree": (None, {"required": True, "minimum": 2})}),
+    "even_power": (EvenPower, {"degree": (None, {"required": True, "minimum": 2, "integer": True})}),
+    "quadratic": (Quadratic, {"stiffness": (None, _STIFFNESS)}),
+    "local_piece": (LocalPiece, {"terms": (None, _TERMS), "offset": (0.0, {})}),
 }
 
 
 def _parse_potential(doc, path, dim, errors):
-    doc = _expect_mapping(doc, path, errors)
-    family = doc.get("family")
-    if family in _POTENTIAL_KEYS:
-        _reject_unknown(doc, _POTENTIAL_KEYS[family], path, errors)
+    start = len(errors.messages)
+    spec = _parse_kind(_expect_mapping(doc, path, errors),
+                       {family: params for family, (_, params) in _FAMILIES.items()},
+                       path, errors, tag="family")
+    if len(errors.messages) > start:
+        return None
+    cls, _ = _FAMILIES[spec.pop("family")]
     try:
-        if family == "soft_power":
-            degree = _get_number(doc, "degree", path, errors, required=True, minimum=2)
-            if degree is None:
-                return None
-            return SoftPower(degree=float(degree), dim=dim)
-        if family == "even_power":
-            degree = _get_number(doc, "degree", path, errors, required=True, minimum=2, integer=True)
-            if degree is None:
-                return None
-            return EvenPower(degree=int(degree), dim=dim)
-        if family == "quadratic":
-            K = doc.get("stiffness")
-            if _is_number(K):
-                return Quadratic.isotropic(float(K), dim)
-            if isinstance(K, list) and all(isinstance(row, list) and all(_is_number(v) for v in row)
-                                           for row in K):
-                return Quadratic(stiffness=tuple(tuple(float(v) for v in row) for row in K), dim=dim)
-            errors.add(f"{path}.stiffness", "expected a number or a matrix (list of rows of numbers)")
-            return None
-        if family == "local_piece":
-            raw = doc.get("terms")
-            if not isinstance(raw, list) or not raw:
-                errors.add(f"{path}.terms", "expected a non-empty list of [coeff, [exponents]] pairs")
-                return None
-            if not all(_is_number(c) for c, _ in raw):
-                errors.add(f"{path}.terms", "expected a number as each term's coefficient")
-                return None
-            terms = tuple((float(c), tuple(int(e) for e in exps)) for c, exps in raw)
-            offset = _get_number(doc, "offset", path, errors, default=0.0)
-            return LocalPiece(terms=terms, dim=dim, offset=float(offset))
+        return cls(dim=dim, **spec)
     except (TypeError, ValueError) as exc:
         errors.add(path, str(exc))
         return None
-    errors.add(f"{path}.family", f"unknown family {family!r}; expected soft_power, "
-                                 "even_power, quadratic or local_piece")
-    return None
 
 
 def _canonical_potential(spec) -> dict:
-    if isinstance(spec, SoftPower):
-        return {"family": "soft_power", "degree": spec.degree}
-    if isinstance(spec, EvenPower):
-        return {"family": "even_power", "degree": spec.degree}
-    if isinstance(spec, Quadratic):
-        return {"family": "quadratic", "stiffness": [list(row) for row in spec.stiffness]}
-    if isinstance(spec, LocalPiece):
-        return {
-            "family": "local_piece",
-            "terms": [[c, list(e)] for c, e in spec.terms],
-            "offset": spec.offset,
-        }
-    raise TypeError(f"unknown potential {spec!r}")
+    family = next(name for name, (cls, _) in _FAMILIES.items() if type(spec) is cls)
+    return {"family": family, **{f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "dim"}}
 
 
 @dataclass
@@ -268,9 +248,6 @@ def _parse_topology(doc, path, errors):
     return topo, tuple(vertices), canon
 
 
-_BATH_KEYS = ("gamma", "temperature")
-
-
 def _parse_model(doc, errors):
     path = "model"
     doc = _expect_mapping(doc, path, errors)
@@ -282,25 +259,21 @@ def _parse_model(doc, errors):
         return None, None
     bath_ids = sorted(topo.baths) if topo is not None else []
 
-    defaults = _expect_mapping(doc.get("bath_defaults", {}), f"{path}.bath_defaults", errors)
-    _reject_unknown(defaults, _BATH_KEYS, f"{path}.bath_defaults", errors)
-    g0 = _get_number(defaults, "gamma", f"{path}.bath_defaults", errors, default=1.0, strict_min=0)
-    t0 = _get_number(defaults, "temperature", f"{path}.bath_defaults", errors, default=1.0, minimum=0)
+    defaults = _parse_section(
+        _expect_mapping(doc.get("bath_defaults", {}), f"{path}.bath_defaults", errors),
+        _BATH, f"{path}.bath_defaults", errors)
+    override = {key: (defaults[key], check) for key, (_, check) in _BATH.items()}
     overrides = _expect_mapping(doc.get("bath_overrides", {}), f"{path}.bath_overrides", errors)
-    baths = {}
+    baths, bath_canon = {}, {}
     for b in bath_ids:
-        g, T = g0, t0
         name = names[b]
-        if name in overrides:
-            od = _expect_mapping(overrides[name], f"{path}.bath_overrides.{name}", errors)
-            _reject_unknown(od, _BATH_KEYS, f"{path}.bath_overrides.{name}", errors)
-            g = _get_number(od, "gamma", f"{path}.bath_overrides.{name}", errors, default=g0, strict_min=0)
-            T = _get_number(od, "temperature", f"{path}.bath_overrides.{name}", errors, default=t0, minimum=0)
-        if g is not None and T is not None:
-            try:
-                baths[b] = BathSpec(gamma=g, temperature=T)
-            except ValueError as exc:
-                errors.add(f"{path}.bath_overrides.{name}", str(exc))
+        opath = f"{path}.bath_overrides.{name}"
+        bath_canon[name] = _parse_section(_expect_mapping(overrides.get(name, {}), opath, errors),
+                                          override, opath, errors)
+        try:
+            baths[b] = BathSpec(**bath_canon[name])
+        except ValueError as exc:
+            errors.add(opath, str(exc))
     for name in overrides:
         if name not in names:
             errors.add(f"{path}.bath_overrides.{name}", "unknown vertex name")
@@ -362,11 +335,8 @@ def _parse_model(doc, errors):
     canon = {
         "dimension": dim,
         "topology": topo_canon,
-        "bath_defaults": {"gamma": g0, "temperature": t0},
-        "bath_overrides": {
-            names[b]: {"gamma": baths[b].gamma, "temperature": baths[b].temperature}
-            for b in sorted(topo.baths)
-        },
+        "bath_defaults": defaults,
+        "bath_overrides": bath_canon,
         "pinning": {
             "default": _canonical_potential(pin_default),
             "per_vertex": {
@@ -404,6 +374,14 @@ _ENERGIES = (lambda v: (isinstance(v, list) and v and all(_is_number(g) and g > 
                         and sorted(v) == v),
              "expected an increasing list of positive energies")
 _PLACEMENT = (lambda v: v in ("interaction", "pinning"), "expected 'interaction' or 'pinning'")
+
+_BATH = {"gamma": (1.0, _POSITIVE), "temperature": (1.0, {"minimum": 0})}
+_OUTPUT = {
+    "directory": ("out", (lambda v: isinstance(v, str) and v != "", "expected a non-empty string")),
+    "formats": (["json", "csv"],
+                (lambda v: isinstance(v, list) and v and all(f in ("json", "csv") for f in v),
+                 "expected a non-empty list drawn from ['json', 'csv']")),
+}
 
 # Every parameter of each experiment kind: its default and its check.
 # Observable names are resolved against the built model in parse_config.
@@ -477,17 +455,11 @@ def _initial_states(shape: tuple[int, int]) -> dict[str, dict[str, tuple[Any, An
     }
 
 
-def _parse_kind(doc, kinds, path, errors, default_kind=None) -> dict:
-    """``{"kind": ..., <parameter>: <value>, ...}`` with every parameter of
-    the kind checked, defaults filled in, and unknown keys named."""
-    kind = doc.get("kind", default_kind)
-    if kind not in kinds:
-        errors.add(f"{path}.kind", f"expected one of {', '.join(kinds)}; got {kind!r}")
-        return {"kind": kind}
-    params = kinds[kind]
-    for key in sorted(set(doc) - set(params) - {"kind"}):
-        errors.add(f"{path}.{key}", f"unknown parameter for kind {kind!r}")
-    out = {"kind": kind}
+def _parse_section(doc, params, path, errors) -> dict:
+    """``{<parameter>: <value>, ...}`` with every parameter in ``params``
+    checked, defaults filled in, and unknown keys named."""
+    _reject_unknown(doc, params, path, errors)
+    out = {}
     for key, (default, check) in params.items():
         if isinstance(check, dict):
             out[key] = _get_number(doc, key, path, errors, default=default, **check)
@@ -497,6 +469,17 @@ def _parse_kind(doc, kinds, path, errors, default_kind=None) -> dict:
         if not test(out[key]):
             errors.add(f"{path}.{key}", message)
     return out
+
+
+def _parse_kind(doc, kinds, path, errors, default_kind=None, tag="kind") -> dict:
+    """``{tag: <kind>, <parameter>: <value>, ...}``: the ``tag`` key names
+    a row of ``kinds``, and ``_parse_section`` checks the rest against it."""
+    kind = doc.get(tag, default_kind)
+    if not isinstance(kind, str) or kind not in kinds:
+        errors.add(f"{path}.{tag}", f"expected one of {', '.join(kinds)}; got {kind!r}")
+        return {tag: kind}
+    rest = {key: val for key, val in doc.items() if key != tag}
+    return {tag: kind, **_parse_section(rest, kinds[kind], path, errors)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -519,17 +502,8 @@ def parse_config(text: str) -> ExperimentConfig:
     experiment = _parse_kind(_expect_mapping(doc.get("experiment", {}), "experiment", errors),
                              _EXPERIMENTS, "experiment", errors)
 
-    output = _expect_mapping(doc.get("output", {}), "output", errors)
-    _reject_unknown(output, ("directory", "formats"), "output", errors)
-    directory = output.get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        errors.add("output.directory", "expected a non-empty string")
-        directory = "out"
-    formats = output.get("formats", ["json", "csv"])
-    if (not isinstance(formats, list) or not formats
-            or not all(f in ("json", "csv") for f in formats)):
-        errors.add("output.formats", "expected a non-empty list drawn from ['json', 'csv']")
-        formats = ["json", "csv"]
+    output = _parse_section(_expect_mapping(doc.get("output", {}), "output", errors),
+                            _OUTPUT, "output", errors)
 
     kind = experiment.get("kind")
     model = model_canon = None
@@ -565,17 +539,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     errors.raise_if_any()
 
-    echo_doc: dict[str, Any] = {
-        "seed": seed,
-        "experiment": experiment,
-        "output": {"directory": directory, "formats": sorted(formats)},
-    }
+    output["formats"] = sorted(output["formats"])
+    echo_doc: dict[str, Any] = {"seed": seed, "experiment": experiment, "output": output}
     if model_canon is not None:
         echo_doc["model"] = model_canon
     return ExperimentConfig(
         seed=seed,
         experiment=experiment,
-        output=echo_doc["output"],
+        output=output,
         model=model,
         echo_doc=echo_doc,
     )

@@ -132,34 +132,6 @@ class Trace:
         """Pathwise energy-budget residual; first order in the step size."""
         return self.H - self.H[0] + self.Gamma - self.noise_work_rate * self.times - self.M
 
-    def to_csv(self, path) -> None:
-        res = self.residual()
-        with open(path, "w") as fh:
-            fh.write("t,H,Hc,Hi,Gamma,M,residual\n")
-            for i in range(len(self.times)):
-                row = (self.times[i], self.H[i], self.Hc[i], self.Hi[i],
-                       self.Gamma[i], self.M[i], res[i])
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    def save_states(self, prefix) -> list[str]:
-        """Write recorded snapshots as raw arrays keyed by record index:
-        ``<prefix>_steps.npy`` (times), ``<prefix>_p.npy``, ``<prefix>_q.npy``.
-        Plain .npy files keep the bytes deterministic across reruns."""
-        if self.states is None:
-            raise ValueError("trace was recorded without state snapshots")
-        prefix = str(prefix)
-        names = []
-        arrays = {
-            "steps": np.asarray(self.times),
-            "p": np.stack([s.p for s in self.states]),
-            "q": np.stack([s.q for s in self.states]),
-        }
-        for tag, arr in arrays.items():
-            name = f"{prefix}_{tag}.npy"
-            np.save(name, arr)
-            names.append(name)
-        return names
-
 
 @dataclass(frozen=True)
 class TimescaleRule:

@@ -135,7 +135,8 @@ class Quadratic:
     """``V(x) = x.K x / 2`` with ``K`` symmetric positive semi-definite.
 
     The zero matrix is accepted so that "no pinning" models can be written
-    with this family; coercivity then fails honestly in the checker.
+    with this family; coercivity then fails honestly in the checker.  A
+    number ``k`` as the stiffness stands for ``k`` times the identity.
     """
 
     stiffness: tuple[tuple[float, ...], ...]
@@ -143,6 +144,8 @@ class Quadratic:
 
     def __post_init__(self):
         K = np.asarray(self.stiffness, dtype=float)
+        if K.ndim == 0:
+            K = np.diag(np.full(self.dim, K))
         if K.shape != (self.dim, self.dim):
             raise ValueError(f"stiffness must be {self.dim}x{self.dim}")
         if not np.allclose(K, K.T, atol=1e-12):
@@ -193,8 +196,7 @@ class Quadratic:
 
     @classmethod
     def isotropic(cls, k: float, dim: int) -> "Quadratic":
-        K = tuple(tuple(k if i == j else 0.0 for j in range(dim)) for i in range(dim))
-        return cls(stiffness=K, dim=dim)
+        return cls(stiffness=k, dim=dim)
 
 
 @dataclass(frozen=True)
@@ -218,10 +220,11 @@ class LocalPiece:
             raise ValueError("LocalPiece needs at least one term")
         norm = []
         for coeff, exps in self.terms:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.dim or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent tuple {exps} for dimension {self.dim}")
-            norm.append((float(coeff), exps))
+            ints = tuple(int(e) for e in exps)
+            if ints != tuple(exps) or len(ints) != self.dim or any(e < 0 for e in ints):
+                raise ValueError(f"bad exponent tuple {tuple(exps)}: expected {self.dim} "
+                                 "non-negative integers")
+            norm.append((float(coeff), ints))
         object.__setattr__(self, "terms", tuple(norm))
 
     @property

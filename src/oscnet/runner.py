@@ -8,8 +8,10 @@ writer of the artifacts every kind leaves in its output directory:
   differ between identical reruns.
 * ``report.json``    -- ``{"kind", "seed"}`` and the kind's report fields.
 * ``*.csv``          -- the kind's tables, when ``output.formats`` lists
-  ``csv``; a numerical failure's ``trace_partial.csv`` is always kept.
-* ``states_*.npy``   -- state snapshots, where the kind keeps them.
+  ``csv``.  A numerical failure's ``trace_partial.csv`` is written
+  whatever ``output.formats`` lists.
+* ``states_*.npy``   -- state snapshots, where the kind keeps them,
+  written whatever ``output.formats`` lists.
 
 Exit status: 0 success, 1 validation failure (no artifacts), 2 numerical
 failure (partial artifacts kept, marked), 3 statistically inconclusive
@@ -60,6 +62,12 @@ def _csv(header: str, rows):
     ``repr`` values per row."""
     text = "".join([header + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
     return lambda path: path.write_text(text)
+
+
+def _trace_table(trace: Trace):
+    columns = (trace.times, trace.H, trace.Hc, trace.Hi, trace.Gamma, trace.M, trace.residual())
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return _csv("t,H,Hc,Hi,Gamma,M,residual", rows)
 
 
 class _Workspace:
@@ -119,12 +127,14 @@ class _Workspace:
 @dataclass
 class _Outcome:
     """What an experiment kind hands to :func:`run`: its report fields,
-    its CSV tables as file name -> writer of that file to a path, and the
-    trace whose snapshots are saved as ``states_*.npy``."""
+    its CSV tables as file name -> writer of that file to a path, and its
+    arrays as file name -> array.  The tables follow ``output.formats``;
+    the arrays are always saved, as plain .npy files whose bytes are the
+    same on every rerun."""
 
     fields: dict
     tables: dict = field(default_factory=dict)
-    states: Trace | None = None
+    arrays: dict = field(default_factory=dict)
 
 
 def _initial_state(model, spec: dict) -> State:
@@ -171,7 +181,7 @@ def run(config: ExperimentConfig, command: str | None = None,
             _dump_json({"kind": kind, "seed": seed, "status": "partial", "error": str(exc)}))
         partial = getattr(exc, "partial_trace", None)
         if partial is not None:
-            partial.to_csv(ws.path("trace_partial.csv"))
+            _trace_table(partial)(ws.path("trace_partial.csv"))
         ws.finalize("failed:numerical")
         return EXIT_NUMERICAL
     except ValueError:
@@ -183,9 +193,8 @@ def run(config: ExperimentConfig, command: str | None = None,
     if "csv" in config.output["formats"]:
         for name, write in outcome.tables.items():
             write(ws.path(name))
-    if outcome.states is not None:
-        for path in outcome.states.save_states(ws.dir / "states"):
-            ws.path(Path(path).name)
+    for name, array in outcome.arrays.items():
+        np.save(ws.path(name), array)
     if outcome.fields.get("inconclusive") is True:
         ws.finalize("inconclusive")
         return EXIT_INCONCLUSIVE
@@ -221,8 +230,12 @@ def _simulate(model, exp: dict, seed: int) -> _Outcome:
             "M_last": float(trace.M[-1]),
             "residual_last": float(trace.residual()[-1]),
         },
-        tables={"trace_main.csv": trace.to_csv},
-        states=trace if exp["record_states"] else None,
+        tables={"trace_main.csv": _trace_table(trace)},
+        arrays={
+            "states_steps.npy": trace.times,
+            "states_p.npy": np.stack([s.p for s in trace.states]),
+            "states_q.npy": np.stack([s.q for s in trace.states]),
+        } if exp["record_states"] else {},
     )
 
 

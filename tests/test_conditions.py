@@ -13,7 +13,7 @@ from oscnet.potentials import (
     check_nondegenerate,
     default_nondegeneracy_samples,
 )
-from oscnet.topology import builtin_fixture
+from oscnet.topology import Edge, NetworkTopology, builtin_fixture
 
 
 def test_harmonic_five_chain_passes_everything():
@@ -38,8 +38,25 @@ def test_mixed_pinning_degree_fails_c5_with_message():
     mixed = Model(m.topology, 1, pinning, dict(m.interaction), dict(m.baths))
     report = check_conditions(mixed)
     assert not report.c5
-    assert "mixed" in report.c5_message or "degree" in report.c5_message
+    assert report.c5_message.startswith("pinning degrees are mixed")
     assert not report.all_pass
+    # The same for interactions.
+    interaction = dict(m.interaction)
+    interaction[Edge(1, 2)] = SoftPower(degree=4, dim=1)
+    mixed = Model(m.topology, 1, dict(m.pinning), interaction, dict(m.baths))
+    report = check_conditions(mixed)
+    assert not report.c5
+    assert report.c5_message.startswith("interaction degrees are mixed")
+
+
+def test_model_without_edges_has_only_the_pinning_scale():
+    topo = NetworkTopology(2, frozenset(), frozenset({0, 1}))
+    spec = SoftPower(degree=4, dim=1)
+    model = Model(topo, 1, {0: spec, 1: spec}, {}, {0: BathSpec(1.0, 1.0), 1: BathSpec(1.0, 1.0)})
+    assert model.common_degrees() == (4.0, 4.0)
+    report = check_conditions(model)
+    assert report.c5
+    assert report.c5_message.startswith("no interactions")
 
 
 def test_faster_pinning_than_interaction_fails_c5():

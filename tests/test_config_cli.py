@@ -41,11 +41,33 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.experiment["initial"] == {"kind": "zero"}
 
 
+# A document with a spec of every family, a per-vertex pinning and a
+# per-edge interaction, and the echo of its potentials: each spec's family
+# and its fields but ``dim``.
+EVERY_FAMILY = {
+    "pinning": {"default": {"family": "soft_power", "degree": 3},
+                "per_vertex": {"b": {"family": "local_piece", "terms": [[1.0, [2.0, 0]], [0.5, [0, 4]]]}}},
+    "interaction": {"default": {"family": "quadratic", "stiffness": [[2, 0.5], [0.5, 1]]},
+                    "per_edge": [{"edge": ["c", "b"], "potential": {"family": "even_power", "degree": 4.0}}]},
+}
+EVERY_FAMILY_ECHO = {
+    "pinning": {"default": {"family": "soft_power", "degree": 3.0},
+                "per_vertex": {"b": {"family": "local_piece", "terms": [[1.0, [2, 0]], [0.5, [0, 4]]],
+                                     "offset": 0.0}}},
+    "interaction": {"default": {"family": "quadratic", "stiffness": [[2.0, 0.5], [0.5, 1.0]]},
+                    "per_edge": [{"edge": ["b", "c"], "potential": {"family": "even_power", "degree": 4}}]},
+}
+
+
 def test_config_echo_is_a_fixpoint():
-    # The minimal config and every bundled one parse, and each echo
-    # re-parses to itself.
-    texts = [MINIMAL] + [path.read_text() for path in sorted(CONFIG_DIR.glob("*.json"))]
-    assert len(texts) == 8
+    # The minimal config, one with every potential family and every bundled
+    # one parse, and each echo re-parses to itself.
+    doc = json.loads(MINIMAL)
+    doc["model"].update(dimension=2, **EVERY_FAMILY)
+    echo = json.loads(parse_config(json.dumps(doc)).echo())["model"]
+    assert {key: echo[key] for key in EVERY_FAMILY} == EVERY_FAMILY_ECHO
+    texts = [MINIMAL, json.dumps(doc)] + [path.read_text() for path in sorted(CONFIG_DIR.glob("*.json"))]
+    assert len(texts) == 9
     for text in texts:
         echoed = parse_config(text).echo()
         assert parse_config(echoed).echo() == echoed
@@ -158,6 +180,7 @@ def test_non_finite_number_is_a_config_error(kind, path, value, reported, tmp_pa
     ({"kind": "slow-mode", "scale": 0}, "scale"),
     ({"kind": "warm"}, "kind"),
     ({"kind": "zero", "H0": 10.0}, "H0"),
+    ({"kind": ["zero"]}, "kind"),
 ])
 def test_bad_initial_state_is_a_config_error(initial, key, tmp_path, capsys):
     # The initial state was read only at run time: {"kind": "energy"} died
@@ -179,6 +202,25 @@ def test_checked_initial_state_fills_its_defaults():
         "kind": "energy", "H0": 10.0, "mode": "interaction"}
     doc["experiment"]["initial"] = {"kind": "explicit", "p": [[1], [0], [0]], "q": [[0]] * 3}
     assert parse_config(json.dumps(doc)).experiment["initial"]["p"] == [[1], [0], [0]]
+
+
+@pytest.mark.parametrize("terms", [
+    [[1.0, [2.7]]],
+    [[1.0, ["2"]]],
+    [[1.0, [True]]],
+    [[1.0]],
+], ids=["fractional", "string", "bool", "no-exponents"])
+def test_bad_local_piece_exponent_is_a_config_error(terms, tmp_path, capsys):
+    # int(e) turned 2.7 and "2" into 2 and true into 1, and the echo showed
+    # the truncated exponent; [1.0] died with Python's unpacking message.
+    doc = json.loads(MINIMAL)
+    doc["model"]["interaction"]["default"] = {"family": "local_piece", "terms": terms}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "config error: model.interaction.default.terms: expected" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section, key", [
@@ -254,6 +296,12 @@ def test_lambda_constraint_for_quadratic_pinning():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert any("lambda" in m for m in err.value.messages)
+    # A quartic pinning at one vertex leaves no common pinning degree.
+    doc["experiment"]["lambda"] = 0.5
+    doc["model"]["pinning"]["per_vertex"] = {"b": {"family": "even_power", "degree": 4}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.messages == ["experiment: energy scans need common interaction and pinning degrees"]
 
 
 # --- Runner artifacts ------------------------------------------------------------
@@ -331,6 +379,30 @@ def test_cli_counterexample(tmp_path):
     ip = header.index("p1_0")
     p1_cols = np.array([[float(x) for x in row.split(",")[ip:ip + 3]] for row in trace[1:]])
     assert np.max(np.abs(p1_cols)) <= 1e-6
+
+
+@pytest.mark.parametrize("stem, overrides, keys", [
+    ("dissipation_harmonic3", {}, {"levels"}),
+    ("equilibrium_chain3", {"n_samples": 1000},
+     {"mean_after", "mean_before", "n", "sample_temperature", "se", "t_check", "z_scores"}),
+    ("decay_quadratic3", {"ensemble": 200, "horizon": 10, "stationary_samples": 800},
+     {"fit_points", "inconclusive", "mu_hat", "mu_se", "observable", "oracle_slowest_rate", "rate"}),
+])
+def test_cli_runs_each_statistical_kind(stem, overrides, keys, tmp_path):
+    # These kinds (and decay-fit's slow-mode start) ran nowhere else in
+    # process; the manifest lists exactly the files the run left.
+    doc = json.loads((CONFIG_DIR / f"{stem}.json").read_text())
+    doc["experiment"].update(overrides)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main([doc["experiment"]["kind"], "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"kind", "seed"} | keys
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "complete"
+    on_disk = {path.name for path in out.iterdir()} - {"manifest.json", "timing.json"}
+    assert {o["name"] for o in manifest["outputs"]} == on_disk
 
 
 def test_cli_bad_config_exit_1(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Dynamics: Hamiltonian split, forces, integrators, energy accounting."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscnet.config import parse_config
 from oscnet.dynamics import (
     NOISE_CHUNK,
     BatchIntegrator,
@@ -30,6 +33,7 @@ from oscnet.fixtures import (
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import EvenPower, Quadratic, SoftPower
 from oscnet.rng import seed_stream
+from oscnet.runner import run
 from oscnet.topology import Edge, NetworkTopology, random_topology
 
 
@@ -321,9 +325,9 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
     rng = np.random.default_rng(topo_seed)
     topo = random_topology(rng, max_vertices=12)
     N = topo.vertex_count
-    pin_spec = full_matrix_family(pinning, rng, dim)
+    pin_specs = [full_matrix_family(pinning, rng, dim), SoftPower(degree=2.5, dim=dim)]
     int_specs = [full_matrix_family(interaction, rng, dim), SoftPower(degree=2.5, dim=dim)]
-    model = Model(topo, dim, {v: pin_spec for v in topo.vertices},
+    model = Model(topo, dim, {v: pin_specs[v % 3 == 2] for v in topo.vertices},
                   {e: int_specs[j % 3 == 2] for j, e in enumerate(topo.edge_list)},
                   {b: BathSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
                    for b in topo.baths})
@@ -555,16 +559,23 @@ def test_budget_residual_is_small_and_refines():
 
 
 def test_trace_csv_round_trips(tmp_path):
-    m = chain_model(2, 1, temperatures=(1.0, 2.0))
-    z0 = State(np.array([[1.0], [-1.0]]), np.zeros((2, 1)))
-    tr = integrate(m, z0, 0.5, 1e-3, seed_stream(9, 0), record_every=50)
-    path = tmp_path / "trace.csv"
-    tr.to_csv(path)
-    rows = path.read_text().strip().split("\n")
+    # The runner's trace_main.csv gives back every recorded value exactly.
+    doc = {
+        "seed": 9,
+        "model": {"topology": {"vertices": ["a", "b"], "edges": [["a", "b"]], "baths": ["a", "b"]},
+                  "bath_overrides": {"b": {"temperature": 2.0}}},
+        "experiment": {"kind": "simulate", "t_end": 0.5, "h": 1e-3, "record_every": 50,
+                       "initial": {"kind": "explicit", "p": [[1.0], [-1.0]], "q": [[0.0], [0.0]]}},
+    }
+    cfg = parse_config(json.dumps(doc))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    rows = (tmp_path / "trace_main.csv").read_text().strip().split("\n")
     assert rows[0] == "t,H,Hc,Hi,Gamma,M,residual"
     parsed = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
-    assert np.array_equal(parsed[:, 1], tr.H)
-    assert np.array_equal(parsed[:, 5], tr.M)
+    z0 = State(np.array([[1.0], [-1.0]]), np.zeros((2, 1)))
+    tr = integrate(cfg.model, z0, 0.5, 1e-3, seed_stream(9, 0), record_every=50)
+    for column, values in enumerate((tr.times, tr.H, tr.Hc, tr.Hi, tr.Gamma, tr.M, tr.residual())):
+        assert np.array_equal(parsed[:, column], values)
 
 
 def test_blowup_raises_with_partial_trace():
@@ -609,6 +620,11 @@ def test_scaled_step_policy():
     assert scaled_step(m, 1e-3, 16.0) == pytest.approx(1e-3 * 16 ** -0.25)
     mh = chain_model(3, 1)
     assert scaled_step(mh, 1e-3, 1e6) == pytest.approx(1e-3)
+    # Mixed interaction degrees have no common time scale: the step stays h0.
+    mixed = Model(m.topology, 1, dict(m.pinning),
+                  {**m.interaction, Edge(0, 1): Quadratic.isotropic(1.0, 1)}, dict(m.baths))
+    assert mixed.common_degrees() is None
+    assert scaled_step(mixed, 1e-3, 16.0) == 1e-3
 
 
 # --- Translation equivariance without pinning ----------------------------------------

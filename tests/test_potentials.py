@@ -87,6 +87,8 @@ def test_family_parameter_validation():
         Quadratic(stiffness=((-1.0,),), dim=1)
     with pytest.raises(ValueError):
         LocalPiece(terms=(), dim=2)
+    # A number as the stiffness is that number times the identity.
+    assert Quadratic(stiffness=1.5, dim=2).stiffness == ((1.5, 0.0), (0.0, 1.5))
 
 
 # --- Gradient consistency (finite-difference cross-check) ---------------------
@@ -327,6 +329,14 @@ def test_local_piece_value_and_gradient():
     )
     assert spec.value([4.0, 2.0, 0.0]) == pytest.approx(3.5)
     assert spec.gradient([4.0, 2.0, 0.0]) == pytest.approx([4.0, -1.0, 0.0])
+
+
+def test_local_piece_exponents_are_non_negative_integers():
+    # int(e) truncated a fractional exponent: 2.7 was read as 2.
+    assert LocalPiece(terms=((1.0, (2.0,)),), dim=1).terms == ((1.0, (2,)),)
+    for exps in [(2.7,), ("2",), (-2,), (2, 2)]:
+        with pytest.raises(ValueError):
+            LocalPiece(terms=((1.0, exps),), dim=1)
 
 
 def test_local_piece_offset_shifts_value_not_gradient():
