@@ -12,17 +12,22 @@ The checks implemented here:
   E exp(theta (H(t*) - H(0))) from prescribed-energy starts, with event
   classification (energy stayed in band / dipped / spiked) and a fitted
   log-drift slope across an energy grid.
-* ``dissipation_tail``: probability that the dissipation integral over one
-  natural time window stays below a fraction of the initial energy.
+* ``dissipation_tail`` / ``dissipation_scan``: probability that the
+  dissipation integral over one natural time window stays below a
+  fraction of the initial energy, from one start or several.
 * ``observable_decay_fit``: exponential rate of |E f(z_t) - mu(f)| against
   the slowest oracle eigenvalue pair.
 * ``gibbs_invariance_test``: equal-temperature sanity check that exact
   Boltzmann-Gibbs samples stay stationary under the dynamics.
 
-Every ensemble runs through ``run_ensemble``, the one place that assigns
-members to counter-based streams (seed, index) and builds the
-integrator; a check reads its per-record statistics through the one
-``on_record(step, p, q)`` hook, which sees step 0 and every record step.
+Every ensemble runs through ``_run_members`` (behind ``run_ensemble``),
+the one place that assigns members to counter-based streams
+(seed, index) and builds the integrator; a check reads its per-record
+statistics through the one ``on_record(step, p, q)`` hook, which sees
+step 0 and every record step.  The energy scans run the starts that share
+a step size and a step count as one lockstep batch, each start with its
+own streams and energy band; a start's statistics come from its slice of
+the batch and are the bits of running it alone.
 Accumulators are preallocated per member and reductions run in member
 order, so all reports are bit-for-bit reproducible for a given seed.  A
 check whose ensemble had a blown-up member raises :class:`BlowupError`
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +70,7 @@ __all__ = [
     "initial_state_at_energy",
     "DissipationTailReport",
     "dissipation_tail",
+    "dissipation_scan",
     "DecayFitReport",
     "observable_decay_fit",
     "GibbsReport",
@@ -217,6 +223,11 @@ class EnsembleOutcome:
     p: np.ndarray
     q: np.ndarray
 
+    def members(self, lo: int, hi: int) -> "EnsembleOutcome":
+        """The outcome of members ``lo`` to ``hi - 1``, as copies."""
+        return EnsembleOutcome(**{name: None if value is None else value[lo:hi].copy()
+                                  for name, value in vars(self).items()})
+
 
 def run_ensemble(
     model: Model,
@@ -235,21 +246,30 @@ def run_ensemble(
     (seed, stream_offset + i).
 
     ``thresholds=(lo, hi)`` tracks the first record step at which H drops
-    below lo resp. exceeds hi.  ``on_record(step, p, q)`` sees member-major
+    below lo resp. exceeds hi; each bound is a number or one value per
+    member.  ``on_record(step, p, q)`` sees member-major
     (members, vertices, dim) copies of the state at step 0 and then at
     every record step: each multiple of ``record_stride``, and the last
     step.  Splitting the members over several calls with matching
     ``stream_offset`` gives the same per-member results.
 
     The energy budget (``gamma``, the dissipation integral, and ``work``,
-    the injected-work martingale) costs about as much per step as the
-    force evaluation; a check that does not read it passes
-    ``budget=False`` and gets ``None`` for both, with every other result
-    the same bits.
+    the injected-work martingale) is added up once per block of steps
+    between reads; a check that does not read it passes ``budget=False``
+    and gets ``None`` for both, with every other result the same bits.
     """
+    keys = [(seed, stream_offset + i) for i in range(len(p0))]
+    return _run_members(model, p0, q0, h, n_steps, keys, record_stride, thresholds,
+                        on_record, budget)
+
+
+def _run_members(model, p0, q0, h, n_steps, keys, record_stride=1, thresholds=None,
+                 on_record=None, budget=True) -> EnsembleOutcome:
+    """:func:`run_ensemble` with member i drawing from stream ``keys[i]``,
+    a (seed, index) pair."""
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
-    streams = [seed_stream(seed, stream_offset + i) for i in range(p0.shape[0])]
+    streams = [seed_stream(seed, index) for seed, index in keys]
     bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=thresholds, budget=budget)
 
     def record(step, H, Hc, Hi, p, q) -> None:
@@ -274,6 +294,48 @@ def run_ensemble(
         p=bi.p,
         q=bi.q,
     )
+
+
+class _Level(NamedTuple):
+    """One start of an energy scan: its members start at ``z0`` and draw
+    from the streams ``keys``, and track the energy band ``thresholds``."""
+
+    z0: State
+    h: float
+    n_steps: int
+    keys: list[tuple[int, int]]
+    thresholds: tuple[float, float]
+
+
+def _run_levels(model: Model, levels: Sequence[_Level], record_stride: int) -> list[EnsembleOutcome]:
+    """Each level's outcome, with the levels that share ``(h, n_steps)``
+    run as one lockstep batch.  A member's path depends only on its start,
+    its stream and ``h``, so each level's slice of a batch is the outcome
+    of running the level alone."""
+    groups: dict[tuple[float, int], list[int]] = {}
+    for k, level in enumerate(levels):
+        groups.setdefault((level.h, level.n_steps), []).append(k)
+    outcomes: list[EnsembleOutcome | None] = [None] * len(levels)
+    for (h, n_steps), ks in groups.items():
+        group = [levels[k] for k in ks]
+        sizes = [len(level.keys) for level in group]
+        starts = [_replicas(level.z0, size) for level, size in zip(group, sizes)]
+        lo = np.concatenate([np.full(size, level.thresholds[0]) for level, size in zip(group, sizes)])
+        hi = np.concatenate([np.full(size, level.thresholds[1]) for level, size in zip(group, sizes)])
+        out = _run_members(
+            model,
+            np.concatenate([p for p, _ in starts]),
+            np.concatenate([q for _, q in starts]),
+            h,
+            n_steps,
+            [key for level in group for key in level.keys],
+            record_stride=record_stride,
+            thresholds=(lo, hi),
+        )
+        bounds = np.cumsum([0] + sizes).tolist()
+        for k, a, b in zip(ks, bounds, bounds[1:]):
+            outcomes[k] = out.members(a, b)
+    return outcomes
 
 
 def _require_no_blowup(blown: np.ndarray, n_steps: int, h: float, what: str) -> None:
@@ -631,38 +693,42 @@ def drift_estimate(
     Event tallies classify every member by its first band exit, recorded
     every 10 steps.
     """
+    return _drift_levels(model, [z0], config, seed, [stream_offset])[0]
+
+
+def _drift_levels(model: Model, starts: Sequence[State], config: DriftConfig, seed: int,
+                  offsets: Sequence[int]) -> list[DriftEstimate]:
+    """:func:`drift_estimate` from each start, start k on the streams from
+    ``offsets[k]`` on, as :func:`_run_levels` batches them."""
     config.validate_for(model)
-    H0, _, _ = hamiltonian(model, z0)
-    h = scaled_step(model, config.h0, max(H0, 1.0))
-    n_steps = max(1, int(round(config.t_star / h)))
     m = config.ensemble
-    out = run_ensemble(
-        model,
-        *_replicas(z0, m),
-        h,
-        n_steps,
-        seed,
-        stream_offset=stream_offset,
-        record_stride=10,
-        thresholds=(H0 / 2.0, 2.0 * H0),
-    )
-    weights = np.exp(config.theta * (out.h_final - H0))
-    cap = math.exp(config.theta * 2.0 * H0)
-    weights = np.where(out.blown, cap, weights)
-    events = _event_counts(out.first_low, out.first_high, out.blown)
-    mean = float(np.mean(weights))
-    se = float(np.std(weights, ddof=1) / math.sqrt(m))
-    return DriftEstimate(
-        H0=float(H0),
-        mean=mean,
-        se=se,
-        ci95=(mean - 1.96 * se, mean + 1.96 * se),
-        n=m,
-        events=events,
-        blowups=int(np.sum(out.blown)),
-        mean_gamma=float(np.mean(out.gamma)),
-        h=h,
-    )
+    levels, energies = [], []
+    for z0, offset in zip(starts, offsets):
+        H0, _, _ = hamiltonian(model, z0)
+        h = scaled_step(model, config.h0, max(H0, 1.0))
+        n_steps = max(1, int(round(config.t_star / h)))
+        keys = [(seed, offset + i) for i in range(m)]
+        levels.append(_Level(z0, h, n_steps, keys, (H0 / 2.0, 2.0 * H0)))
+        energies.append(H0)
+    estimates = []
+    for H0, level, out in zip(energies, levels, _run_levels(model, levels, record_stride=10)):
+        weights = np.exp(config.theta * (out.h_final - H0))
+        cap = math.exp(config.theta * 2.0 * H0)
+        weights = np.where(out.blown, cap, weights)
+        mean = float(np.mean(weights))
+        se = float(np.std(weights, ddof=1) / math.sqrt(m))
+        estimates.append(DriftEstimate(
+            H0=float(H0),
+            mean=mean,
+            se=se,
+            ci95=(mean - 1.96 * se, mean + 1.96 * se),
+            n=m,
+            events=_event_counts(out.first_low, out.first_high, out.blown),
+            blowups=int(np.sum(out.blown)),
+            mean_gamma=float(np.mean(out.gamma)),
+            h=level.h,
+        ))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -690,13 +756,9 @@ def drift_scan(model: Model, config: DriftConfig, seed: int) -> DriftReport:
     is reported without any acceptance gate; separating exponent families
     needs energy ranges beyond desk scale.
     """
-    config.validate_for(model)
-    levels = []
-    for k, H0 in enumerate(config.energy_grid):
-        z0 = initial_state_at_energy(model, H0, config.placement)
-        levels.append(
-            drift_estimate(model, z0, config, seed, stream_offset=k * config.ensemble)
-        )
+    starts = [initial_state_at_energy(model, H0, config.placement) for H0 in config.energy_grid]
+    offsets = [k * config.ensemble for k in range(len(starts))]
+    levels = _drift_levels(model, starts, config, seed, offsets)
     qualifying = [lv for lv in levels if lv.excludes_one and lv.mean > 0]
     slope = intercept = r2 = c1_hat = None
     inconclusive = len(qualifying) < 3
@@ -754,38 +816,53 @@ def dissipation_tail(
 ) -> DissipationTailReport:
     """Empirical P( {H stays <= 4 H0 on the window} and
     {Gamma(tau) < eps * H0 * tau} ) over the natural window tau(z0); H is
-    checked every 5 steps."""
+    checked every 5 steps.  The one-start case of :func:`dissipation_scan`."""
+    return dissipation_scan(model, [z0], rule, epsilon, ensemble, seed, h0)[0]
+
+
+def dissipation_scan(
+    model: Model,
+    starts: Sequence[State],
+    rule: TimescaleRule,
+    epsilon: float,
+    ensemble: int,
+    seed: int,
+    h0: float = 1e-3,
+) -> list[DissipationTailReport]:
+    """:func:`dissipation_tail` from each start, start k on seed ``seed + k``.
+
+    Starts whose windows come to the same step size and step count run as
+    one lockstep batch; every report is the one of its start run alone.
+    """
     if not (epsilon > 0):
         raise ValueError("epsilon must be > 0")
-    H0, Hc0, Hi0 = hamiltonian(model, z0)
-    window = tau(rule, H0, Hc0, Hi0)
-    h = scaled_step(model, h0, max(H0, 1.0))
-    n_steps = max(1, int(round(window / h)))
-    out = run_ensemble(
-        model,
-        *_replicas(z0, ensemble),
-        h,
-        n_steps,
-        seed,
-        record_stride=5,
-        thresholds=(-np.inf, 4.0 * H0),
-    )
-    contained = (out.first_high < 0) & ~out.blown
-    threshold = epsilon * H0 * window
-    starved = out.gamma < threshold
-    hits = int(np.sum(contained & starved))
-    prob = hits / ensemble
-    return DissipationTailReport(
-        probability=prob,
-        ci95=wilson_interval(hits, ensemble),
-        n=ensemble,
-        tau_window=window,
-        threshold=threshold,
-        epsilon=epsilon,
-        H0=float(H0),
-        contained=int(np.sum(contained)),
-        starved=int(np.sum(starved)),
-    )
+    levels, windows = [], []
+    for k, z0 in enumerate(starts):
+        H0, Hc0, Hi0 = hamiltonian(model, z0)
+        window = tau(rule, H0, Hc0, Hi0)
+        h = scaled_step(model, h0, max(H0, 1.0))
+        n_steps = max(1, int(round(window / h)))
+        keys = [(seed + k, i) for i in range(ensemble)]
+        levels.append(_Level(z0, h, n_steps, keys, (-np.inf, 4.0 * H0)))
+        windows.append((H0, window))
+    reports = []
+    for (H0, window), out in zip(windows, _run_levels(model, levels, record_stride=5)):
+        contained = (out.first_high < 0) & ~out.blown
+        threshold = epsilon * H0 * window
+        starved = out.gamma < threshold
+        hits = int(np.sum(contained & starved))
+        reports.append(DissipationTailReport(
+            probability=hits / ensemble,
+            ci95=wilson_interval(hits, ensemble),
+            n=ensemble,
+            tau_window=window,
+            threshold=threshold,
+            epsilon=epsilon,
+            H0=float(H0),
+            contained=int(np.sum(contained)),
+            starved=int(np.sum(starved)),
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -231,18 +231,29 @@ class LocalPiece:
     def degree(self) -> float:
         return float(max(sum(e) for _, e in self.terms))
 
+    @cached_property
     def _tables(self):
-        return _local_piece_tables(self)
+        """(coeffs, exps, slopes, reduced) with shapes (t,), (t, d), (d, t)
+        and (d, t, d) for t terms in d dimensions: the derivative along x_j
+        of term t is slopes[j, t] * prod_i x_i^reduced[j, t, i].  Built
+        once per spec, like ``Quadratic.matrix``."""
+        coeffs = np.array([c for c, _ in self.terms], dtype=float)
+        exps = np.array([e for _, e in self.terms], dtype=float)
+        slopes = coeffs * exps.T
+        reduced = np.repeat(exps[None], self.dim, axis=0)
+        for j in range(self.dim):
+            reduced[j, :, j] = np.maximum(exps[:, j] - 1.0, 0.0)
+        return coeffs, exps, slopes, reduced
 
     def value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        coeffs, exps, _, _ = self._tables()
+        coeffs, exps, _, _ = self._tables
         pw = x[..., None, :] ** exps
         return np.add.reduce(coeffs * np.multiply.reduce(pw, axis=-1), axis=-1) + self.offset
 
     def gradient(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        _, _, slopes, reduced = self._tables()
+        _, _, slopes, reduced = self._tables
         pw = x[..., None, None, :] ** reduced
         # np.add/np.multiply.reduce are np.sum/np.prod without their Python
         # dispatch: the same arithmetic, cheaper on the one-point calls of
@@ -265,20 +276,6 @@ class LocalPiece:
 
 
 PotentialSpec = Union[SoftPower, EvenPower, Quadratic, LocalPiece]
-
-
-@lru_cache(maxsize=None)
-def _local_piece_tables(spec: LocalPiece):
-    """(coeffs, exps, slopes, reduced) with shapes (t,), (t, d), (d, t) and
-    (d, t, d) for t terms in d dimensions: the derivative along x_j of term
-    t is slopes[j, t] * prod_i x_i^reduced[j, t, i]."""
-    coeffs = np.array([c for c, _ in spec.terms], dtype=float)
-    exps = np.array([e for _, e in spec.terms], dtype=float)
-    slopes = coeffs * exps.T
-    reduced = np.repeat(exps[None], spec.dim, axis=0)
-    for j in range(spec.dim):
-        reduced[j, :, j] = np.maximum(exps[:, j] - 1.0, 0.0)
-    return coeffs, exps, slopes, reduced
 
 
 # ---------------------------------------------------------------------------

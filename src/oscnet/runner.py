@@ -33,7 +33,7 @@ from .conditions import check_conditions
 from .config import ExperimentConfig
 from .diagnostics import (
     DriftConfig,
-    dissipation_tail,
+    dissipation_scan,
     drift_scan,
     gaussian_stationary_covariance,
     gibbs_invariance_test,
@@ -280,13 +280,10 @@ def _lyapunov_scan(model, exp: dict, seed: int) -> _Outcome:
 def _dissipation_scan(model, exp: dict, seed: int) -> _Outcome:
     li, lp = model.common_degrees()
     rule = TimescaleRule(lam=exp["lambda"], li=li, lp=lp)
-    levels = []
-    for k, H0 in enumerate(exp["energy_grid"]):
-        z0 = initial_state_at_energy(model, H0, exp["placement"])
-        rep = dissipation_tail(model, z0, rule, exp["epsilon"], exp["ensemble"],
-                               seed + k, h0=exp["h"])
-        levels.append(asdict(rep))
-    return _Outcome({"levels": levels})
+    starts = [initial_state_at_energy(model, H0, exp["placement"]) for H0 in exp["energy_grid"]]
+    reports = dissipation_scan(model, starts, rule, exp["epsilon"], exp["ensemble"], seed,
+                               h0=exp["h"])
+    return _Outcome({"levels": [asdict(rep) for rep in reports]})
 
 
 def _decay_fit(model, exp: dict, seed: int) -> _Outcome:

@@ -1,13 +1,16 @@
 """Diagnostics: oracles, drift estimates, tails, decay fits, Gibbs tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
+from oscnet import diagnostics
 from oscnet.diagnostics import (
     DriftConfig,
+    dissipation_scan,
     dissipation_tail,
     drift_estimate,
     drift_scan,
@@ -22,7 +25,7 @@ from oscnet.diagnostics import (
     wilson_interval,
     _event_counts,
 )
-from oscnet.dynamics import _NOISE_TILE, State, TimescaleRule, hamiltonian
+from oscnet.dynamics import _NOISE_TILE, BatchIntegrator, State, TimescaleRule, hamiltonian
 from oscnet.errors import BlowupError, OracleError
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import EvenPower, LocalPiece, Quadratic, SoftPower
@@ -193,6 +196,60 @@ def test_drift_scan_near_typical_energy_is_inconclusive():
     report = drift_scan(m, cfg, seed=60)
     assert report.inconclusive
     assert report.slope is None and report.c1_hat is None
+
+
+def counting(monkeypatch):
+    """Count the integrators the diagnostics build from here on."""
+    class Counter(BatchIntegrator):
+        built = 0
+
+        def __init__(self, *args, **kwargs):
+            Counter.built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "BatchIntegrator", Counter)
+    return Counter
+
+
+def assert_same_fields(a, b, level):
+    for field in dataclasses.fields(a):
+        assert getattr(a, field.name) == getattr(b, field.name), (level, field.name)
+
+
+@pytest.mark.parametrize("family, batches", [("harmonic", 1), ("softpower4", 3)])
+def test_drift_scan_levels_are_the_separate_estimates(monkeypatch, family, batches):
+    # The harmonic grid shares one step size and step count, so it runs as
+    # one batch; the quartic chain's energy-scaled steps differ per level.
+    if family == "harmonic":
+        m, rule = chain_model(3, 1, temperatures=(1.0, 2.0)), TimescaleRule(lam=0.5, li=2, lp=2)
+    else:
+        spec = SoftPower(degree=4, dim=1)
+        m = chain_model(3, 1, pinning=spec, interaction=spec, temperatures=(1.0, 2.0))
+        rule = TimescaleRule(lam=0.5, li=4, lp=4)
+    cfg = DriftConfig(theta=0.25, t_star=1.0, ensemble=100, energy_grid=(25.0, 50.0, 100.0),
+                      rule=rule, h0=1e-3)
+    counter = counting(monkeypatch)
+    report = drift_scan(m, cfg, seed=48)
+    assert counter.built == batches
+    assert len({lv.h for lv in report.levels}) == batches
+    for k, (H0, level) in enumerate(zip(cfg.energy_grid, report.levels)):
+        z0 = initial_state_at_energy(m, H0, cfg.placement)
+        alone = drift_estimate(m, z0, cfg, seed=48, stream_offset=k * cfg.ensemble)
+        assert_same_fields(level, alone, H0)
+
+
+def test_dissipation_scan_levels_are_the_separate_tails(monkeypatch):
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    rule = TimescaleRule(lam=0.5, li=2, lp=2)
+    starts = [initial_state_at_energy(m, H0, "interaction") for H0 in (1e2, 1e3, 1e4)]
+    counter = counting(monkeypatch)
+    # At epsilon = 1 the lowest level's dissipation straddles the threshold.
+    reports = dissipation_scan(m, starts, rule, 1.0, 150, seed=49)
+    assert counter.built == 1
+    for k, (z0, rep) in enumerate(zip(starts, reports)):
+        alone = dissipation_tail(m, z0, rule, 1.0, 150, seed=49 + k)
+        assert_same_fields(rep, alone, k)
+    assert 0 < reports[0].starved < 150
 
 
 def test_drift_estimate_is_seed_reproducible():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oscnet.config import parse_config
+from oscnet.diagnostics import initial_state_at_energy
 from oscnet.dynamics import (
     NOISE_CHUNK,
     BatchIntegrator,
@@ -20,6 +21,7 @@ from oscnet.dynamics import (
     integrate_deterministic,
     scaled_step,
     tau,
+    _BUDGET_BLOCK,
     _Kernel,
     _NOISE_TILE,
 )
@@ -273,8 +275,8 @@ def reference_forces(model, q):
 
 
 def reference_run(model, p, q, h, streams, n_steps, record_stride):
-    """The member-major B-A-O-A-B loop with its budget increments: final
-    (p, q, Gamma, M) and the total energy at every record."""
+    """The member-major B-A-O-A-B loop with its budget increments added
+    every step: final (p, q, Gamma, M) and (H, Gamma, M) at every record."""
     p, q = p.copy(), q.copy()
     m, n = p.shape[0], model.dim
     baths = sorted(model.topology.baths)
@@ -303,7 +305,7 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
         dm = np.sqrt(h) * np.sum(amp * np.sum(p_pre * xi, axis=-1), axis=-1)
         m_acc += dm + h * np.sum(power * (np.sum(xi * xi, axis=-1) - n), axis=-1)
         if step % record_stride == 0 or step == n_steps:
-            records.append(split(p, q)[0])
+            records.append((split(p, q)[0], gamma_acc.copy(), m_acc.copy()))
     return p, q, gamma_acc, m_acc, records
 
 
@@ -343,10 +345,10 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
     p, q, gamma_acc, m_acc, ref_records = reference_run(
         model, p0, q0, h, [seed_stream(seed, i) for i in range(members)], n_steps, stride)
     assert same_bits(bi.p, p) and same_bits(bi.q, q)
-    assert same_bits(bi.energies()[0], ref_records[-1])
+    assert same_bits(bi.energies()[0], ref_records[-1][0])
     assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
     assert len(records) == len(ref_records)
-    for (_step, H, _Hc, _Hi, rec_p, rec_q), ref_H in zip(records, ref_records):
+    for (_step, H, _Hc, _Hi, rec_p, rec_q), (ref_H, _, _) in zip(records, ref_records):
         assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
 
 
@@ -398,7 +400,115 @@ def test_noise_tiles_and_refills_keep_the_bits(source, dim):
     assert same_bits(bi.p, p) and same_bits(bi.q, q)
     assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
     assert len(records) == len(ref_records) == 3
-    assert all(same_bits(H, ref_H) for H, ref_H in zip(records, ref_records))
+    assert all(same_bits(H, ref_H) for H, (ref_H, _, _) in zip(records, ref_records))
+
+
+def nine_bath_chain():
+    """A 10-chain with baths at every vertex but 4: each member's budget
+    increments sum over the baths pairwise, as numpy does from 8 terms on."""
+    chain10 = chain_model(10, 1)
+    baths = {b: BathSpec(1.0, 1.0 + 0.2 * b) for b in range(10) if b != 4}
+    return Model(NetworkTopology(10, chain10.topology.edges, frozenset(baths)), 1,
+                 dict(chain10.pinning), dict(chain10.interaction), baths)
+
+
+BUDGET_MODELS = {
+    "dim1": lambda: chain_model(5, 1, temperatures=(1.0, 2.0)),
+    "dim2": lambda: chain_model(5, 2, interaction=SoftPower(degree=3.0, dim=2),
+                                temperatures=(1.0, 2.0)),
+    # Eight components: the component sums are numpy's pairwise sums.
+    "dim8": lambda: chain_model(3, 8, temperatures=(1.0, 2.0)),
+    "nine_baths": nine_bath_chain,
+}
+
+
+@pytest.mark.parametrize("stride", [7, 100])
+@pytest.mark.parametrize("case, members", [
+    # One member takes the cumulative-sum branch of the block totals.
+    ("dim1", 1), ("dim1", 3), ("dim2", 3), ("dim8", 3), ("nine_baths", 3),
+    # Enough members that a budget block holds 4 steps, fewer than either
+    # stride: blocks also end at the working-set cap between records.
+    ("dim1", _BUDGET_BLOCK // 5 + 1),
+])
+def test_budget_is_the_step_by_step_sum_at_every_read(case, members, stride):
+    # Gamma and M are added up once per block of steps; at every record,
+    # and after the run, they must be the bits of adding each step's
+    # increments in turn.
+    model = BUDGET_MODELS[case]()
+    N, dim = model.vertex_count, model.dim
+    n_steps = NOISE_CHUNK + 37
+    rng = np.random.default_rng(members + stride)
+    p0 = rng.standard_normal((members, N, dim))
+    q0 = 0.5 * rng.standard_normal((members, N, dim))
+    bi = BatchIntegrator(model, p0, q0, 0.01, [seed_stream(12, i) for i in range(members)])
+    reads = []
+    bi.run(n_steps, record_stride=stride,
+           on_record=lambda step, H, *rest: reads.append((H, bi.gamma_acc.copy(), bi.m_acc.copy())))
+    _, _, gamma_acc, m_acc, ref_records = reference_run(
+        model, p0, q0, 0.01, [seed_stream(12, i) for i in range(members)], n_steps, stride)
+    assert len(reads) == len(ref_records) == n_steps // stride + (n_steps % stride > 0)
+    for read, ref in zip(reads, ref_records):
+        assert all(same_bits(a, b) for a, b in zip(read, ref))
+    assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
+
+
+def test_budget_of_a_run_stopped_by_on_record_holds_the_steps_taken():
+    model = chain_model(5, 2, temperatures=(1.0, 2.0))
+    members, stride = 4, 30
+    rng = np.random.default_rng(9)
+    p0 = rng.standard_normal((members, 5, 2))
+    q0 = 0.5 * rng.standard_normal((members, 5, 2))
+    bi = BatchIntegrator(model, p0, q0, 0.01, [seed_stream(13, i) for i in range(members)])
+    reads = []
+
+    def stop_at_second_record(step, H, *rest):
+        reads.append((step, bi.gamma_acc.copy(), bi.m_acc.copy()))
+        return len(reads) == 2
+
+    bi.run(NOISE_CHUNK + 37, record_stride=stride, on_record=stop_at_second_record)
+    p, q, gamma_acc, m_acc, ref_records = reference_run(
+        model, p0, q0, 0.01, [seed_stream(13, i) for i in range(members)], 2 * stride, stride)
+    assert [step for step, _, _ in reads] == [stride, 2 * stride]
+    for (_, g, m), (_, ref_g, ref_m) in zip(reads, ref_records):
+        assert same_bits(g, ref_g) and same_bits(m, ref_m)
+    assert same_bits(bi.p, p) and same_bits(bi.q, q)
+    assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
+
+
+def test_per_member_thresholds_give_the_crossings_of_separate_runs():
+    # Two levels of 20 members in one batch, each with its own band, give
+    # each member the first crossings it has in a run of its level alone.
+    model = chain_model(3, 1, temperatures=(1.0, 2.0))
+    energies, size = (25.0, 50.0), 20
+    starts = []
+    for H0 in energies:
+        z0 = initial_state_at_energy(model, H0, "interaction")
+        starts.append((np.repeat(z0.p[None], size, axis=0), np.repeat(z0.q[None], size, axis=0)))
+    bands = [(0.9 * H0, 1.02 * H0) for H0 in energies]
+
+    def run(p0, q0, first, thresholds):
+        bi = BatchIntegrator(model, p0, q0, 1e-3, [seed_stream(6, first + i) for i in range(len(p0))],
+                             thresholds=thresholds)
+        bi.run(500, record_stride=10)
+        return bi.first_low, bi.first_high
+
+    whole_low, whole_high = run(
+        np.concatenate([p for p, _ in starts]), np.concatenate([q for _, q in starts]), 0,
+        tuple(np.repeat([band[j] for band in bands], size) for j in (0, 1)))
+    for k, ((p0, q0), band) in enumerate(zip(starts, bands)):
+        low, high = run(p0, q0, k * size, band)
+        assert np.any(low > 0) and np.any(high > 0)
+        assert same_bits(whole_low[k * size:(k + 1) * size], low)
+        assert same_bits(whole_high[k * size:(k + 1) * size], high)
+
+
+@pytest.mark.parametrize("thresholds", [
+    (np.zeros(2), 1.0), (0.0, np.ones(4)), (np.zeros((3, 1)), 1.0), (np.zeros((1, 3)), 1.0)])
+def test_thresholds_of_another_shape_are_rejected(thresholds):
+    model = chain_model(3, 1)
+    with pytest.raises(ValueError, match="thresholds"):
+        BatchIntegrator(model, np.zeros((3, 3, 1)), np.zeros((3, 3, 1)), 0.01,
+                        [seed_stream(1, i) for i in range(3)], thresholds=thresholds)
 
 
 @pytest.mark.parametrize("with_baths", [True, False])
