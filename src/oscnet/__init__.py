@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 from .conditions import ConditionReport, check_conditions
 from .dynamics import (
     State,
-    TimescaleRule,
     Trace,
     forces,
     hamiltonian,
@@ -65,7 +64,6 @@ __all__ = [
     "Quadratic",
     "SoftPower",
     "State",
-    "TimescaleRule",
     "Trace",
     "ValidityRegionError",
     "builtin_fixture",

@@ -28,7 +28,12 @@ tagged section's tag names its table: ``experiment.kind`` a row of
 ``_EXPERIMENTS``, a potential's ``family`` a row of ``_FAMILIES`` (its
 spec class and parameters).  ``h`` is the step size of every kind but
 ``check``; the two energy scans shrink it with the energy
-(``dynamics.scaled_step``).
+(``dynamics.scaled_step``).  ``lyapunov-scan`` takes theta (with
+theta * T_max < 1), t_star, ensemble, energy_grid and placement;
+``dissipation-scan`` takes epsilon, ensemble, energy_grid, lambda (<= 0.5
+when the pinning degree is 2) and placement.  Both need common interaction and pinning
+degrees in the model: they are the exponents of the scans' time scales.
+
 The ``initial`` state of ``simulate`` and ``decay-fit`` is checked against
 the built model the same way (``_initial_states``):
 
@@ -410,7 +415,6 @@ _EXPERIMENTS: dict[str, dict[str, tuple[Any, Any]]] = {
         "t_star": (1.0, _POSITIVE),
         "ensemble": (2000, _count(100)),
         "energy_grid": ([25.0, 50.0, 100.0, 200.0], _ENERGIES),
-        "lambda": (0.5, _POSITIVE),
         "placement": ("interaction", _PLACEMENT),
         "h": (1e-3, _POSITIVE),
     },
@@ -521,8 +525,11 @@ def parse_config(text: str) -> ExperimentConfig:
         degrees = model.common_degrees()
         if degrees is None:
             errors.add("experiment", "energy scans need common interaction and pinning degrees")
-        elif degrees[1] == 2 and experiment["lambda"] > experiment.get("t_star", 1.0) / 2:
-            errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= t_star/2")
+        # Under quadratic pinning the window does not shrink with the
+        # energy: it stays lambda, held to half the default drift horizon
+        # (t_star = 1).
+        elif kind == "dissipation-scan" and degrees[1] == 2 and experiment["lambda"] > 0.5:
+            errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= 0.5")
     if model is not None and isinstance(experiment.get("initial"), dict):
         experiment["initial"] = _parse_kind(
             experiment["initial"], _initial_states((model.vertex_count, model.dim)),

@@ -9,9 +9,9 @@ The checks implemented here:
   identity sum_b gamma_b <|p_b|^2> = n sum_b gamma_b T_b and, for quadratic
   models, against the full oracle covariance.
 * ``drift_estimate`` / ``drift_scan``: ensemble estimates of
-  E exp(theta (H(t*) - H(0))) from prescribed-energy starts, with event
+  E exp(theta (H(t*) - H(0))) from one start or several, with event
   classification (energy stayed in band / dipped / spiked) and a fitted
-  log-drift slope across an energy grid.
+  log-drift slope across the starts' energies.
 * ``dissipation_tail`` / ``dissipation_scan``: probability that the
   dissipation integral over one natural time window stays below a
   fraction of the initial energy, from one start or several.
@@ -19,6 +19,10 @@ The checks implemented here:
   the slowest oracle eigenvalue pair.
 * ``gibbs_invariance_test``: equal-temperature sanity check that exact
   Boltzmann-Gibbs samples stay stationary under the dynamics.
+
+The energy scans take plain arguments and the exponents of their time
+scales from the model's common interaction and pinning degrees: the step
+is ``dynamics.scaled_step`` and the window ``dynamics.tau``.
 
 Every ensemble runs through ``_run_members`` (behind ``run_ensemble``),
 the one place that assigns members to counter-based streams
@@ -46,10 +50,10 @@ import numpy as np
 from .dynamics import (
     BatchIntegrator,
     State,
-    TimescaleRule,
     _Kernel,
     hamiltonian,
     scaled_step,
+    _scan_degrees,
     tau,
 )
 from .errors import BlowupError, OracleError
@@ -62,7 +66,6 @@ __all__ = [
     "gaussian_stationary_covariance",
     "StationaryMomentReport",
     "stationary_moment_test",
-    "DriftConfig",
     "DriftEstimate",
     "drift_estimate",
     "DriftReport",
@@ -561,46 +564,6 @@ def stationary_moment_test(
 # Lyapunov drift scans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DriftConfig:
-    """Parameters of the exponential-energy drift estimate.
-
-    ``theta`` must satisfy theta * T_max < 1 for the model under test;
-    that and the window rule's prefactor constraint are enforced by
-    ``validate_for``.
-    """
-
-    theta: float
-    t_star: float
-    ensemble: int
-    energy_grid: tuple[float, ...]
-    rule: TimescaleRule
-    placement: str = "interaction"
-    h0: float = 1e-3
-
-    def __post_init__(self):
-        if not (self.theta > 0):
-            raise ValueError("theta must be > 0")
-        if not (self.t_star > 0):
-            raise ValueError("t_star must be > 0")
-        if self.ensemble < 100:
-            raise ValueError("ensemble must be >= 100")
-        grid = tuple(float(g) for g in self.energy_grid)
-        if any(g <= 0 for g in grid) or list(grid) != sorted(grid):
-            raise ValueError("energy_grid must be positive and increasing")
-        object.__setattr__(self, "energy_grid", grid)
-        if self.placement not in ("interaction", "pinning"):
-            raise ValueError("placement must be 'interaction' or 'pinning'")
-
-    def validate_for(self, model: Model) -> None:
-        tmax = model.t_max
-        if tmax > 0 and not (self.theta * tmax < 1):
-            raise ValueError(
-                f"theta*T_max must be < 1 (theta={self.theta}, T_max={tmax})"
-            )
-        self.rule.validate_against_t_star(self.t_star)
-
-
 def initial_state_at_energy(model: Model, H0: float, mode: str = "interaction") -> State:
     """Deterministic phase point with total energy H0.
 
@@ -682,47 +645,71 @@ class DriftEstimate:
 def drift_estimate(
     model: Model,
     z0: State,
-    config: DriftConfig,
+    theta: float,
+    t_star: float,
+    ensemble: int,
     seed: int,
     stream_offset: int = 0,
+    h0: float = 1e-3,
 ) -> DriftEstimate:
-    """Monte Carlo mean of exp(theta dH) over the drift window.
+    """Monte Carlo mean of exp(theta dH) over the window t_star, from
+    ``ensemble`` members started at ``z0``, member i on the stream
+    (seed, stream_offset + i), with the step ``scaled_step(model, h0,
+    max(H0, 1))``.  Raises ValueError unless theta > 0, t_star > 0,
+    ensemble >= 100, theta * T_max < 1, H0 > 0 and the model has common
+    degrees >= 2.
 
     Blown-up members are not dropped: they contribute the cap value
-    exp(theta * 2 H0), which biases the estimate upward (conservative).
+    exp(theta * 2 H0), which biases the estimate upward (conservative),
+    and makes the mean infinite when the cap is past the float range.
     Event tallies classify every member by its first band exit, recorded
     every 10 steps.
     """
-    return _drift_levels(model, [z0], config, seed, [stream_offset])[0]
+    return _drift_levels(model, [z0], theta, t_star, ensemble, seed, [stream_offset], h0)[0]
 
 
-def _drift_levels(model: Model, starts: Sequence[State], config: DriftConfig, seed: int,
-                  offsets: Sequence[int]) -> list[DriftEstimate]:
+def _drift_levels(model: Model, starts: Sequence[State], theta: float, t_star: float,
+                  ensemble: int, seed: int, offsets: Sequence[int],
+                  h0: float) -> list[DriftEstimate]:
     """:func:`drift_estimate` from each start, start k on the streams from
     ``offsets[k]`` on, as :func:`_run_levels` batches them."""
-    config.validate_for(model)
-    m = config.ensemble
+    _scan_degrees(model)
+    if not (theta > 0 and t_star > 0 and ensemble >= 100):
+        raise ValueError(f"need theta > 0, t_star > 0 and ensemble >= 100; "
+                         f"got {theta}, {t_star}, {ensemble}")
+    tmax = model.t_max
+    if tmax > 0 and not (theta * tmax < 1):
+        raise ValueError(f"theta*T_max must be < 1 (theta={theta}, T_max={tmax})")
     levels, energies = [], []
     for z0, offset in zip(starts, offsets):
         H0, _, _ = hamiltonian(model, z0)
-        h = scaled_step(model, config.h0, max(H0, 1.0))
-        n_steps = max(1, int(round(config.t_star / h)))
-        keys = [(seed, offset + i) for i in range(m)]
+        if not (H0 > 0):
+            raise ValueError(f"start energy must be > 0, got {H0}")
+        h = scaled_step(model, h0, max(H0, 1.0))
+        n_steps = max(1, int(round(t_star / h)))
+        keys = [(seed, offset + i) for i in range(ensemble)]
         levels.append(_Level(z0, h, n_steps, keys, (H0 / 2.0, 2.0 * H0)))
         energies.append(H0)
     estimates = []
     for H0, level, out in zip(energies, levels, _run_levels(model, levels, record_stride=10)):
-        weights = np.exp(config.theta * (out.h_final - H0))
-        cap = math.exp(config.theta * 2.0 * H0)
-        weights = np.where(out.blown, cap, weights)
-        mean = float(np.mean(weights))
-        se = float(np.std(weights, ddof=1) / math.sqrt(m))
+        # Blown members weigh the cap; an infinite cap gives an infinite
+        # mean and a NaN interval, never a qualifying level.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(theta * (out.h_final - H0))
+            if out.blown.any():
+                try:
+                    cap = math.exp(theta * 2.0 * H0)
+                except OverflowError:
+                    cap = math.inf
+                weights[out.blown] = cap
+            mean = float(np.mean(weights))
+            se = float(np.std(weights, ddof=1) / math.sqrt(ensemble))
         estimates.append(DriftEstimate(
             H0=float(H0),
             mean=mean,
             se=se,
             ci95=(mean - 1.96 * se, mean + 1.96 * se),
-            n=m,
+            n=ensemble,
             events=_event_counts(out.first_low, out.first_high, out.blown),
             blowups=int(np.sum(out.blown)),
             mean_gamma=float(np.mean(out.gamma)),
@@ -745,20 +732,29 @@ class DriftReport:
     exploratory_exponent: float | None
     theta: float
     t_star: float
-    placement: str
 
 
-def drift_scan(model: Model, config: DriftConfig, seed: int) -> DriftReport:
-    """Drift estimates on the energy grid and a least-squares fit of
-    log(mean) against H0 over the levels whose interval excludes one.
+def drift_scan(
+    model: Model,
+    starts: Sequence[State],
+    theta: float,
+    t_star: float,
+    ensemble: int,
+    seed: int,
+    h0: float = 1e-3,
+) -> DriftReport:
+    """:func:`drift_estimate` from each start, start k on the streams
+    (seed, k * ensemble + i), and a least-squares fit of log(mean) against
+    H0 over the levels whose interval excludes one.
 
-    The exploratory double-log exponent (slope of log(-log mean) vs log H0)
-    is reported without any acceptance gate; separating exponent families
-    needs energy ranges beyond desk scale.
+    Starts whose energy-scaled steps come to the same step size and step
+    count run as one lockstep batch; every level is the estimate of its
+    start run alone.  The exploratory double-log exponent (slope of
+    log(-log mean) vs log H0) is reported without any acceptance gate;
+    separating exponent families needs energy ranges beyond desk scale.
     """
-    starts = [initial_state_at_energy(model, H0, config.placement) for H0 in config.energy_grid]
-    offsets = [k * config.ensemble for k in range(len(starts))]
-    levels = _drift_levels(model, starts, config, seed, offsets)
+    offsets = [k * ensemble for k in range(len(starts))]
+    levels = _drift_levels(model, starts, theta, t_star, ensemble, seed, offsets, h0)
     qualifying = [lv for lv in levels if lv.excludes_one and lv.mean > 0]
     slope = intercept = r2 = c1_hat = None
     inconclusive = len(qualifying) < 3
@@ -782,9 +778,8 @@ def drift_scan(model: Model, config: DriftConfig, seed: int) -> DriftReport:
         qualifying=len(qualifying),
         inconclusive=inconclusive,
         exploratory_exponent=expo,
-        theta=config.theta,
-        t_star=config.t_star,
-        placement=config.placement,
+        theta=theta,
+        t_star=t_star,
     )
 
 
@@ -808,28 +803,34 @@ class DissipationTailReport:
 def dissipation_tail(
     model: Model,
     z0: State,
-    rule: TimescaleRule,
+    lam: float,
     epsilon: float,
     ensemble: int,
     seed: int,
     h0: float = 1e-3,
 ) -> DissipationTailReport:
     """Empirical P( {H stays <= 4 H0 on the window} and
-    {Gamma(tau) < eps * H0 * tau} ) over the natural window tau(z0); H is
-    checked every 5 steps.  The one-start case of :func:`dissipation_scan`."""
-    return dissipation_scan(model, [z0], rule, epsilon, ensemble, seed, h0)[0]
+    {Gamma(tau) < eps * H0 * tau} ) over the natural window
+    tau = ``tau(model, lam, H0, Hc0, Hi0)`` of ``z0``, whose exponents are
+    the model's degrees, with ``ensemble`` members on the streams
+    (seed, i) and the step ``scaled_step(model, h0, max(H0, 1))``; H is
+    checked every 5 steps.  Raises ValueError unless lam > 0, epsilon > 0,
+    H0 > 0 and the model has common degrees >= 2.  The one-start case of
+    :func:`dissipation_scan`."""
+    return dissipation_scan(model, [z0], lam, epsilon, ensemble, seed, h0)[0]
 
 
 def dissipation_scan(
     model: Model,
     starts: Sequence[State],
-    rule: TimescaleRule,
+    lam: float,
     epsilon: float,
     ensemble: int,
     seed: int,
     h0: float = 1e-3,
 ) -> list[DissipationTailReport]:
-    """:func:`dissipation_tail` from each start, start k on seed ``seed + k``.
+    """:func:`dissipation_tail` from each start, start k on the streams
+    (seed + k, i).
 
     Starts whose windows come to the same step size and step count run as
     one lockstep batch; every report is the one of its start run alone.
@@ -839,7 +840,7 @@ def dissipation_scan(
     levels, windows = [], []
     for k, z0 in enumerate(starts):
         H0, Hc0, Hi0 = hamiltonian(model, z0)
-        window = tau(rule, H0, Hc0, Hi0)
+        window = tau(model, lam, H0, Hc0, Hi0)
         h = scaled_step(model, h0, max(H0, 1.0))
         n_steps = max(1, int(round(window / h)))
         keys = [(seed + k, i) for i in range(ensemble)]

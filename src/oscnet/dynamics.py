@@ -53,13 +53,15 @@ Noise comes from one source per member: any object whose
 ``standard_normal(out=array)`` fills a (steps, baths, dim) array and
 returns it, as numpy's ``Generator`` and :class:`PrecomputedNoise` do.
 The stepping loop refills a step-major (steps, baths, dim, members) chunk
-every ``NOISE_CHUNK`` steps, so step k's draws are the contiguous view
-``chunk[k]``.  The chunk is filled in tiles of ``_NOISE_TILE`` members:
-each source writes its own contiguous row of a member-major tile, and one
-transposed copy moves the tile into its member columns.  The step itself
-updates the state in place through work arrays allocated once per run,
-and computes the half-kick ``(h/2) F`` once per force evaluation: the
-closing kick of one step is the opening kick of the next.
+every ``NOISE_CHUNK`` steps, or fewer when the batch is so wide that the
+chunk would hold more than ``_NOISE_MEMBER_STEPS`` member-steps, so step
+k's draws are the contiguous view ``chunk[k]``.  The chunk is filled in
+tiles of ``_NOISE_TILE`` members: each source writes its own contiguous
+row of a member-major tile, and one transposed copy moves the tile into
+its member columns.  The step itself updates the state in place through
+work arrays allocated once per run, and computes the half-kick
+``(h/2) F`` once per force evaluation: the closing kick of one step is
+the opening kick of the next.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .topology import NetworkTopology
 __all__ = [
     "State",
     "Trace",
-    "TimescaleRule",
     "hamiltonian",
     "forces",
     "integrate",
@@ -136,31 +137,6 @@ class Trace:
     def residual(self) -> np.ndarray:
         """Pathwise energy-budget residual; first order in the step size."""
         return self.H - self.H[0] + self.Gamma - self.noise_work_rate * self.times - self.M
-
-
-@dataclass(frozen=True)
-class TimescaleRule:
-    """Energy-dependent window length tau(z).
-
-    tau = lam * H^(1/li - 1/2) when the internal energy dominates
-    (Hi >= H/2), else lam * H^(1/lp - 1/2).  When lp == 2 the prefactor
-    must not exceed half the drift horizon; validate with
-    ``validate_against_t_star``.
-    """
-
-    lam: float
-    li: float
-    lp: float
-
-    def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError("lam must be > 0")
-        if self.li < 2 or self.lp < 2:
-            raise ValueError("degrees must be >= 2")
-
-    def validate_against_t_star(self, t_star: float) -> None:
-        if self.lp == 2 and self.lam > t_star / 2 + 1e-12:
-            raise ValueError("when lp == 2 the rule requires lam <= t_star / 2")
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +465,19 @@ def integrate_deterministic(
     h: float,
     record_every: int = 1,
     record_states: bool = False,
-    guard: Callable[[State], bool] | None = None,
+    guard: Callable[[np.ndarray], bool] | None = None,
     stop_when: Callable[[State], bool] | None = None,
 ) -> Trace:
     """Velocity-Verlet integration of the noise-free Hamiltonian dynamics.
 
     The baths are dropped, so this is :func:`integrate` on the model
-    without bath vertices.  ``guard`` is checked at every step and a False
-    return aborts the run with :class:`ValidityRegionError` -- used to keep
-    locally-defined potentials inside their documented region.
-    ``stop_when`` is checked at every record after the first and ends the
-    run early.
+    without bath vertices.  ``guard(q)`` is called with the (vertices, dim)
+    positions at the start and after every step, and a False return aborts
+    the run with :class:`ValidityRegionError` -- used to keep
+    locally-defined potentials inside their documented region.  The
+    positions are a view of the live state, valid only during the call.
+    ``stop_when(state)`` is checked at every record after the first and
+    ends the run early.
     """
     topo = model.topology
     hamiltonian_only = Model(NetworkTopology(topo.vertex_count, topo.edges, frozenset()),
@@ -534,27 +512,27 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
         )
 
     def record(step, H, Hc, Hi, p, q) -> bool:
-        p, q = p[0], q[0]
         times.append(step * h)
         Hs.append(float(H[0]))
         Hcs.append(float(Hc[0]))
         His.append(float(Hi[0]))
         Gs.append(float(bi.gamma_acc[0]))
         Ms.append(float(bi.m_acc[0]))
+        state = State(p[0], q[0]) if states is not None or stop_when is not None else None
         if states is not None:
-            states.append(State(p, q))
+            states.append(state)
         if bi.blown[0]:
             raise BlowupError(step=step, time=step * h, partial_trace=finish(),
                               detail=f"H={Hs[-1]!r}")
-        return step > 0 and stop_when is not None and stop_when(State(p, q))
+        return step > 0 and stop_when is not None and stop_when(state)
 
-    def check_guard(step, p, q) -> None:
-        if not guard(State(p, q)):
+    def check_guard(step, q) -> None:
+        if not guard(q):
             raise ValidityRegionError(step=step, time=step * h)
 
     on_step = None
     if guard is not None:
-        check_guard(0, state0.p, state0.q)
+        check_guard(0, state0.q)
         on_step = check_guard
     record(0, *bi.energies(), bi.p, bi.q)
     bi._advance(max(1, int(round(t_end / h))), record_every, record, on_step)
@@ -565,18 +543,34 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
 # Time scales and energy-adaptive steps
 # ---------------------------------------------------------------------------
 
-def tau(rule: TimescaleRule, H_val: float, Hc_val: float, Hi_val: float) -> float:
-    """Window length: internal scale when Hi >= H/2, pinning scale otherwise."""
+def _scan_degrees(model: Model) -> tuple[float, float]:
+    """The model's common interaction and pinning degrees (li, lp), the
+    exponents of every energy scan's time scales.  Raises ValueError when
+    the degrees differ across edges or vertices, or one is below 2."""
+    degrees = model.common_degrees()
+    if degrees is None or min(degrees) < 2:
+        raise ValueError("energy scans need common interaction and pinning degrees >= 2")
+    return degrees
+
+
+def tau(model: Model, lam: float, H_val: float, Hc_val: float, Hi_val: float) -> float:
+    """Window length lam * H^(1/l - 1/2): l is the model's interaction
+    degree when Hi >= H/2 and its pinning degree otherwise
+    (:func:`_scan_degrees`).  Raises ValueError unless lam > 0 and H > 0."""
+    li, lp = _scan_degrees(model)
+    if not (lam > 0):
+        raise ValueError("lam must be > 0")
     if not (H_val > 0):
         raise ValueError("H must be > 0")
     if Hi_val >= H_val / 2:
-        return rule.lam * H_val ** (1.0 / rule.li - 0.5)
-    return rule.lam * H_val ** (1.0 / rule.lp - 0.5)
+        return lam * H_val ** (1.0 / li - 0.5)
+    return lam * H_val ** (1.0 / lp - 0.5)
 
 
 def scaled_step(model: Model, h0: float, H0: float) -> float:
-    """Energy-adaptive step h0 * min(1, H0^(1/li - 1/2)) so the step count
-    per natural time window is energy-independent."""
+    """Energy-adaptive step h0 * min(1, H0^(1/li - 1/2)), with li the
+    model's interaction degree, so the step count per natural time window
+    is energy-independent.  Without common degrees the step is h0."""
     degrees = model.common_degrees()
     if degrees is None:
         return h0
@@ -590,6 +584,10 @@ def scaled_step(model: Model, h0: float, H0: float) -> float:
 
 # Steps of noise drawn per request to each member's noise source.
 NOISE_CHUNK = 256
+# Member-steps of noise held at once: a batch of more than
+# _NOISE_MEMBER_STEPS // NOISE_CHUNK members (4096) draws shorter chunks,
+# so the chunk stays at 8 MiB per bath component however wide the batch.
+_NOISE_MEMBER_STEPS = 2 ** 20
 # Members whose draws are staged member-major before one transposed copy
 # moves them into the step-major noise chunk.  For a 256-step chunk of 4096
 # members with two bath components, the copies took about 8 ms in 64-member
@@ -647,7 +645,7 @@ class BatchIntegrator:
 
     Member ``i`` draws its noise from ``streams[i]``, any object whose
     ``standard_normal(out=array)`` fills a (steps, baths, dim) array, one
-    request per ``NOISE_CHUNK`` steps.  Each member's path is a pure
+    request per noise chunk (module docstring).  Each member's path is a pure
     function of its own stream, so results do not depend on ensemble size
     or on how members are split across runs.  Blowups and the
     first-crossing steps of optional energy thresholds are tracked at
@@ -761,14 +759,14 @@ class BatchIntegrator:
         ``on_record(step, H, Hc, Hi, p, q)`` fires at the record stride and
         at the last step, after the energies are observed, with
         member-major copies of the state; a true return ends the run.
-        ``on_step(step, p, q)``, for one member, fires after every step
-        with (vertices, dim) views of its state."""
+        ``on_step(step, q)``, for one member, fires after every step with
+        a (vertices, dim) view of its positions."""
         kern, p, q = self.kern, self._p, self._q
         nb = len(kern.bath_idx)
         budget = nb > 0 and self.gamma_acc is not None
-        # One step-major noise chunk, refilled every NOISE_CHUNK steps:
+        # One step-major noise chunk, refilled every chunk_steps steps:
         # step k's draws are the contiguous (baths, dim, members) view buf[k].
-        chunk_steps = min(NOISE_CHUNK, n_steps)
+        chunk_steps = min(NOISE_CHUNK, n_steps, max(1, _NOISE_MEMBER_STEPS // self.m))
         block = max(1, min(chunk_steps, _BUDGET_BLOCK // self.m)) if budget else 1
         step_once = _Step(kern, self.h, self.F, block)
         if nb:
@@ -779,7 +777,7 @@ class BatchIntegrator:
         # as a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
             while done < n_steps:
-                count = min(NOISE_CHUNK, n_steps - done)
+                count = min(chunk_steps, n_steps - done)
                 if nb:
                     self._draw(buf[:count], tile)
                 filled = 0  # steps of the open budget block
@@ -795,7 +793,7 @@ class BatchIntegrator:
                                                  self.gamma_acc, self.m_acc)
                             filled = 0
                     if on_step is not None:
-                        on_step(step, p[..., 0], q[..., 0])
+                        on_step(step, q[..., 0])
                     if read:
                         pm, qm = self.p, self.q
                         H, Hc, Hi = kern.split_energies(pm, qm)

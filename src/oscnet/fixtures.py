@@ -90,6 +90,7 @@ _BOX_CENTER = np.array([C4_VALIDITY_BOX["q1_center"], C4_VALIDITY_BOX["q2_center
 _BOX_HALFWIDTH = np.array([C4_VALIDITY_BOX["q1_halfwidth"], C4_VALIDITY_BOX["q2_halfwidth"]])
 
 
-def c4_guard(state: State) -> bool:
-    """True while both masses remain inside the documented validity box."""
-    return bool((np.abs(state.q - _BOX_CENTER) <= _BOX_HALFWIDTH).all())
+def c4_guard(q: np.ndarray) -> bool:
+    """True while both masses, at the (2, 3) positions ``q``, remain inside
+    the documented validity box."""
+    return bool((np.abs(q - _BOX_CENTER) <= _BOX_HALFWIDTH).all())

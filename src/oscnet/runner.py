@@ -32,7 +32,6 @@ from . import __version__
 from .conditions import check_conditions
 from .config import ExperimentConfig
 from .diagnostics import (
-    DriftConfig,
     dissipation_scan,
     drift_scan,
     gaussian_stationary_covariance,
@@ -40,7 +39,7 @@ from .diagnostics import (
     initial_state_at_energy,
     observable_decay_fit,
 )
-from .dynamics import State, TimescaleRule, Trace, integrate, integrate_deterministic
+from .dynamics import State, Trace, integrate, integrate_deterministic
 from .errors import BlowupError, OracleError, ValidityRegionError
 from .fixtures import c4_counterexample_model, c4_guard, c4_initial_state
 from .rng import seed_stream
@@ -253,18 +252,10 @@ def _equilibrium_test(model, exp: dict, seed: int) -> _Outcome:
 
 
 def _lyapunov_scan(model, exp: dict, seed: int) -> _Outcome:
-    li, lp = model.common_degrees()
-    cfg = DriftConfig(
-        theta=exp["theta"],
-        t_star=exp["t_star"],
-        ensemble=exp["ensemble"],
-        energy_grid=exp["energy_grid"],
-        rule=TimescaleRule(lam=exp["lambda"], li=li, lp=lp),
-        placement=exp["placement"],
-        h0=exp["h"],
-    )
     conditions = check_conditions(model)
-    report = drift_scan(model, cfg, seed)
+    starts = [initial_state_at_energy(model, H0, exp["placement"]) for H0 in exp["energy_grid"]]
+    report = drift_scan(model, starts, exp["theta"], exp["t_star"], exp["ensemble"], seed,
+                        h0=exp["h"])
     levels = _csv("H0,mean,se,ci_lo,ci_hi,n,A1,A2,A3,blowups,mean_gamma,h", [
         (lv.H0, lv.mean, lv.se, lv.ci95[0], lv.ci95[1], float(lv.n),
          float(lv.events["A1"]), float(lv.events["A2"]), float(lv.events["A3"]),
@@ -272,16 +263,15 @@ def _lyapunov_scan(model, exp: dict, seed: int) -> _Outcome:
         for lv in report.levels
     ])
     return _Outcome(
-        {"conditions_pass": conditions.all_pass, "c1_ok": conditions.c1_ok, **asdict(report)},
+        {"conditions_pass": conditions.all_pass, "c1_ok": conditions.c1_ok, **asdict(report),
+         "placement": exp["placement"]},
         tables={"drift_levels.csv": levels},
     )
 
 
 def _dissipation_scan(model, exp: dict, seed: int) -> _Outcome:
-    li, lp = model.common_degrees()
-    rule = TimescaleRule(lam=exp["lambda"], li=li, lp=lp)
     starts = [initial_state_at_energy(model, H0, exp["placement"]) for H0 in exp["energy_grid"]]
-    reports = dissipation_scan(model, starts, rule, exp["epsilon"], exp["ensemble"], seed,
+    reports = dissipation_scan(model, starts, exp["lambda"], exp["epsilon"], exp["ensemble"], seed,
                                h0=exp["h"])
     return _Outcome({"levels": [asdict(rep) for rep in reports]})
 

@@ -18,7 +18,6 @@ import pytest
 import oscnet
 from oscnet.cli import main as cli_main
 from oscnet.diagnostics import (
-    DriftConfig,
     dissipation_tail,
     drift_scan,
     gaussian_stationary_covariance,
@@ -31,7 +30,6 @@ from oscnet.dynamics import (
     BatchIntegrator,
     PrecomputedNoise,
     State,
-    TimescaleRule,
     integrate,
     integrate_deterministic,
 )
@@ -243,13 +241,9 @@ def test_criterion_5_energy_budget_refinement():
 # 6. Exponential-energy drift trend on two pinned 3-chains.
 # -----------------------------------------------------------------------------
 
-def _drift_criterion(model, rule, seed):
-    cfg = DriftConfig(
-        theta=0.25, t_star=1.0, ensemble=2000,
-        energy_grid=(25.0, 50.0, 100.0, 200.0),
-        rule=rule, placement="interaction", h0=1e-3,
-    )
-    rep = drift_scan(model, cfg, seed)
+def _drift_criterion(model, seed):
+    starts = [initial_state_at_energy(model, H0, "interaction") for H0 in (25.0, 50.0, 100.0, 200.0)]
+    rep = drift_scan(model, starts, theta=0.25, t_star=1.0, ensemble=2000, seed=seed, h0=1e-3)
     all_below = all(lv.ci95[1] < 1.0 for lv in rep.levels)
     ok = all_below and not rep.inconclusive and rep.slope < 0 and rep.r_squared >= 0.9
     detail = (f"means {[f'{lv.mean:.2e}' for lv in rep.levels]}, "
@@ -260,10 +254,10 @@ def _drift_criterion(model, rule, seed):
 def test_criterion_6_drift_trend():
     t0 = time.time()
     harmonic = chain_model(3, 1, temperatures=(1.0, 2.0))
-    ok1, d1 = _drift_criterion(harmonic, TimescaleRule(lam=0.5, li=2, lp=2), seed=61001)
+    ok1, d1 = _drift_criterion(harmonic, seed=61001)
     spec = SoftPower(degree=4, dim=1)
     quartic = chain_model(3, 1, pinning=spec, interaction=spec, temperatures=(1.0, 2.0))
-    ok2, d2 = _drift_criterion(quartic, TimescaleRule(lam=0.5, li=4, lp=4), seed=61002)
+    ok2, d2 = _drift_criterion(quartic, seed=61002)
     ok = ok1 and ok2
     elapsed = time.time() - t0
     report("criterion 6 (drift trend)", ok,
@@ -278,12 +272,11 @@ def test_criterion_6_drift_trend():
 def test_criterion_7_dissipation_tail():
     t0 = time.time()
     model = chain_model(3, 1, temperatures=(1.0, 2.0))
-    rule = TimescaleRule(lam=0.5, li=2, lp=2)
     probs = {}
     cis = {}
     for k, H0 in enumerate((1e2, 1e3, 1e4)):
         z0 = initial_state_at_energy(model, H0, "interaction")
-        rep = dissipation_tail(model, z0, rule, epsilon=1e-3, ensemble=400,
+        rep = dissipation_tail(model, z0, lam=0.5, epsilon=1e-3, ensemble=400,
                                seed=71000 + k)
         probs[H0] = rep.probability
         cis[H0] = rep.ci95

@@ -291,11 +291,11 @@ def test_negative_h_rejected_before_any_stepping(tmp_path):
 
 def test_lambda_constraint_for_quadratic_pinning():
     doc = json.loads(MINIMAL)
-    doc["experiment"] = {"kind": "lyapunov-scan", "theta": 0.25, "t_star": 1.0,
-                         "lambda": 0.9, "energy_grid": [10.0, 20.0]}
+    doc["experiment"] = {"kind": "dissipation-scan", "lambda": 0.9, "energy_grid": [10.0, 20.0]}
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
-    assert any("lambda" in m for m in err.value.messages)
+    assert err.value.messages == [
+        "experiment.lambda: when the pinning degree is 2, lambda must be <= 0.5"]
     # A quartic pinning at one vertex leaves no common pinning degree.
     doc["experiment"]["lambda"] = 0.5
     doc["model"]["pinning"]["per_vertex"] = {"b": {"family": "even_power", "degree": 4}}
@@ -447,8 +447,7 @@ def test_cli_inconclusive_scan_exits_3(tmp_path):
     # Near-typical energies: the drift interval does not exclude one, so
     # fewer than three levels qualify for the fit.
     doc["experiment"] = {"kind": "lyapunov-scan", "theta": 0.05, "t_star": 1.0,
-                         "ensemble": 100, "energy_grid": [3.0, 4.0, 5.0],
-                         "lambda": 0.5}
+                         "ensemble": 100, "energy_grid": [3.0, 4.0, 5.0]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -458,6 +457,35 @@ def test_cli_inconclusive_scan_exits_3(tmp_path):
     assert report["inconclusive"] is True
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "inconclusive"
+
+
+def test_lyapunov_scan_has_no_lambda(tmp_path, capsys):
+    # The drift scan has no window length: lambda is an unknown key there.
+    doc = json.loads((CONFIG_DIR / "lyapunov_harmonic3.json").read_text())
+    doc["experiment"]["lambda"] = 0.5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["lyapunov-scan", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "experiment.lambda: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lyapunov_scan_past_the_float_range_of_the_cap(tmp_path):
+    # At H0 = 1500 the blowup cap exp(theta * 2 H0) = exp(750) is beyond
+    # the float range; a level without blown members still reports.
+    doc = json.loads((CONFIG_DIR / "lyapunov_harmonic3.json").read_text())
+    doc["experiment"]["energy_grid"] = [25.0, 50.0, 100.0, 1500.0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = cli_main(["lyapunov-scan", "--config", str(cfg_path), "--out", str(out)])
+    assert code in (0, 3)
+    report = json.loads((out / "report.json").read_text())
+    assert [lv["H0"] for lv in report["levels"]][-1] == pytest.approx(1500.0)
+    assert all(math.isfinite(lv["mean"]) for lv in report["levels"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] in ("complete", "inconclusive")
 
 
 def test_simulate_state_snapshots_written(tmp_path):

@@ -2,14 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
 
-from oscnet import diagnostics
+from oscnet import diagnostics, dynamics
 from oscnet.diagnostics import (
-    DriftConfig,
     dissipation_scan,
     dissipation_tail,
     drift_estimate,
@@ -25,7 +25,7 @@ from oscnet.diagnostics import (
     wilson_interval,
     _event_counts,
 )
-from oscnet.dynamics import _NOISE_TILE, BatchIntegrator, State, TimescaleRule, hamiltonian
+from oscnet.dynamics import _NOISE_TILE, BatchIntegrator, State, hamiltonian
 from oscnet.errors import BlowupError, OracleError
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import EvenPower, LocalPiece, Quadratic, SoftPower
@@ -115,18 +115,14 @@ def test_initial_state_rejects_tiny_energy():
 
 # --- Drift estimates ------------------------------------------------------------------
 
-def harmonic_drift_config(ensemble=200, grid=(25.0, 50.0, 100.0)):
-    return DriftConfig(
-        theta=0.25, t_star=1.0, ensemble=ensemble, energy_grid=grid,
-        rule=TimescaleRule(lam=0.5, li=2, lp=2), h0=1e-3,
-    )
+def interaction_starts(model, grid=(25.0, 50.0, 100.0)):
+    return [initial_state_at_energy(model, H0, "interaction") for H0 in grid]
 
 
 def test_drift_estimate_contracts_at_high_energy():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    cfg = harmonic_drift_config()
     z0 = initial_state_at_energy(m, 50.0, "interaction")
-    est = drift_estimate(m, z0, cfg, seed=41)
+    est = drift_estimate(m, z0, 0.25, 1.0, 200, seed=41)
     assert est.ci95[1] < 1.0
     assert sum(est.events.values()) == est.n
     assert est.blowups == 0
@@ -136,35 +132,94 @@ def test_drift_estimate_universal_upper_bound():
     # E exp(theta dH) <= exp(theta sum gamma_b T_b t) holds at any energy,
     # including near-typical ones where no contraction is claimed.
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    cfg = harmonic_drift_config()
+    theta, t_star = 0.25, 1.0
     z0 = initial_state_at_energy(m, 2.0, "interaction")
-    est = drift_estimate(m, z0, cfg, seed=42)
-    c_star = cfg.theta * sum(b.gamma * b.temperature for b in m.baths.values())
-    assert 0.0 < est.mean <= math.exp(c_star * cfg.t_star) * 1.2
+    est = drift_estimate(m, z0, theta, t_star, 200, seed=42)
+    c_star = theta * sum(b.gamma * b.temperature for b in m.baths.values())
+    assert 0.0 < est.mean <= math.exp(c_star * t_star) * 1.2
 
 
 def test_drift_estimate_zero_temperature_limit():
     # Noise off, friction kept: dH = -dGamma pathwise, so the weight is
     # exp(-theta Gamma) <= 1.
     m = chain_model(3, 1, temperatures=(0.0, 0.0))
-    cfg = harmonic_drift_config()
     z0 = initial_state_at_energy(m, 50.0, "interaction")
-    est = drift_estimate(m, z0, cfg, seed=43)
+    est = drift_estimate(m, z0, 0.25, 1.0, 200, seed=43)
     assert est.mean <= 1.0 + 1e-4
-    assert est.mean == pytest.approx(math.exp(-cfg.theta * est.mean_gamma), rel=0.05)
+    assert est.mean == pytest.approx(math.exp(-0.25 * est.mean_gamma), rel=0.05)
 
 
 def test_drift_estimate_theta_cap():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    cfg = DriftConfig(theta=0.6, t_star=1.0, ensemble=100, energy_grid=(25.0,),
-                      rule=TimescaleRule(lam=0.5, li=2, lp=2))
-    with pytest.raises(ValueError):
-        cfg.validate_for(m)
+    z0 = initial_state_at_energy(m, 25.0, "interaction")
+    with pytest.raises(ValueError, match=r"theta\*T_max must be < 1"):
+        drift_estimate(m, z0, 0.6, 1.0, 100, seed=40)
+
+
+@pytest.mark.parametrize("theta, t_star, ensemble, start_energy, message", [
+    (0.0, 1.0, 100, 25.0, "need theta > 0"),
+    (0.25, 0.0, 100, 25.0, "t_star > 0"),
+    (0.25, 1.0, 99, 25.0, "ensemble >= 100"),
+    (0.25, 1.0, 100, 0.0, "start energy must be > 0"),
+])
+def test_drift_estimate_rejects_bad_arguments(theta, t_star, ensemble, start_energy, message):
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    if start_energy > 0:
+        z0 = initial_state_at_energy(m, start_energy, "interaction")
+    else:
+        z0 = State.zero(3, 1)
+    with pytest.raises(ValueError, match=message):
+        drift_estimate(m, z0, theta, t_star, ensemble, seed=40)
+
+
+def test_energy_scans_need_common_degrees():
+    base = chain_model(3, 1, pinning=SoftPower(degree=4, dim=1),
+                       interaction=SoftPower(degree=4, dim=1))
+    mixed = Model(base.topology, 1, dict(base.pinning),
+                  {**base.interaction, Edge(0, 1): Quadratic.isotropic(1.0, 1)}, dict(base.baths))
+    z0 = State(np.ones((3, 1)), np.zeros((3, 1)))
+    message = "common interaction and pinning degrees"
+    with pytest.raises(ValueError, match=message):
+        drift_scan(mixed, [z0], 0.25, 1.0, 100, seed=1)
+    with pytest.raises(ValueError, match=message):
+        dissipation_scan(mixed, [z0], 0.5, 1e-3, 100, seed=1)
+
+
+def test_drift_estimate_past_the_float_range_of_the_cap():
+    # theta * 2 H0 = 750 is beyond exp's float range (709.78): the cap is
+    # used only for blown members, so a level without blowups is finite.
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    z0 = initial_state_at_energy(m, 1500.0, "interaction")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = drift_estimate(m, z0, 0.25, 1.0, 100, seed=51)
+    assert est.blowups == 0
+    assert math.isfinite(est.mean) and 0.0 < est.mean < 1.0
+
+
+def test_drift_estimate_blown_members_take_the_cap(monkeypatch):
+    # An energy ceiling of half the start energy makes every member blow
+    # up at its first record.
+    monkeypatch.setattr(dynamics, "BLOWUP_ENERGY_FACTOR", 0.5)
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    z0 = initial_state_at_energy(m, 25.0, "interaction")
+    est = drift_estimate(m, z0, 0.25, 1.0, 100, seed=52)
+    assert est.blowups == 100
+    assert est.mean == pytest.approx(math.exp(0.25 * 2.0 * 25.0), rel=1e-12)
+    # Past the float range the cap is infinite: an infinite mean, a NaN
+    # interval, never a qualifying level, and no exception or warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = drift_scan(m, interaction_starts(m, (1500.0, 2000.0, 3000.0)), 0.25, 1.0, 100,
+                            seed=52)
+    assert all(lv.blowups == 100 and lv.mean == math.inf for lv in report.levels)
+    assert not any(lv.excludes_one for lv in report.levels)
+    assert report.qualifying == 0 and report.inconclusive
 
 
 def test_drift_scan_fits_negative_slope():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    report = drift_scan(m, harmonic_drift_config(), seed=44)
+    report = drift_scan(m, interaction_starts(m), 0.25, 1.0, 200, seed=44)
     assert not report.inconclusive
     assert report.slope < 0
     assert report.r_squared >= 0.9
@@ -180,9 +235,7 @@ def test_drift_scan_runs_on_uncontrolled_topology():
     m = Model(topo, 1, {v: spec for v in topo.vertices},
               {e: spec for e in topo.edges},
               {b: BathSpec(1.0, 1.0) for b in topo.baths})
-    cfg = DriftConfig(theta=0.25, t_star=1.0, ensemble=100, energy_grid=(25.0, 50.0, 100.0),
-                      rule=TimescaleRule(lam=0.5, li=2, lp=2))
-    report = drift_scan(m, cfg, seed=45)
+    report = drift_scan(m, interaction_starts(m), 0.25, 1.0, 100, seed=45)
     assert len(report.levels) == 3
     from oscnet.conditions import check_conditions
     assert not check_conditions(m).c1_ok
@@ -190,10 +243,7 @@ def test_drift_scan_runs_on_uncontrolled_topology():
 
 def test_drift_scan_near_typical_energy_is_inconclusive():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    cfg = DriftConfig(theta=0.05, t_star=1.0, ensemble=100,
-                      energy_grid=(3.0, 4.0, 5.0),
-                      rule=TimescaleRule(lam=0.5, li=2, lp=2))
-    report = drift_scan(m, cfg, seed=60)
+    report = drift_scan(m, interaction_starts(m, (3.0, 4.0, 5.0)), 0.05, 1.0, 100, seed=60)
     assert report.inconclusive
     assert report.slope is None and report.c1_hat is None
 
@@ -221,45 +271,40 @@ def test_drift_scan_levels_are_the_separate_estimates(monkeypatch, family, batch
     # The harmonic grid shares one step size and step count, so it runs as
     # one batch; the quartic chain's energy-scaled steps differ per level.
     if family == "harmonic":
-        m, rule = chain_model(3, 1, temperatures=(1.0, 2.0)), TimescaleRule(lam=0.5, li=2, lp=2)
+        m = chain_model(3, 1, temperatures=(1.0, 2.0))
     else:
         spec = SoftPower(degree=4, dim=1)
         m = chain_model(3, 1, pinning=spec, interaction=spec, temperatures=(1.0, 2.0))
-        rule = TimescaleRule(lam=0.5, li=4, lp=4)
-    cfg = DriftConfig(theta=0.25, t_star=1.0, ensemble=100, energy_grid=(25.0, 50.0, 100.0),
-                      rule=rule, h0=1e-3)
+    starts = interaction_starts(m)
     counter = counting(monkeypatch)
-    report = drift_scan(m, cfg, seed=48)
+    report = drift_scan(m, starts, 0.25, 1.0, 100, seed=48, h0=1e-3)
     assert counter.built == batches
     assert len({lv.h for lv in report.levels}) == batches
-    for k, (H0, level) in enumerate(zip(cfg.energy_grid, report.levels)):
-        z0 = initial_state_at_energy(m, H0, cfg.placement)
-        alone = drift_estimate(m, z0, cfg, seed=48, stream_offset=k * cfg.ensemble)
-        assert_same_fields(level, alone, H0)
+    for k, (z0, level) in enumerate(zip(starts, report.levels)):
+        alone = drift_estimate(m, z0, 0.25, 1.0, 100, seed=48, stream_offset=k * 100, h0=1e-3)
+        assert_same_fields(level, alone, k)
 
 
 def test_dissipation_scan_levels_are_the_separate_tails(monkeypatch):
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    rule = TimescaleRule(lam=0.5, li=2, lp=2)
-    starts = [initial_state_at_energy(m, H0, "interaction") for H0 in (1e2, 1e3, 1e4)]
+    starts = interaction_starts(m, (1e2, 1e3, 1e4))
     counter = counting(monkeypatch)
     # At epsilon = 1 the lowest level's dissipation straddles the threshold.
-    reports = dissipation_scan(m, starts, rule, 1.0, 150, seed=49)
+    reports = dissipation_scan(m, starts, 0.5, 1.0, 150, seed=49)
     assert counter.built == 1
     for k, (z0, rep) in enumerate(zip(starts, reports)):
-        alone = dissipation_tail(m, z0, rule, 1.0, 150, seed=49 + k)
+        alone = dissipation_tail(m, z0, 0.5, 1.0, 150, seed=49 + k)
         assert_same_fields(rep, alone, k)
     assert 0 < reports[0].starved < 150
 
 
 def test_drift_estimate_is_seed_reproducible():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    cfg = harmonic_drift_config(ensemble=120, grid=(50.0,))
     z0 = initial_state_at_energy(m, 50.0, "interaction")
-    a = drift_estimate(m, z0, cfg, seed=77)
-    b = drift_estimate(m, z0, cfg, seed=77)
+    a = drift_estimate(m, z0, 0.25, 1.0, 120, seed=77)
+    b = drift_estimate(m, z0, 0.25, 1.0, 120, seed=77)
     assert a == b
-    c = drift_estimate(m, z0, cfg, seed=78)
+    c = drift_estimate(m, z0, 0.25, 1.0, 120, seed=78)
     assert c.mean != a.mean
 
 
@@ -368,19 +413,30 @@ def test_diagnostics_keeps_what_the_benchmark_instrument_wraps():
 
 def test_dissipation_tail_small_epsilon_is_rare():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    rule = TimescaleRule(lam=0.5, li=2, lp=2)
     z0 = initial_state_at_energy(m, 1e4, "interaction")
-    rep = dissipation_tail(m, z0, rule, 1e-3, 200, seed=46)
+    rep = dissipation_tail(m, z0, 0.5, 1e-3, 200, seed=46)
     assert rep.probability <= 0.05
     assert rep.tau_window == pytest.approx(0.5)
 
 
 def test_dissipation_tail_huge_epsilon_is_certain():
     m = chain_model(3, 1, temperatures=(1.0, 2.0))
-    rule = TimescaleRule(lam=0.5, li=2, lp=2)
     z0 = initial_state_at_energy(m, 100.0, "interaction")
-    rep = dissipation_tail(m, z0, rule, 1e3, 200, seed=47)
+    rep = dissipation_tail(m, z0, 0.5, 1e3, 200, seed=47)
     assert rep.probability == pytest.approx(1.0)
+
+
+def test_dissipation_window_exponent_is_the_model_degree():
+    # The window is lam on a harmonic chain and lam H0^(1/4 - 1/2) on a
+    # SoftPower(4) chain started with its energy mostly internal.
+    harmonic = chain_model(3, 1, temperatures=(1.0, 2.0))
+    spec = SoftPower(degree=4, dim=1)
+    quartic = chain_model(3, 1, pinning=spec, interaction=spec, temperatures=(1.0, 2.0))
+    for m, exponent in ((harmonic, 0.0), (quartic, 0.25 - 0.5)):
+        z0 = initial_state_at_energy(m, 100.0, "interaction")
+        rep = dissipation_tail(m, z0, 0.5, 1.0, 100, seed=50)
+        assert rep.tau_window == pytest.approx(0.5 * rep.H0 ** exponent, rel=1e-12)
+    assert rep.tau_window == pytest.approx(0.158, abs=1e-3)
 
 
 def test_wilson_interval_basic():

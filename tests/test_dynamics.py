@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oscnet import dynamics
 from oscnet.config import parse_config
 from oscnet.diagnostics import initial_state_at_energy
 from oscnet.dynamics import (
@@ -14,7 +15,6 @@ from oscnet.dynamics import (
     BatchIntegrator,
     PrecomputedNoise,
     State,
-    TimescaleRule,
     forces,
     hamiltonian,
     integrate,
@@ -365,42 +365,53 @@ def test_one_step_integrate_with_baths_is_one_reference_step_bitwise():
 
 class ForwardingStream:
     """A noise source that only forwards ``standard_normal``, as the
-    benchmark's counting proxy does."""
+    benchmark's counting proxy does, and keeps the step count of each
+    request."""
 
     def __init__(self, gen):
         self._gen = gen
+        self.requests = []
 
     def standard_normal(self, *args, **kwargs):
-        return self._gen.standard_normal(*args, **kwargs)
+        out = self._gen.standard_normal(*args, **kwargs)
+        self.requests.append(out.shape[0])
+        return out
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("source", ["forwarding", "precomputed"])
-def test_noise_tiles_and_refills_keep_the_bits(source, dim):
+def test_noise_tiles_and_refills_keep_the_bits(monkeypatch, source, dim):
     # Two full member tiles and a partial one, and a run of one full noise
     # chunk and a short one: the tile fill and the refill must give every
-    # member the draws of its own stream, step by step.
+    # member the draws of its own stream, step by step.  Then a member-step
+    # cap of 100 steps a member shortens the chunk to 100 steps, as a batch
+    # wider than 4096 members has it, and the run refills three times.
     model = chain_model(5, dim, temperatures=(1.0, 2.0))
     members, h, stride = 2 * _NOISE_TILE + 3, 0.01, 100
     n_steps = NOISE_CHUNK + 37
     rng = np.random.default_rng(dim)
     p0 = rng.standard_normal((members, 5, dim))
     q0 = 0.5 * rng.standard_normal((members, 5, dim))
-    if source == "forwarding":
-        streams = [ForwardingStream(seed_stream(11, i)) for i in range(members)]
-    else:
-        streams = [PrecomputedNoise(seed_stream(11, i).standard_normal((n_steps, 2, dim)))
-                   for i in range(members)]
-
-    bi = BatchIntegrator(model, p0, q0, h, streams)
-    records = []
-    bi.run(n_steps, record_stride=stride, on_record=lambda step, H, *rest: records.append(H))
     p, q, gamma_acc, m_acc, ref_records = reference_run(
         model, p0, q0, h, [seed_stream(11, i) for i in range(members)], n_steps, stride)
-    assert same_bits(bi.p, p) and same_bits(bi.q, q)
-    assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
-    assert len(records) == len(ref_records) == 3
-    assert all(same_bits(H, ref_H) for H, (ref_H, _, _) in zip(records, ref_records))
+
+    for cap, chunks in [(None, [NOISE_CHUNK, 37]), (100 * members, [100, 100, 93])]:
+        if cap is not None:
+            monkeypatch.setattr(dynamics, "_NOISE_MEMBER_STEPS", cap)
+        if source == "forwarding":
+            streams = [ForwardingStream(seed_stream(11, i)) for i in range(members)]
+        else:
+            streams = [PrecomputedNoise(seed_stream(11, i).standard_normal((n_steps, 2, dim)))
+                       for i in range(members)]
+        bi = BatchIntegrator(model, p0, q0, h, streams)
+        records = []
+        bi.run(n_steps, record_stride=stride, on_record=lambda step, H, *rest: records.append(H))
+        if source == "forwarding":
+            assert all(stream.requests == chunks for stream in streams), cap
+        assert same_bits(bi.p, p) and same_bits(bi.q, q)
+        assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
+        assert len(records) == len(ref_records) == 3
+        assert all(same_bits(H, ref_H) for H, (ref_H, _, _) in zip(records, ref_records))
 
 
 def nine_bath_chain():
@@ -702,26 +713,38 @@ def test_blowup_raises_with_partial_trace():
 
 # --- Time scales -----------------------------------------------------------------
 
+def mixed_degree_chain():
+    """A SoftPower(4) 3-chain with one quadratic spring: no common
+    interaction degree."""
+    m = chain_model(3, 1, pinning=SoftPower(degree=4, dim=1),
+                    interaction=SoftPower(degree=4, dim=1))
+    return Model(m.topology, 1, dict(m.pinning),
+                 {**m.interaction, Edge(0, 1): Quadratic.isotropic(1.0, 1)}, dict(m.baths))
+
+
 def test_tau_examples():
-    assert tau(TimescaleRule(lam=0.4, li=2, lp=2), 123.0, 61.5, 61.5) == pytest.approx(0.4)
-    assert tau(TimescaleRule(lam=1.0, li=4, lp=4), 16.0, 0.0, 16.0) == pytest.approx(0.5)
+    # The exponents are the model's degrees.
+    harmonic = chain_model(3, 1)
+    quartic = chain_model(3, 1, pinning=SoftPower(degree=4, dim=1),
+                          interaction=SoftPower(degree=4, dim=1))
+    assert tau(harmonic, 0.4, 123.0, 61.5, 61.5) == pytest.approx(0.4)
+    assert tau(quartic, 1.0, 16.0, 0.0, 16.0) == pytest.approx(0.5)
     # Pinning-dominated branch with degree 2: exponent vanishes.
-    assert tau(TimescaleRule(lam=1.0, li=4, lp=2), 16.0, 16.0, 0.0) == pytest.approx(1.0)
+    soft_springs = chain_model(3, 1, interaction=SoftPower(degree=4, dim=1))
+    assert tau(soft_springs, 1.0, 16.0, 16.0, 0.0) == pytest.approx(1.0)
+    assert tau(soft_springs, 1.0, 16.0, 0.0, 16.0) == pytest.approx(0.5)
 
 
 def test_tau_requires_positive_energy():
     with pytest.raises(ValueError):
-        tau(TimescaleRule(lam=1.0, li=2, lp=2), 0.0, 0.0, 0.0)
+        tau(chain_model(3, 1), 1.0, 0.0, 0.0, 0.0)
 
 
 def test_timescale_rule_validation():
-    with pytest.raises(ValueError):
-        TimescaleRule(lam=0.0, li=2, lp=2)
-    rule = TimescaleRule(lam=0.6, li=2, lp=2)
-    with pytest.raises(ValueError):
-        rule.validate_against_t_star(1.0)  # lam > t*/2 with lp = 2
-    TimescaleRule(lam=0.5, li=2, lp=2).validate_against_t_star(1.0)
-    TimescaleRule(lam=3.0, li=4, lp=4).validate_against_t_star(1.0)  # lp > 2: free
+    with pytest.raises(ValueError, match="lam must be > 0"):
+        tau(chain_model(3, 1), 0.0, 16.0, 8.0, 8.0)
+    with pytest.raises(ValueError, match="common interaction and pinning degrees"):
+        tau(mixed_degree_chain(), 0.5, 16.0, 8.0, 8.0)
 
 
 def test_scaled_step_policy():
@@ -731,8 +754,7 @@ def test_scaled_step_policy():
     mh = chain_model(3, 1)
     assert scaled_step(mh, 1e-3, 1e6) == pytest.approx(1e-3)
     # Mixed interaction degrees have no common time scale: the step stays h0.
-    mixed = Model(m.topology, 1, dict(m.pinning),
-                  {**m.interaction, Edge(0, 1): Quadratic.isotropic(1.0, 1)}, dict(m.baths))
+    mixed = mixed_degree_chain()
     assert mixed.common_degrees() is None
     assert scaled_step(mixed, 1e-3, 16.0) == 1e-3
 
@@ -785,7 +807,7 @@ def test_counterexample_dynamics():
 def test_counterexample_guard_trips_outside_region():
     m = c4_counterexample_model()
     bad = State(np.zeros((2, 3)), np.array([[0.0, 1.0, 0.0], [6.5, 2.0, 0.0]]))
-    assert not c4_guard(bad)
+    assert not c4_guard(bad.q)
     with pytest.raises(ValidityRegionError):
         integrate_deterministic(m, bad, 1.0, 1e-3, guard=c4_guard)
 
