@@ -31,8 +31,9 @@ spec class and parameters).  ``h`` is the step size of every kind but
 (``dynamics.scaled_step``).  ``lyapunov-scan`` takes theta (with
 theta * T_max < 1), t_star, ensemble, energy_grid and placement;
 ``dissipation-scan`` takes epsilon, ensemble, energy_grid, lambda (<= 0.5
-when the pinning degree is 2) and placement.  Both need common interaction and pinning
-degrees in the model: they are the exponents of the scans' time scales.
+when the pinning degree is 2) and placement.  Both need common interaction
+and pinning degrees >= 2, the exponents of their time scales: a model
+without them is a config error at ``experiment``.
 
 The ``initial`` state of ``simulate`` and ``decay-fit`` is checked against
 the built model the same way (``_initial_states``):
@@ -70,6 +71,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from .diagnostics import resolve_observable
+from .dynamics import _scan_degrees
 from .errors import ConfigError
 from .model import BathSpec, Model
 from .potentials import EvenPower, LocalPiece, Quadratic, SoftPower
@@ -89,11 +91,16 @@ class _Errors:
             raise ConfigError(self.messages)
 
 
-def _expect_mapping(doc, path, errors) -> dict:
+def _is_object(doc, path, errors) -> bool:
+    """Whether ``doc`` is a JSON object; an error at ``path`` if not."""
     if not isinstance(doc, dict):
         errors.add(path, f"expected an object, got {type(doc).__name__}")
-        return {}
-    return doc
+        return False
+    return True
+
+
+def _expect_mapping(doc, path, errors) -> dict:
+    return doc if _is_object(doc, path, errors) else {}
 
 
 def _is_number(val) -> bool:
@@ -155,8 +162,7 @@ _FAMILIES = {
 
 def _parse_potential(doc, path, dim, errors):
     start = len(errors.messages)
-    spec = _parse_kind(_expect_mapping(doc, path, errors),
-                       {family: params for family, (_, params) in _FAMILIES.items()},
+    spec = _parse_kind(doc, {family: params for family, (_, params) in _FAMILIES.items()},
                        path, errors, tag="family")
     if len(errors.messages) > start:
         return None
@@ -192,7 +198,8 @@ class ExperimentConfig:
 
 
 def _parse_topology(doc, path, errors):
-    doc = _expect_mapping(doc, path, errors)
+    if not _is_object(doc, path, errors):
+        return None, None, None
     _reject_unknown(doc, ("fixture",) if "fixture" in doc else ("vertices", "edges", "baths"),
                     path, errors)
     if "fixture" in doc:
@@ -255,7 +262,8 @@ def _parse_topology(doc, path, errors):
 
 def _parse_model(doc, errors):
     path = "model"
-    doc = _expect_mapping(doc, path, errors)
+    if not _is_object(doc, path, errors):
+        return None, None
     _reject_unknown(doc, ("dimension", "topology", "bath_defaults", "bath_overrides",
                           "pinning", "interaction"), path, errors)
     dim = _get_number(doc, "dimension", path, errors, default=1, minimum=1, integer=True) or 1
@@ -311,7 +319,8 @@ def _parse_model(doc, errors):
         errors.add(f"{path}.interaction.per_edge", "expected a list")
         per_edge = []
     for k, entry in enumerate(per_edge):
-        entry = _expect_mapping(entry, f"{path}.interaction.per_edge[{k}]", errors)
+        if not _is_object(entry, f"{path}.interaction.per_edge[{k}]", errors):
+            continue
         _reject_unknown(entry, ("edge", "potential"), f"{path}.interaction.per_edge[{k}]", errors)
         pair = entry.get("edge")
         if not (isinstance(pair, list) and len(pair) == 2 and all(x in names for x in pair)):
@@ -477,7 +486,10 @@ def _parse_section(doc, params, path, errors) -> dict:
 
 def _parse_kind(doc, kinds, path, errors, default_kind=None, tag="kind") -> dict:
     """``{tag: <kind>, <parameter>: <value>, ...}``: the ``tag`` key names
-    a row of ``kinds``, and ``_parse_section`` checks the rest against it."""
+    a row of ``kinds``, and ``_parse_section`` checks the rest against it;
+    a ``doc`` that is not an object is one error and ``{tag: None}``."""
+    if not _is_object(doc, path, errors):
+        return {tag: None}
     kind = doc.get(tag, default_kind)
     if not isinstance(kind, str) or kind not in kinds:
         errors.add(f"{path}.{tag}", f"expected one of {', '.join(kinds)}; got {kind!r}")
@@ -503,8 +515,7 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in sorted(set(doc) - {"seed", "model", "experiment", "output"}):
         errors.add(key, "unknown top-level key")
     seed = _get_number(doc, "seed", "<root>", errors, default=0, integer=True)
-    experiment = _parse_kind(_expect_mapping(doc.get("experiment", {}), "experiment", errors),
-                             _EXPERIMENTS, "experiment", errors)
+    experiment = _parse_kind(doc.get("experiment", {}), _EXPERIMENTS, "experiment", errors)
 
     output = _parse_section(_expect_mapping(doc.get("output", {}), "output", errors),
                             _OUTPUT, "output", errors)
@@ -522,14 +533,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if tmax > 0 and theta * tmax >= 1:
             errors.add("experiment.theta", f"theta*T_max must be < 1 (theta={theta}, T_max={tmax})")
     if model is not None and kind in ("lyapunov-scan", "dissipation-scan"):
-        degrees = model.common_degrees()
-        if degrees is None:
-            errors.add("experiment", "energy scans need common interaction and pinning degrees")
-        # Under quadratic pinning the window does not shrink with the
-        # energy: it stays lambda, held to half the default drift horizon
-        # (t_star = 1).
-        elif kind == "dissipation-scan" and degrees[1] == 2 and experiment["lambda"] > 0.5:
-            errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= 0.5")
+        try:
+            _, lp = _scan_degrees(model)
+        except ValueError as exc:
+            errors.add("experiment", str(exc))
+        else:
+            # Under quadratic pinning the window does not shrink with the
+            # energy: it stays lambda, held to half the default drift
+            # horizon (t_star = 1).
+            if kind == "dissipation-scan" and lp == 2 and experiment["lambda"] > 0.5:
+                errors.add("experiment.lambda", "when the pinning degree is 2, lambda must be <= 0.5")
     if model is not None and isinstance(experiment.get("initial"), dict):
         experiment["initial"] = _parse_kind(
             experiment["initial"], _initial_states((model.vertex_count, model.dim)),

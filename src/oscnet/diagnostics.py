@@ -27,11 +27,12 @@ is ``dynamics.scaled_step`` and the window ``dynamics.tau``.
 Every ensemble runs through ``_run_members`` (behind ``run_ensemble``),
 the one place that assigns members to counter-based streams
 (seed, index) and builds the integrator; a check reads its per-record
-statistics through the one ``on_record(step, p, q)`` hook, which sees
-step 0 and every record step.  The energy scans run the starts that share
-a step size and a step count as one lockstep batch, each start with its
-own streams and energy band; a start's statistics come from its slice of
-the batch and are the bits of running it alone.
+statistics through the integrator's ``on_record(step, H, Hc, Hi, p, q)``
+hook, which sees step 0 (the integrator's first read) and every record.
+The energy scans run the starts that share a step size and a step count
+as one lockstep batch, each start with its own streams and energy band;
+a start's statistics come from its slice of the batch and are the bits
+of running it alone.
 Accumulators are preallocated per member and reductions run in member
 order, so all reports are bit-for-bit reproducible for a given seed.  A
 check whose ensemble had a blown-up member raises :class:`BlowupError`
@@ -145,10 +146,6 @@ class GaussianOracle:
     residual: float
 
     @property
-    def dim(self) -> int:
-        return self.drift.shape[0]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.drift)
 
@@ -171,8 +168,9 @@ class GaussianOracle:
         return out
 
 
-def gaussian_stationary_covariance(model: Model) -> GaussianOracle:
-    """Assemble the linear drift and solve A S + S A^T + 2 D = 0 directly."""
+def _linear_drift(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Drift A, diffusion D and stiffness K of a quadratic model, laid out
+    as in :class:`GaussianOracle`; :class:`OracleError` unless A is Hurwitz."""
     _require_quadratic(model)
     N, n = model.vertex_count, model.dim
     d = N * n
@@ -194,6 +192,12 @@ def gaussian_stationary_covariance(model: Model) -> GaussianOracle:
             "drift matrix is not Hurwitz: the linear system has no unique "
             "stationary covariance (is the topology controlled and pinned?)"
         )
+    return A, D, K
+
+
+def gaussian_stationary_covariance(model: Model) -> GaussianOracle:
+    """Assemble the linear drift and solve A S + S A^T + 2 D = 0 directly."""
+    A, D, K = _linear_drift(model)
     from scipy import linalg as sla  # imported here so that the package loads no scipy
 
     S = sla.solve_continuous_lyapunov(A, -2.0 * D)
@@ -242,7 +246,7 @@ def run_ensemble(
     stream_offset: int = 0,
     record_stride: int = 1,
     thresholds: tuple[float, float] | None = None,
-    on_record: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    on_record: Callable[..., object] | None = None,
     budget: bool = True,
 ) -> EnsembleOutcome:
     """Run M independent trajectories; member i draws from stream
@@ -250,11 +254,12 @@ def run_ensemble(
 
     ``thresholds=(lo, hi)`` tracks the first record step at which H drops
     below lo resp. exceeds hi; each bound is a number or one value per
-    member.  ``on_record(step, p, q)`` sees member-major
-    (members, vertices, dim) copies of the state at step 0 and then at
-    every record step: each multiple of ``record_stride``, and the last
-    step.  Splitting the members over several calls with matching
-    ``stream_offset`` gives the same per-member results.
+    member.  ``on_record(step, H, Hc, Hi, p, q)`` sees the (members,)
+    energies and member-major (members, vertices, dim) copies of the
+    state at step 0 and then at every record step: each multiple of
+    ``record_stride``, and the last step.  Splitting the members over
+    several calls with matching ``stream_offset`` gives the same
+    per-member results.
 
     The energy budget (``gamma``, the dissipation integral, and ``work``,
     the injected-work martingale) is added up once per block of steps
@@ -270,25 +275,17 @@ def _run_members(model, p0, q0, h, n_steps, keys, record_stride=1, thresholds=No
                  on_record=None, budget=True) -> EnsembleOutcome:
     """:func:`run_ensemble` with member i drawing from stream ``keys[i]``,
     a (seed, index) pair."""
-    p0 = np.asarray(p0, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
     streams = [seed_stream(seed, index) for seed, index in keys]
     bi = BatchIntegrator(model, p0, q0, h, streams, thresholds=thresholds, budget=budget)
-
-    def record(step, H, Hc, Hi, p, q) -> None:
-        on_record(step, p, q)
-
     # Blown members are reported through ``blown``; their overflowing
     # energies and observables raise no numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         if on_record is not None:
-            on_record(0, bi.p, bi.q)
-        bi.run(n_steps, record_stride=record_stride,
-               on_record=record if on_record is not None else None)
-        h_final, _, _ = bi.energies()
+            on_record(0, *bi.energies, bi.p, bi.q)
+        bi.run(n_steps, record_stride=record_stride, on_record=on_record)
     return EnsembleOutcome(
         h_init=bi.H0,
-        h_final=h_final,
+        h_final=bi.energies[0],
         gamma=bi.gamma_acc,
         work=bi.m_acc,
         first_low=bi.first_low,
@@ -482,7 +479,7 @@ def stationary_moment_test(
     lag_sumsq = np.zeros(replicas)
     lag_cross = np.zeros(replicas)
 
-    def on_record(step, p, q):
+    def on_record(step, H, Hc, Hi, p, q):
         nonlocal count, lag_prev
         if step <= burn_steps:
             return
@@ -948,7 +945,7 @@ def observable_decay_fit(
     ref_sum = np.zeros(n_ref)
     ref_cnt = 0
 
-    def collect(step, p, q):
+    def collect(step, H, Hc, Hi, p, q):
         nonlocal ref_cnt
         if step > burn_steps:
             ref_sum[:] += fn(p, q)
@@ -975,7 +972,7 @@ def observable_decay_fit(
     stride = max(1, n_steps // grid_points)
     steps, values = [], []
 
-    def sample(step, p, q):
+    def sample(step, H, Hc, Hi, p, q):
         steps.append(step)
         values.append(np.array(fn(p, q), dtype=float))
 

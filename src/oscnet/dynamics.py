@@ -41,7 +41,9 @@ member axis, (members, vertices, dim).  Inside the stepping loop the state
 is held member-minor, (vertices, dim, members): every per-vertex or
 per-bath operation is one contiguous vector op over the members, and the
 edge forces are scattered in slabs, one round per incident-edge rank, so a
-vertex still adds its edge terms in edge-list order.  Potentials, energies
+vertex still adds its edge terms in edge-list order.  A read of the state,
+at construction (step 0) and at each record step, computes (H, Hc, Hi)
+once and keeps them as ``BatchIntegrator.energies``.  Potentials, energies
 and the record callback ``on_record(step, H, Hc, Hi, p, q)`` see
 member-major copies, so every reduction keeps the order it has on a
 (members, vertices, dim) array; a sum over 8 or more baths, components or
@@ -161,18 +163,14 @@ def _points(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1))
 
 
-def _sum(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+def _sum(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """``np.add.reduce`` over ``axis`` of a member-minor array, in the order
     of the same reduction on the member-major layout: sequential below 8
-    terms, numpy's pairwise sum from 8 on.  Written into ``out`` when
-    given."""
+    terms, numpy's pairwise sum from 8 on.  Written into ``out``."""
     if x.shape[axis] < 8:
         return np.add.reduce(x, axis=axis, out=out)
     major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-    total = np.moveaxis(np.add.reduce(major, axis=axis % x.ndim + 1), 0, -1)
-    if out is None:
-        return total
-    out[...] = total
+    out[...] = np.moveaxis(np.add.reduce(major, axis=axis % x.ndim + 1), 0, -1)
     return out
 
 
@@ -534,7 +532,7 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
     if guard is not None:
         check_guard(0, state0.q)
         on_step = check_guard
-    record(0, *bi.energies(), bi.p, bi.q)
+    record(0, *bi.energies, bi.p, bi.q)
     bi._advance(max(1, int(round(t_end / h))), record_every, record, on_step)
     return finish()
 
@@ -545,12 +543,14 @@ def _integrate_path(model, state0, t_end, h, stream, record_every, record_states
 
 def _scan_degrees(model: Model) -> tuple[float, float]:
     """The model's common interaction and pinning degrees (li, lp), the
-    exponents of every energy scan's time scales.  Raises ValueError when
-    the degrees differ across edges or vertices, or one is below 2."""
-    degrees = model.common_degrees()
-    if degrees is None or min(degrees) < 2:
+    exponents of every energy scan's time scales.  A model without springs
+    has only the pinning time scale, (lp, lp).  Raises ValueError when the
+    degrees differ across edges or vertices, or one is below 2."""
+    lp = model.pinning_degrees()
+    li = model.interaction_degrees() or lp
+    if len(li) != 1 or len(lp) != 1 or min(li[0], lp[0]) < 2:
         raise ValueError("energy scans need common interaction and pinning degrees >= 2")
-    return degrees
+    return li[0], lp[0]
 
 
 def tau(model: Model, lam: float, H_val: float, Hc_val: float, Hi_val: float) -> float:
@@ -569,12 +569,9 @@ def tau(model: Model, lam: float, H_val: float, Hc_val: float, Hi_val: float) ->
 
 def scaled_step(model: Model, h0: float, H0: float) -> float:
     """Energy-adaptive step h0 * min(1, H0^(1/li - 1/2)), with li the
-    model's interaction degree, so the step count per natural time window
-    is energy-independent.  Without common degrees the step is h0."""
-    degrees = model.common_degrees()
-    if degrees is None:
-        return h0
-    li, _ = degrees
+    model's interaction degree (:func:`_scan_degrees`), so the step count
+    per natural time window is energy-independent."""
+    li, _ = _scan_degrees(model)
     return h0 * min(1.0, H0 ** (1.0 / li - 0.5))
 
 
@@ -662,6 +659,10 @@ class BatchIntegrator:
     and the step skips their increments; the path, energies and crossings
     are the same bits.
 
+    Construction is step 0's read: it observes the start for blowups and
+    band crossings, and ``H0`` and ``energies`` (the last read's (H, Hc,
+    Hi), replaced at every record) hold the start's energies.
+
     States go in and come out as (members, vertices, dim) arrays: ``p``,
     ``q`` and the arrays handed to ``on_record`` are member-major copies.
     Between records the state is held member-minor, (vertices, dim,
@@ -696,9 +697,6 @@ class BatchIntegrator:
         self.F = self.kern.forces(self._q)
         self.gamma_acc = np.zeros(self.m) if budget else None
         self.m_acc = np.zeros(self.m) if budget else None
-        H, _, _ = self.kern.split_energies(p0, q0)
-        self.H0 = H
-        self.blown = ~np.isfinite(H)
         if thresholds is not None:
             thresholds = tuple(np.asarray(t, dtype=float) for t in thresholds)
             if any(t.shape not in ((), (self.m,)) for t in thresholds):
@@ -706,7 +704,12 @@ class BatchIntegrator:
         self.thresholds = thresholds
         self.first_low = np.full(self.m, -1, dtype=int)
         self.first_high = np.full(self.m, -1, dtype=int)
-        self._ceiling = BLOWUP_ENERGY_FACTOR * np.maximum(np.abs(H), 1.0)
+        self.blown = np.zeros(self.m, dtype=bool)
+        # Step 0's read.
+        self.energies = self.kern.split_energies(self.p, self.q)
+        self.H0 = self.energies[0]
+        self._ceiling = BLOWUP_ENERGY_FACTOR * np.maximum(np.abs(self.H0), 1.0)
+        self._observe(0, self.H0)
 
     @property
     def p(self) -> np.ndarray:
@@ -746,19 +749,18 @@ class BatchIntegrator:
         step, with member-major copies of the state; a true return ends
         the run.
 
-        The callback does not fire for step 0; the initial state is
-        inspectable on the instance before calling."""
-        H, _, _ = self.energies()
-        self._observe(0, H)
+        The callback does not fire for step 0, the read made at
+        construction."""
         self._advance(n_steps, record_stride, on_record)
 
     def _advance(self, n_steps: int, record_stride: int, on_record, on_step=None) -> None:
         """The stepping loop behind :meth:`run`, :func:`integrate` and
         :func:`integrate_deterministic`.
 
-        ``on_record(step, H, Hc, Hi, p, q)`` fires at the record stride and
-        at the last step, after the energies are observed, with
-        member-major copies of the state; a true return ends the run.
+        Each read, at the record stride and at the last step, replaces
+        ``energies`` and observes H; then ``on_record(step, H, Hc, Hi, p,
+        q)`` fires with member-major copies of the state, and a true
+        return ends the run.
         ``on_step(step, q)``, for one member, fires after every step with
         a (vertices, dim) view of its positions."""
         kern, p, q = self.kern, self._p, self._q
@@ -796,11 +798,8 @@ class BatchIntegrator:
                         on_step(step, q[..., 0])
                     if read:
                         pm, qm = self.p, self.q
-                        H, Hc, Hi = kern.split_energies(pm, qm)
+                        self.energies = H, Hc, Hi = kern.split_energies(pm, qm)
                         self._observe(step, H)
                         if on_record is not None and on_record(step, H, Hc, Hi, pm, qm):
                             return
                 done += count
-
-    def energies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.kern.split_energies(self.p, self.q)

@@ -14,9 +14,7 @@ class ConfigError(OscnetError):
     every problem at once instead of just the first.
     """
 
-    def __init__(self, messages):
-        if isinstance(messages, str):
-            messages = [messages]
+    def __init__(self, messages: list[str]):
         self.messages = list(messages)
         super().__init__("; ".join(self.messages))
 
@@ -48,13 +46,10 @@ class ValidityRegionError(OscnetError):
     """Raised when a locally-defined potential is evaluated outside the
     region where its polynomial form is meaningful."""
 
-    def __init__(self, step, time, detail=""):
+    def __init__(self, step, time):
         self.step = step
         self.time = time
-        msg = f"state left the potential validity region at step {step} (t={time:g})"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"state left the potential validity region at step {step} (t={time:g})")
 
 
 class OracleError(OscnetError):

@@ -88,17 +88,6 @@ class Model:
     def pinning_degrees(self) -> tuple[float, ...]:
         return tuple(sorted({float(s.degree) for s in self.pinning.values()}))
 
-    def common_degrees(self) -> tuple[float, float] | None:
-        """(l_i, l_p) when all interaction resp. pinning degrees agree, else None."""
-        li = self.interaction_degrees()
-        lp = self.pinning_degrees()
-        if len(li) == 1 and len(lp) == 1:
-            return li[0], lp[0]
-        if not li and len(lp) == 1:
-            # No springs at all: only the pinning time scale exists.
-            return lp[0], lp[0]
-        return None
-
 
 def chain_model(
     n_masses: int,

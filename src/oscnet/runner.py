@@ -32,9 +32,9 @@ from . import __version__
 from .conditions import check_conditions
 from .config import ExperimentConfig
 from .diagnostics import (
+    _linear_drift,
     dissipation_scan,
     drift_scan,
-    gaussian_stationary_covariance,
     gibbs_invariance_test,
     initial_state_at_energy,
     observable_decay_fit,
@@ -147,11 +147,11 @@ def _initial_state(model, spec: dict) -> State:
         return State(np.asarray(spec["p"], dtype=float), np.asarray(spec["q"], dtype=float))
     # "slow-mode": along the slowest mode of the linear drift.
     try:
-        oracle = gaussian_stationary_covariance(model)
+        drift, _, _ = _linear_drift(model)
     except OracleError as exc:
         # No step has run: the config asks for a start this model lacks.
         raise ValueError(f"experiment.initial: no slow-mode start for this model: {exc}") from exc
-    evals, evecs = np.linalg.eig(oracle.drift)
+    evals, evecs = np.linalg.eig(drift)
     v = evecs[:, int(np.argmax(evals.real))].real
     v = v / np.linalg.norm(v)
     scale = spec["scale"]

@@ -205,7 +205,7 @@ def budget_residuals(model, z0, t_end, h, paths):
                          np.broadcast_to(z0.q, (m,) + z0.q.shape), h,
                          [criterion_5_noise(path, t_end, h) for path in paths])
     bi.run(n_steps, record_stride=n_steps)
-    H, _, _ = bi.energies()
+    H, _, _ = bi.energies
     return H - bi.H0 + bi.gamma_acc - model.noise_work_rate * (n_steps * h) - bi.m_acc
 
 

@@ -301,7 +301,83 @@ def test_lambda_constraint_for_quadratic_pinning():
     doc["model"]["pinning"]["per_vertex"] = {"b": {"family": "even_power", "degree": 4}}
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
-    assert err.value.messages == ["experiment: energy scans need common interaction and pinning degrees"]
+    assert err.value.messages == [
+        "experiment: energy scans need common interaction and pinning degrees >= 2"]
+
+
+def test_energy_scan_degree_rule_is_a_config_error(tmp_path, capsys):
+    # A linear local piece has interaction degree 1: the parser accepted
+    # the model, and the run stopped on the library's ValueError.
+    doc = json.loads((CONFIG_DIR / "dissipation_harmonic3.json").read_text())
+    doc["model"]["interaction"]["default"] = {"family": "local_piece", "terms": [[1.0, [1]]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["dissipation-scan", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: experiment: energy scans need common interaction and pinning degrees >= 2"]
+    assert not out.exists()
+
+
+QUADRATIC = {"family": "quadratic", "stiffness": 1.0}
+DELETE = object()
+
+
+@pytest.mark.parametrize("keys, value, reported", [
+    (("seed",), 1.5, "<root>.seed"),
+    (("model", "topology"), {"fixture": "no_such_fixture"}, "model.topology.fixture"),
+    (("model", "topology", "vertices"), [], "model.topology.vertices"),
+    (("model", "topology", "vertices"), ["a", "b", "a"], "model.topology.vertices"),
+    (("model", "topology", "edges"), "a-b", "model.topology.edges"),
+    (("model", "topology", "edges"), [["a", "b", "c"]], "model.topology.edges[0]"),
+    (("model", "topology", "edges"), [["a", "z"]], "model.topology.edges[0]"),
+    (("model", "topology", "edges"), [["b", "b"]], "model.topology.edges[0]"),
+    (("model", "topology", "baths"), "a", "model.topology.baths"),
+    (("model", "topology", "baths"), ["z"], "model.topology.baths[0]"),
+    (("model", "bath_overrides"), {"z": {}}, "model.bath_overrides.z"),
+    (("model", "bath_overrides"), {"b": {}}, "model.bath_overrides.b"),
+    (("model", "pinning", "per_vertex"), {"z": QUADRATIC}, "model.pinning.per_vertex.z"),
+    (("model", "interaction", "per_edge"), {}, "model.interaction.per_edge"),
+    (("model", "interaction", "per_edge"), [{"edge": ["a"], "potential": QUADRATIC}],
+     "model.interaction.per_edge[0].edge"),
+    (("model", "interaction", "per_edge"), [{"edge": ["a", "c"], "potential": QUADRATIC}],
+     "model.interaction.per_edge[0].edge"),
+    (("model", "pinning", "default"), {"family": "even_power", "degree": 3}, "model.pinning.default"),
+    (("model", "interaction", "default"), {"family": "quadratic", "stiffness": [[1.0, 0.0]]},
+     "model.interaction.default"),
+    (("model",), DELETE, "model"),
+    (("model",), [], "model"),
+    (("experiment",), [], "experiment"),
+    (("model", "topology"), [], "model.topology"),
+    (("model", "pinning", "default"), [], "model.pinning.default"),
+    (("model", "interaction", "per_edge"), [[]], "model.interaction.per_edge[0]"),
+], ids=["seed-fractional", "unknown-fixture", "no-vertices", "duplicate-vertices",
+        "edges-not-a-list", "edge-not-a-pair", "edge-unknown-vertex", "loop-edge",
+        "baths-not-a-list", "bath-unknown-vertex", "override-unknown-vertex",
+        "override-not-a-bath", "per-vertex-unknown-vertex", "per-edge-not-a-list",
+        "per-edge-bad-pair", "per-edge-not-an-edge", "odd-even-power", "stiffness-shape",
+        "no-model", "model-not-an-object", "experiment-not-an-object",
+        "topology-not-an-object", "potential-not-an-object", "per-edge-entry-not-an-object"])
+def test_each_config_error_is_reported_once(keys, value, reported, tmp_path, capsys):
+    # A section that is not an object is one error: a model given as []
+    # was also reported as having no vertices, and an experiment given as
+    # [] as having no kind.
+    doc = json.loads(MINIMAL)
+    *parents, key = keys
+    target = doc
+    for name in parents:
+        target = target[name]
+    if value is DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {reported}: ")
+    assert not out.exists()
 
 
 # --- Runner artifacts ------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_run_ensemble_results_do_not_depend_on_chunking():
             series = []
             out = run_ensemble(m, p0[i0:i1], q0[i0:i1], 1e-3, 200, seed=9, stream_offset=i0,
                                record_stride=20, thresholds=(20.0, 30.0),
-                               on_record=lambda step, p, q: series.append(p2_0(p, q)))
+                               on_record=lambda step, H, Hc, Hi, p, q: series.append(p2_0(p, q)))
             return out, np.array(series)
 
         whole, whole_series = run(0, members)
@@ -363,7 +363,7 @@ def test_run_ensemble_without_budget_keeps_every_other_result():
         series = []
         out = run_ensemble(model, p0, q0, 0.01, 300, seed=4, record_stride=25,
                            thresholds=(15.0, 30.0), budget=budget,
-                           on_record=lambda step, p, q: series.append((step, p, q)))
+                           on_record=lambda step, H, Hc, Hi, p, q: series.append((step, H, p, q)))
         return out, series
 
     with_budget, series = run(True)
@@ -374,8 +374,12 @@ def test_run_ensemble_without_budget_keeps_every_other_result():
     for field in ("p", "q", "h_init", "h_final", "blown", "first_low", "first_high"):
         assert getattr(with_budget, field).tobytes() == getattr(without, field).tobytes(), field
     assert len(series) == len(series_off) == 13
-    for (s0, p_a, q_a), (s1, p_b, q_b) in zip(series, series_off):
-        assert s0 == s1 and p_a.tobytes() == p_b.tobytes() and q_a.tobytes() == q_b.tobytes()
+    for (s0, H_a, p_a, q_a), (s1, H_b, p_b, q_b) in zip(series, series_off):
+        assert s0 == s1 and H_a.tobytes() == H_b.tobytes()
+        assert p_a.tobytes() == p_b.tobytes() and q_a.tobytes() == q_b.tobytes()
+    # The hook's energies at step 0 and at the last step are the outcome's.
+    assert series[0][1].tobytes() == with_budget.h_init.tobytes()
+    assert series[-1][1].tobytes() == with_budget.h_final.tobytes()
 
 
 def test_decay_fit_records_step_zero_every_stride_and_the_last_step():

@@ -52,6 +52,42 @@ def single_mass_model(k=1.0, bath=None):
     return Model(topo, 1, {0: Quadratic(((k,),), 1)}, {}, bspec)
 
 
+FAMILIES = {
+    "quadratic": lambda dim: Quadratic.isotropic(1.5, dim),
+    "softpower": lambda dim: SoftPower(degree=3.0, dim=dim),
+    "evenpower": lambda dim: EvenPower(degree=4, dim=dim),
+}
+
+
+def full_matrix_family(name, rng, dim):
+    """A potential of the named family; quadratics get a full stiffness."""
+    if name == "quadratic":
+        A = rng.standard_normal((dim, dim))
+        return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
+    return FAMILIES[name](dim)
+
+
+# A random topology of up to 8 vertices in dim 1-3, with one pinning and
+# one interaction spec drawn from the families.
+random_kernel_case = given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    dim=st.integers(1, 3),
+    pinning=st.sampled_from(sorted(FAMILIES)),
+    interaction=st.sampled_from(sorted(FAMILIES)),
+)
+
+
+def random_kernel_model(seed, dim, pinning, interaction):
+    """The model of a ``random_kernel_case`` and a random state on it."""
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, max_vertices=8)
+    pin, inter = full_matrix_family(pinning, rng, dim), full_matrix_family(interaction, rng, dim)
+    model = Model(topo, dim, {v: pin for v in topo.vertices}, {e: inter for e in topo.edge_list},
+                  {b: BathSpec(1.0, 1.0) for b in topo.baths})
+    N = topo.vertex_count
+    return model, State(rng.standard_normal((N, dim)), rng.standard_normal((N, dim)))
+
+
 # --- Hamiltonian and the center-of-mass split ---------------------------------
 
 def test_hamiltonian_split_kinetic_only():
@@ -62,20 +98,18 @@ def test_hamiltonian_split_kinetic_only():
     assert (H, Hc, Hi) == pytest.approx((1.0, 0.0, 1.0))
 
 
-def test_split_identity_on_random_states():
-    m = chain_model(4, 2, pinning=SoftPower(degree=4, dim=2),
-                    interaction=SoftPower(degree=4, dim=2))
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        st = State(3 * rng.standard_normal((4, 2)), 2 * rng.standard_normal((4, 2)))
-        H, Hc, Hi = hamiltonian(m, st)
-        assert Hc + Hi == H  # assembled exactly from the split
-        # And the split agrees with the direct formula to rounding.
-        direct = float(0.5 * np.sum(st.p ** 2)
-                       + sum(m.pinning[v].value(st.q[v]) for v in range(4))
-                       + sum(m.interaction[e].value(st.q[e.b] - st.q[e.a])
-                             for e in m.topology.edge_list))
-        assert H == pytest.approx(direct, rel=1e-12)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@random_kernel_case
+def test_split_identity_on_random_states(seed, dim, pinning, interaction):
+    m, z = random_kernel_model(seed, dim, pinning, interaction)
+    H, Hc, Hi = hamiltonian(m, z)
+    assert Hc + Hi == H  # assembled exactly from the split
+    # And the split agrees with the direct formula to rounding.
+    direct = float(0.5 * np.sum(z.p ** 2)
+                   + sum(m.pinning[v].value(z.q[v]) for v in m.topology.vertices)
+                   + sum(m.interaction[e].value(z.q[e.b] - z.q[e.a])
+                         for e in m.topology.edge_list))
+    assert H == pytest.approx(direct, rel=1e-12)
 
 
 def test_hamiltonian_dimension_mismatch():
@@ -100,18 +134,19 @@ def test_counterexample_initial_forces():
     assert F[1] == pytest.approx([-4.0, 0.0, 0.0])
 
 
-def test_forces_match_energy_gradient():
-    m = chain_model(3, 2, pinning=SoftPower(degree=4, dim=2),
-                    interaction=EvenPower(degree=4, dim=2))
-    rng = np.random.default_rng(9)
-    st = State(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
-    F = forces(m, st)
+@settings(derandomize=True, max_examples=40, deadline=None)
+@random_kernel_case
+def test_forces_match_energy_gradient(seed, dim, pinning, interaction):
+    # The slab scatter plan of each random incidence pattern adds every
+    # edge force to both ends.
+    m, z = random_kernel_model(seed, dim, pinning, interaction)
+    F = forces(m, z)
     eps = 1e-6
-    for v in range(3):
-        for i in range(2):
-            qp = st.q.copy(); qp[v, i] += eps
-            qm = st.q.copy(); qm[v, i] -= eps
-            dH = (hamiltonian(m, State(st.p, qp))[0] - hamiltonian(m, State(st.p, qm))[0]) / (2 * eps)
+    for v in m.topology.vertices:
+        for i in range(dim):
+            qp = z.q.copy(); qp[v, i] += eps
+            qm = z.q.copy(); qm[v, i] -= eps
+            dH = (hamiltonian(m, State(z.p, qp))[0] - hamiltonian(m, State(z.p, qm))[0]) / (2 * eps)
             assert F[v, i] == pytest.approx(-dH, rel=1e-5, abs=1e-7)
 
 
@@ -162,21 +197,6 @@ def test_ou_stationary_variance():
     assert var == pytest.approx(2.0, rel=0.1)
 
 
-FAMILIES = {
-    "quadratic": lambda dim: Quadratic.isotropic(1.5, dim),
-    "softpower": lambda dim: SoftPower(degree=3.0, dim=dim),
-    "evenpower": lambda dim: EvenPower(degree=4, dim=dim),
-}
-
-
-def full_matrix_family(name, rng, dim):
-    """A potential of the named family; quadratics get a full stiffness."""
-    if name == "quadratic":
-        A = rng.standard_normal((dim, dim))
-        return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
-    return FAMILIES[name](dim)
-
-
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -210,7 +230,7 @@ def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interacti
 
     bi = BatchIntegrator(model, p0, q0, h, [seed_stream(seed, i) for i in range(members)])
     bi.run(n_steps, record_stride=n_steps)
-    H, _, _ = bi.energies()
+    H, _, _ = bi.energies
     for i in range(members):
         tr = integrate(model, State(p0[i], q0[i]), n_steps * h, h, seed_stream(seed, i),
                        record_every=n_steps, record_states=True)
@@ -247,7 +267,7 @@ def test_batch_energies_are_the_single_state_energies_bitwise():
         p = rng.standard_normal((members, N, 1))
         q = rng.standard_normal((members, N, 1))
         bi = BatchIntegrator(model, p, q, 0.01, [seed_stream(0, i) for i in range(members)])
-        H, Hc, Hi = bi.energies()
+        H, Hc, Hi = bi.energies
         for i in range(members):
             assert same_bits(hamiltonian(model, State(p[i], q[i])), (H[i], Hc[i], Hi[i]))
 
@@ -345,7 +365,7 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
     p, q, gamma_acc, m_acc, ref_records = reference_run(
         model, p0, q0, h, [seed_stream(seed, i) for i in range(members)], n_steps, stride)
     assert same_bits(bi.p, p) and same_bits(bi.q, q)
-    assert same_bits(bi.energies()[0], ref_records[-1][0])
+    assert same_bits(bi.energies[0], ref_records[-1][0])
     assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
     assert len(records) == len(ref_records)
     for (_step, H, _Hc, _Hi, rec_p, rec_q), (ref_H, _, _) in zip(records, ref_records):
@@ -671,7 +691,7 @@ def test_budget_residual_is_small_and_refines():
     rms = {}
     for h in hs:
         bi = run_paths(m, z0, t_end, h, xis, h_fine)
-        H, _, _ = bi.energies()
+        H, _, _ = bi.energies
         # Trace.residual's arithmetic on each member's final values.
         acc = H - bi.H0 + bi.gamma_acc - m.noise_work_rate * (int(round(t_end / h)) * h) - bi.m_acc
         rms[h] = float(np.sqrt(np.mean(np.square(acc))))
@@ -753,10 +773,10 @@ def test_scaled_step_policy():
     assert scaled_step(m, 1e-3, 16.0) == pytest.approx(1e-3 * 16 ** -0.25)
     mh = chain_model(3, 1)
     assert scaled_step(mh, 1e-3, 1e6) == pytest.approx(1e-3)
-    # Mixed interaction degrees have no common time scale: the step stays h0.
-    mixed = mixed_degree_chain()
-    assert mixed.common_degrees() is None
-    assert scaled_step(mixed, 1e-3, 16.0) == 1e-3
+    # Mixed interaction degrees have no common time scale, so no energy
+    # scan accepts the model and it has no scaled step.
+    with pytest.raises(ValueError, match="common interaction and pinning degrees >= 2"):
+        scaled_step(mixed_degree_chain(), 1e-3, 16.0)
 
 
 # --- Translation equivariance without pinning ----------------------------------------

@@ -3,7 +3,8 @@
 sympy is never loaded: the non-degeneracy rows come from closed-form
 Taylor coefficients.  Only the coercivity refinement (``scipy.optimize``)
 and the Lyapunov oracle (``scipy.linalg``) need scipy, and each loads it
-when first called.
+when first called: a ``simulate`` run, even from a slow-mode start, loads
+none.
 """
 
 import importlib
@@ -51,6 +52,16 @@ print(json.dumps({"exit": code, "sympy": sympy}))
 """
 
 
+SIMULATE_SCRIPT = """
+import json, sys
+from oscnet import cli
+
+code = cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+scipy = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+print(json.dumps({"exit": code, "scipy": scipy}))
+"""
+
+
 def fresh_interpreter(script, *args):
     """Last line of ``script``'s output, as JSON, from a new interpreter."""
     src = str(Path(oscnet.__file__).resolve().parent.parent)
@@ -76,6 +87,17 @@ def test_check_command_loads_no_sympy(tmp_path):
     config = Path(__file__).resolve().parent.parent / "configs" / "check_chain11.json"
     out = fresh_interpreter(CHECK_SCRIPT, str(config), str(tmp_path / "out"))
     assert out == {"exit": 0, "sympy": []}
+
+
+def test_slow_mode_simulate_loads_no_scipy(tmp_path):
+    # The slow-mode start needs the linear drift, not the Lyapunov solve.
+    config = Path(__file__).resolve().parent.parent / "configs" / "simulate_chain3.json"
+    doc = json.loads(config.read_text())
+    doc["experiment"].update(t_end=0.1, initial={"kind": "slow-mode"})
+    path = tmp_path / "slow_mode.json"
+    path.write_text(json.dumps(doc))
+    out = fresh_interpreter(SIMULATE_SCRIPT, str(path), str(tmp_path / "out"))
+    assert out == {"exit": 0, "scipy": []}
 
 
 def test_every_exported_name_resolves():
