@@ -524,7 +524,7 @@ def parse_config(text: str) -> ExperimentConfig:
     model = model_canon = None
     if "model" in doc:
         model, model_canon = _parse_model(doc["model"], errors)
-    elif kind != "counterexample-c4":
+    elif kind in _EXPERIMENTS and kind != "counterexample-c4":
         errors.add("model", f"a model section is required for kind {kind!r}")
 
     # Cross-section constraints mirroring library preconditions.

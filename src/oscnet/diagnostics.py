@@ -16,7 +16,9 @@ The checks implemented here:
   dissipation integral over one natural time window stays below a
   fraction of the initial energy, from one start or several.
 * ``observable_decay_fit``: exponential rate of |E f(z_t) - mu(f)| against
-  the slowest oracle eigenvalue pair.
+  the slowest eigenvalue pair of the linear drift; for quadratic models
+  the burn-in of its reference run also comes from the drift spectrum,
+  with no Lyapunov solve.
 * ``gibbs_invariance_test``: equal-temperature sanity check that exact
   Boltzmann-Gibbs samples stay stationary under the dynamics.
 
@@ -72,6 +74,7 @@ __all__ = [
     "DriftReport",
     "drift_scan",
     "initial_state_at_energy",
+    "initial_state_on_slow_mode",
     "DissipationTailReport",
     "dissipation_tail",
     "dissipation_scan",
@@ -110,25 +113,34 @@ def _event_counts(first_low, first_high, blown) -> dict[str, int]:
 
 def _full_stiffness(model: Model) -> np.ndarray:
     """Block stiffness of the quadratic energy in the stacked q vector."""
-    N, n = model.vertex_count, model.dim
-    K = np.zeros((N * n, N * n))
+    n = model.dim
+    block = [slice(v * n, (v + 1) * n) for v in model.topology.vertices]
+    K = np.zeros((len(block) * n, len(block) * n))
     for v in model.topology.vertices:
-        spec = model.pinning[v]
-        K[v * n:(v + 1) * n, v * n:(v + 1) * n] += spec.matrix
+        K[block[v], block[v]] += model.pinning[v].matrix
     for e in model.topology.edge_list:
-        Ke = model.interaction[e].matrix
-        a, b = e.a, e.b
-        K[a * n:(a + 1) * n, a * n:(a + 1) * n] += Ke
-        K[b * n:(b + 1) * n, b * n:(b + 1) * n] += Ke
-        K[a * n:(a + 1) * n, b * n:(b + 1) * n] -= Ke
-        K[b * n:(b + 1) * n, a * n:(a + 1) * n] -= Ke
+        Ke, a, b = model.interaction[e].matrix, block[e.a], block[e.b]
+        K[a, a] += Ke
+        K[b, b] += Ke
+        K[a, b] -= Ke
+        K[b, a] -= Ke
     return K
 
 
-def _require_quadratic(model: Model) -> None:
-    specs = list(model.pinning.values()) + list(model.interaction.values())
-    if not all(isinstance(s, Quadratic) for s in specs):
-        raise ValueError("this oracle needs every potential to be Quadratic")
+def _all_quadratic(model: Model) -> bool:
+    """True when every pinning and interaction potential is Quadratic."""
+    specs = [*model.pinning.values(), *model.interaction.values()]
+    return all(isinstance(s, Quadratic) for s in specs)
+
+
+def _spectral_abscissa(A: np.ndarray) -> float:
+    """Largest real part of an eigenvalue of ``A``."""
+    return float(np.max(np.linalg.eigvals(A).real))
+
+
+def _gibbs_position_covariance(K: np.ndarray, temperature: float) -> np.ndarray:
+    """T K^{-1}: the Gibbs covariance of positions under the stiffness K."""
+    return temperature * np.linalg.inv(K)
 
 
 @dataclass(frozen=True)
@@ -146,12 +158,8 @@ class GaussianOracle:
     residual: float
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.drift)
-
-    @property
     def spectral_abscissa(self) -> float:
-        return float(np.max(self.eigenvalues.real))
+        return _spectral_abscissa(self.drift)
 
     @property
     def slowest_decay_rate(self) -> float:
@@ -161,33 +169,25 @@ class GaussianOracle:
     def gibbs_covariance(self, temperature: float) -> np.ndarray:
         """Boltzmann-Gibbs covariance at a common temperature: T on momenta,
         T K^{-1} on positions, no cross terms."""
-        half = self.stiffness.shape[0]
-        out = np.zeros_like(self.sigma_inf)
-        out[:half, :half] = temperature * np.eye(half)
-        out[half:, half:] = temperature * np.linalg.inv(self.stiffness)
-        return out
+        zero = np.zeros_like(self.stiffness)
+        return np.block([[temperature * np.eye(len(zero)), zero],
+                         [zero, _gibbs_position_covariance(self.stiffness, temperature)]])
 
 
 def _linear_drift(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drift A, diffusion D and stiffness K of a quadratic model, laid out
     as in :class:`GaussianOracle`; :class:`OracleError` unless A is Hurwitz."""
-    _require_quadratic(model)
-    N, n = model.vertex_count, model.dim
-    d = N * n
+    if not _all_quadratic(model):
+        raise ValueError("this oracle needs every potential to be Quadratic")
+    d = model.vertex_count * model.dim
     K = _full_stiffness(model)
-    G = np.zeros((d, d))
+    # Friction and noise act on the momenta, one (gamma, T) per vertex.
+    g = np.repeat([model.gamma_of(v) for v in model.topology.vertices], model.dim)
+    T = np.repeat([model.temperature_of(v) for v in model.topology.vertices], model.dim)
+    A = np.block([[-np.diag(g), -K], [np.eye(d), np.zeros((d, d))]])
     D = np.zeros((2 * d, 2 * d))
-    for v in model.topology.vertices:
-        g = model.gamma_of(v)
-        T = model.temperature_of(v)
-        sl = slice(v * n, (v + 1) * n)
-        G[sl, sl] = g * np.eye(n)
-        D[v * n:(v + 1) * n, v * n:(v + 1) * n] = g * T * np.eye(n)
-    A = np.zeros((2 * d, 2 * d))
-    A[:d, :d] = -G
-    A[:d, d:] = -K
-    A[d:, :d] = np.eye(d)
-    if np.max(np.linalg.eigvals(A).real) >= -1e-12:
+    D[:d, :d] = np.diag(g * T)
+    if _spectral_abscissa(A) >= -1e-12:
         raise OracleError(
             "drift matrix is not Hurwitz: the linear system has no unique "
             "stationary covariance (is the topology controlled and pinned?)"
@@ -510,8 +510,7 @@ def stationary_moment_test(
     diss = float(rep_diss.mean())
     diss_se = float(rep_diss.std(ddof=1) / math.sqrt(replicas))
 
-    second = second_se = osig = None
-    max_dev = None
+    second = second_se = osig = max_dev = None
     if oracle is not None:
         rep_zz = sum_zz / count
         second = rep_zz.mean(axis=0)
@@ -618,6 +617,22 @@ def initial_state_at_energy(model: Model, H0: float, mode: str = "interaction") 
     if mode == "pinning" and Hc <= H / 2:
         raise ValueError("pinning placement failed to dominate: increase H0")
     return state
+
+
+def initial_state_on_slow_mode(model: Model, scale: float) -> State:
+    """Phase point at distance ``scale`` from the origin along the slowest
+    mode of the linear drift: the real part of the eigenvector of its
+    rightmost eigenvalue.  Raises ValueError when the model has no such
+    mode (it is not fully Quadratic, or its drift is not Hurwitz)."""
+    try:
+        drift, _, _ = _linear_drift(model)
+    except (ValueError, OracleError) as exc:
+        raise ValueError(f"no slow-mode start for this model: {exc}") from exc
+    evals, evecs = np.linalg.eig(drift)
+    v = evecs[:, int(np.argmax(evals.real))].real
+    v = scale * (v / np.linalg.norm(v))
+    p, q = v.reshape(2, model.vertex_count, model.dim)
+    return State(p, q)
 
 
 @dataclass(frozen=True)
@@ -915,24 +930,23 @@ def observable_decay_fit(
 
     The curve is sampled at step 0, every ``n_steps // grid_points``
     steps, and the last step.  The stationary reference mu(f) is a
-    long-run time average after a burn-in of ten slowest oracle timescales
-    (quadratic models) or a fixed default of 50 time units.  The rate is
+    long-run time average after a burn-in of ten slowest timescales
+    1/|a|, with a the spectral abscissa of the linear drift (quadratic
+    models with a Hurwitz drift, which also report ``oracle_slowest_rate``
+    = 2|a|), or a fixed default of 50 time units.  The rate is
     fitted on the leading grid window where the (smoothed) signal exceeds
     three times the Monte Carlo noise; fewer than five such points marks
     the report inconclusive.  Raises :class:`BlowupError` when a member of
     either run blew up.
     """
-    if isinstance(observable, str):
-        fn = resolve_observable(model, observable)
-    else:
-        fn = observable
+    fn = resolve_observable(model, observable) if isinstance(observable, str) else observable
 
     # Stationary reference: a handful of long runs on dedicated streams
     # (indices above the ensemble members), averaged after burn-in.
     try:
-        oracle = gaussian_stationary_covariance(model)
-        burn = 10.0 / max(abs(oracle.spectral_abscissa), 1e-6)
-        slowest = oracle.slowest_decay_rate
+        abscissa = _spectral_abscissa(_linear_drift(model)[0])
+        burn = 10.0 / max(abs(abscissa), 1e-6)
+        slowest = 2.0 * abs(abscissa)
     except (ValueError, OracleError):
         burn = 50.0
         slowest = None
@@ -997,39 +1011,25 @@ def observable_decay_fit(
     # A centered moving average over ~2 time units suppresses the
     # oscillatory factor of the decay (the envelope slope is unbiased:
     # averaging e^{-ct} over a fixed window only rescales it).
-    sm, t_sm, n_sm = curve, times, noise
-    if len(times) > 1:
-        span = max(1, int(round(2.0 / float(times[1] - times[0]))))
-        if span > 1:
-            kern_w = np.ones(span) / span
-            sm = np.convolve(curve, kern_w, mode="valid")
-            t_sm = np.convolve(times, kern_w, mode="valid")
-            n_sm = np.convolve(noise, kern_w, mode="valid")
+    span = max(1, int(round(2.0 / float(times[1] - times[0])))) if len(times) > 1 else 1
+    sm, t_sm, n_sm = (np.convolve(x, np.ones(span) / span, mode="valid") if span > 1 else x
+                      for x in (curve, times, noise))
 
     # Fit on the contiguous leading window where the signal clears the
     # noise; once the smoothed curve first dips under 3x noise the rest is
     # dominated by the |.| folding bias and the reference offset.
     above = sm > 3.0 * n_sm
-    mask = np.zeros_like(above)
-    for k in range(len(above)):
-        if not above[k]:
-            break
-        mask[k] = True
-    fit_points = int(np.sum(mask))
+    fit_points = len(above) if above.all() else int(np.argmin(above))
     rate = None
-    window = None
+    raw_mask = np.zeros(len(times), dtype=bool)
     inconclusive = fit_points < 5
     if not inconclusive:
-        slope, _, _ = _linear_fit(t_sm[mask], np.log(sm[mask]))
+        slope, _, _ = _linear_fit(t_sm[:fit_points], np.log(sm[:fit_points]))
         rate = -slope
-        window = (float(t_sm[0]), float(t_sm[fit_points - 1]))
+        raw_mask = (times >= t_sm[0]) & (times <= t_sm[fit_points - 1])
         if rate <= 0:
             inconclusive = True
             rate = None
-    if window is not None:
-        raw_mask = (times >= window[0]) & (times <= window[1])
-    else:
-        raw_mask = np.zeros(len(times), dtype=bool)
     return DecayFitReport(
         rate=rate,
         times=times,
@@ -1048,17 +1048,6 @@ def observable_decay_fit(
 # Gibbs sampling and the equal-temperature invariance test
 # ---------------------------------------------------------------------------
 
-def _gibbs_supported(model: Model) -> str | None:
-    specs = list(model.pinning.values()) + list(model.interaction.values())
-    if all(isinstance(s, Quadratic) for s in specs):
-        return "quadratic"
-    if not model.topology.edges and all(
-        isinstance(s, (SoftPower, EvenPower, Quadratic)) for s in model.pinning.values()
-    ):
-        return "product"
-    return None
-
-
 def _rejection_sample(spec, temperature: float, count: int, rng) -> np.ndarray:
     """Draw from exp(-U(x)/T) dx by rejection under a Gaussian envelope.
 
@@ -1070,8 +1059,7 @@ def _rejection_sample(spec, temperature: float, count: int, rng) -> np.ndarray:
     n = spec.dim
     T = temperature
     if isinstance(spec, Quadratic):
-        cov = T * np.linalg.inv(spec.matrix)
-        L = np.linalg.cholesky(cov)
+        L = np.linalg.cholesky(_gibbs_position_covariance(spec.matrix, T))
         return rng.standard_normal((count, n)) @ L.T
     if isinstance(spec, SoftPower):
         r = spec.degree
@@ -1080,7 +1068,7 @@ def _rejection_sample(spec, temperature: float, count: int, rng) -> np.ndarray:
         def log_accept(x):
             s = np.sum(x * x, axis=-1)
             return -(spec.value(x) - 1.0 - 0.5 * r * s) / T
-    elif isinstance(spec, EvenPower):
+    else:  # EvenPower: sample_gibbs admits no other family
         r = float(spec.degree)
         sigma2 = T ** (2.0 / r)
         # c = sup exp(s/(2 sigma^2) - s^(r/2)/T) over s >= 0.
@@ -1093,11 +1081,6 @@ def _rejection_sample(spec, temperature: float, count: int, rng) -> np.ndarray:
         def log_accept(x):
             s = np.sum(x * x, axis=-1)
             return -(s ** (r / 2.0)) / T + s / (2 * sigma2) - log_c
-    else:
-        raise ValueError(
-            f"no rejection sampler for {type(spec).__name__}; supported pinning "
-            "families are SoftPower, EvenPower and Quadratic"
-        )
 
     out = np.empty((count, n))
     filled = 0
@@ -1127,8 +1110,9 @@ def sample_gibbs(model: Model, temperature: float, count: int, rng) -> tuple[np.
     (per-vertex rejection sampling).  Anything else raises with the list
     of supported forms.
     """
-    kind = _gibbs_supported(model)
-    if kind is None:
+    quadratic = _all_quadratic(model)
+    if not quadratic and (model.topology.edges or not all(
+            isinstance(s, (SoftPower, EvenPower, Quadratic)) for s in model.pinning.values())):
         raise ValueError(
             "Gibbs sampling supports fully Quadratic models or interaction-free "
             "models with SoftPower/EvenPower/Quadratic pinning"
@@ -1136,11 +1120,11 @@ def sample_gibbs(model: Model, temperature: float, count: int, rng) -> tuple[np.
     N, n = model.vertex_count, model.dim
     T = float(temperature)
     p = math.sqrt(T) * rng.standard_normal((count, N, n))
-    if kind == "quadratic":
+    if quadratic:
         K = _full_stiffness(model)
         if np.min(np.linalg.eigvalsh(K)) <= 1e-12:
             raise ValueError("stiffness is singular; the Gibbs measure is not normalizable")
-        cov = T * np.linalg.inv(K)
+        cov = _gibbs_position_covariance(K, T)
         L = np.linalg.cholesky(0.5 * (cov + cov.T))
         q = (rng.standard_normal((count, N * n)) @ L.T).reshape(count, N, n)
     else:

@@ -1,4 +1,6 @@
-"""Bundled models: standard chains and the locally-flat-force counterexample.
+"""Bundled models: the locally-flat-force counterexample, and two harmonic
+networks that each break one structural hypothesis (C1 resp. C2) and with
+it the linear drift's Hurwitz property.
 
 The counterexample is a two-mass system in three dimensions whose
 interaction force is constant along a line segment, which defeats the
@@ -23,10 +25,12 @@ import numpy as np
 
 from .dynamics import State
 from .model import BathSpec, Model
-from .potentials import LocalPiece
+from .potentials import LocalPiece, Quadratic
 from .topology import Edge, NetworkTopology
 
 __all__ = [
+    "c1_counterexample_model",
+    "c2_counterexample_model",
     "c4_counterexample_model",
     "c4_initial_state",
     "c4_guard",
@@ -94,3 +98,28 @@ def c4_guard(q: np.ndarray) -> bool:
     """True while both masses, at the (2, 3) positions ``q``, remain inside
     the documented validity box."""
     return bool((np.abs(q - _BOX_CENTER) <= _BOX_HALFWIDTH).all())
+
+
+def _harmonic_triple(edges, dim: int, pinning, stiffness) -> Model:
+    """Three masses with isotropic pinning constants ``pinning``, springs
+    of ``stiffness`` along ``edges``, and the bath (gamma = T = 1) at 0."""
+    edges = frozenset(Edge(a, b) for a, b in edges)
+    return Model(NetworkTopology(3, edges, frozenset({0})), dim,
+                 {v: Quadratic(k, dim) for v, k in enumerate(pinning)},
+                 {e: Quadratic(stiffness, dim) for e in edges}, {0: BathSpec(1.0, 1.0)})
+
+
+def c1_counterexample_model(leaf_pinning: float = 1.0) -> Model:
+    """Harmonic 3-star in dimension 1 with the bath at the hub, so C1 fails.
+    With identical leaves their antisymmetric mode never reaches the bath
+    and the drift is not Hurwitz; leaf 2 pinned at ``leaf_pinning`` != 1
+    makes it Hurwitz anyway (1.3: spectral abscissa about -0.0056)."""
+    return _harmonic_triple([(0, 1), (0, 2)], 1, (1.0, 1.0, leaf_pinning), 1.0)
+
+
+def c2_counterexample_model(stiffness=((1.0, 0.0), (0.0, 0.0))) -> Model:
+    """Harmonic 3-chain in dimension 2, bath at one end, springs of
+    ``stiffness``.  The default has no second-axis term, so C2 fails and
+    the drift is not Hurwitz; ``((1.0, 0.3), (0.3, 0.5))`` passes C2
+    (spectral abscissa about -0.016)."""
+    return _harmonic_triple([(0, 1), (1, 2)], 2, (1.0, 1.0, 1.0), stiffness)

@@ -107,11 +107,7 @@ def chain_model(
     edges = frozenset(Edge(i, i + 1) for i in range(n_masses - 1))
     bath_ids = (0, n_masses - 1) if n_masses > 1 else (0,)
     topo = NetworkTopology(vertex_count=n_masses, edges=edges, baths=frozenset(bath_ids))
-    baths = {
-        bath_ids[0]: BathSpec(gamma=gamma, temperature=temperatures[0]),
-    }
-    if len(bath_ids) > 1:
-        baths[bath_ids[1]] = BathSpec(gamma=gamma, temperature=temperatures[1])
+    baths = {b: BathSpec(gamma=gamma, temperature=T) for b, T in zip(bath_ids, temperatures)}
     return Model(
         topology=topo,
         dim=dim,

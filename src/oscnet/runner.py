@@ -32,11 +32,11 @@ from . import __version__
 from .conditions import check_conditions
 from .config import ExperimentConfig
 from .diagnostics import (
-    _linear_drift,
     dissipation_scan,
     drift_scan,
     gibbs_invariance_test,
     initial_state_at_energy,
+    initial_state_on_slow_mode,
     observable_decay_fit,
 )
 from .dynamics import State, Trace, integrate, integrate_deterministic
@@ -145,21 +145,11 @@ def _initial_state(model, spec: dict) -> State:
         return initial_state_at_energy(model, spec["H0"], spec["mode"])
     if kind == "explicit":
         return State(np.asarray(spec["p"], dtype=float), np.asarray(spec["q"], dtype=float))
-    # "slow-mode": along the slowest mode of the linear drift.
-    try:
-        drift, _, _ = _linear_drift(model)
-    except OracleError as exc:
+    try:  # "slow-mode"
+        return initial_state_on_slow_mode(model, spec["scale"])
+    except ValueError as exc:
         # No step has run: the config asks for a start this model lacks.
-        raise ValueError(f"experiment.initial: no slow-mode start for this model: {exc}") from exc
-    evals, evecs = np.linalg.eig(drift)
-    v = evecs[:, int(np.argmax(evals.real))].real
-    v = v / np.linalg.norm(v)
-    scale = spec["scale"]
-    d = model.vertex_count * model.dim
-    return State(
-        (scale * v[:d]).reshape(model.vertex_count, model.dim),
-        (scale * v[d:]).reshape(model.vertex_count, model.dim),
-    )
+        raise ValueError(f"experiment.initial: {exc}") from exc
 
 
 def run(config: ExperimentConfig, command: str | None = None,

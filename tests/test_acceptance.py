@@ -23,6 +23,7 @@ from oscnet.diagnostics import (
     gaussian_stationary_covariance,
     gibbs_invariance_test,
     initial_state_at_energy,
+    initial_state_on_slow_mode,
     observable_decay_fit,
     stationary_moment_test,
 )
@@ -329,10 +330,7 @@ def test_criterion_9_decay_rate_matches_oracle():
     t0 = time.time()
     model = chain_model(3, 1, temperatures=(1.0, 2.0))
     oracle = gaussian_stationary_covariance(model)
-    evals, evecs = np.linalg.eig(oracle.drift)
-    v = evecs[:, int(np.argmax(evals.real))].real
-    v /= np.linalg.norm(v)
-    z0 = State((30.0 * v[:3]).reshape(3, 1), (30.0 * v[3:]).reshape(3, 1))
+    z0 = initial_state_on_slow_mode(model, 30.0)
     rep = observable_decay_fit(model, "p2:0", z0, horizon=30.0, ensemble=6000,
                                seed=91001, h=0.01, grid_points=120,
                                stationary_samples=16000)

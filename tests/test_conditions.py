@@ -1,11 +1,20 @@
 """Aggregated structural checks (C1-C5, CA) on whole models."""
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oscnet import conditions
 from oscnet.conditions import check_conditions
+from oscnet.diagnostics import _linear_drift, _spectral_abscissa
 from oscnet.dynamics import _scan_degrees
-from oscnet.fixtures import c4_counterexample_model
+from oscnet.errors import OracleError
+from oscnet.fixtures import (
+    c1_counterexample_model,
+    c2_counterexample_model,
+    c4_counterexample_model,
+)
 from oscnet.model import BathSpec, Model, chain_model
 from oscnet.potentials import (
     Quadratic,
@@ -14,7 +23,7 @@ from oscnet.potentials import (
     check_nondegenerate,
     default_nondegeneracy_samples,
 )
-from oscnet.topology import Edge, NetworkTopology, builtin_fixture
+from oscnet.topology import Edge, NetworkTopology, builtin_fixture, controls, random_topology
 
 
 def test_harmonic_five_chain_passes_everything():
@@ -132,3 +141,53 @@ def test_each_distinct_spec_is_checked_once(pinning, coercive_calls, monkeypatch
         assert report.c3[f"interaction:{e.a}-{e.b}"] == check_coercive_limit(spec, 256)
         samples = default_nondegeneracy_samples(spec.dim, extra=20)
         assert report.c2[e] == check_nondegenerate(spec, samples, ell=conditions._rank_order(spec.degree))
+
+
+# --- C1 and C2 against the linear drift ------------------------------------------
+# For a harmonic network C1 (controllability) and C2 (non-degeneracy) are
+# sufficient for a Hurwitz drift, whose stationary law is then unique.
+
+def verdicts(model):
+    report = check_conditions(model)
+    return report.c1_ok, report.c2_overall
+
+
+def test_star_with_the_bath_at_the_hub_fails_c1():
+    # Identical leaves: their antisymmetric mode is dark.
+    assert verdicts(c1_counterexample_model()) == (False, True)
+    with pytest.raises(OracleError, match="not Hurwitz"):
+        _linear_drift(c1_counterexample_model())
+    # C1 is not necessary: unequal leaves are Hurwitz, if barely.
+    detuned = c1_counterexample_model(leaf_pinning=1.3)
+    assert verdicts(detuned) == (False, True)
+    assert _spectral_abscissa(_linear_drift(detuned)[0]) == pytest.approx(-0.00556, rel=1e-3)
+
+
+def test_chain_with_a_rank_one_spring_fails_c2():
+    assert verdicts(c2_counterexample_model()) == (True, False)
+    with pytest.raises(OracleError, match="not Hurwitz"):
+        _linear_drift(c2_counterexample_model())
+    full = c2_counterexample_model(((1.0, 0.3), (0.3, 0.5)))
+    assert verdicts(full) == (True, True)
+    assert _spectral_abscissa(_linear_drift(full)[0]) == pytest.approx(-0.0162, rel=1e-3)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3))
+def test_c1_and_c2_imply_a_hurwitz_drift(seed, dim):
+    # A positive-definite stiffness on every vertex and edge, each its own.
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, max_vertices=8)
+    assume(controls(topo).controlled)
+
+    def stiffness():
+        A = rng.standard_normal((dim, dim))
+        return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
+
+    model = Model(topo, dim, {v: stiffness() for v in topo.vertices},
+                  {e: stiffness() for e in topo.edge_list},
+                  {b: BathSpec(1.0, 1.0) for b in topo.baths})
+    samples = default_nondegeneracy_samples(dim)
+    assert all(check_nondegenerate(spec, samples, 1).overall for spec in model.interaction.values())
+    A, _, _ = _linear_drift(model)  # OracleError unless Hurwitz
+    assert _spectral_abscissa(A) < 0

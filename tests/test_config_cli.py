@@ -351,26 +351,31 @@ DELETE = object()
     (("model", "topology"), [], "model.topology"),
     (("model", "pinning", "default"), [], "model.pinning.default"),
     (("model", "interaction", "per_edge"), [[]], "model.interaction.per_edge[0]"),
+    ((), {"experiment": []}, "experiment"),
+    ((), {"experiment": {"kind": "simulat"}}, "experiment.kind"),
 ], ids=["seed-fractional", "unknown-fixture", "no-vertices", "duplicate-vertices",
         "edges-not-a-list", "edge-not-a-pair", "edge-unknown-vertex", "loop-edge",
         "baths-not-a-list", "bath-unknown-vertex", "override-unknown-vertex",
         "override-not-a-bath", "per-vertex-unknown-vertex", "per-edge-not-a-list",
         "per-edge-bad-pair", "per-edge-not-an-edge", "odd-even-power", "stiffness-shape",
         "no-model", "model-not-an-object", "experiment-not-an-object",
-        "topology-not-an-object", "potential-not-an-object", "per-edge-entry-not-an-object"])
+        "topology-not-an-object", "potential-not-an-object", "per-edge-entry-not-an-object",
+        "no-model-experiment-not-an-object", "no-model-unknown-kind"])
 def test_each_config_error_is_reported_once(keys, value, reported, tmp_path, capsys):
     # A section that is not an object is one error: a model given as []
     # was also reported as having no vertices, and an experiment given as
-    # [] as having no kind.
-    doc = json.loads(MINIMAL)
-    *parents, key = keys
-    target = doc
-    for name in parents:
-        target = target[name]
-    if value is DELETE:
-        del target[key]
-    else:
-        target[key] = value
+    # [] as having no kind.  Without keys, ``value`` is the whole document:
+    # a missing model is not also reported for a kind that is invalid.
+    doc = json.loads(MINIMAL) if keys else value
+    if keys:
+        *parents, key = keys
+        target = doc
+        for name in parents:
+            target = target[name]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = value
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     out = tmp_path / "out"

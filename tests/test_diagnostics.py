@@ -17,6 +17,7 @@ from oscnet.diagnostics import (
     gaussian_stationary_covariance,
     gibbs_invariance_test,
     initial_state_at_energy,
+    initial_state_on_slow_mode,
     observable_decay_fit,
     resolve_observable,
     run_ensemble,
@@ -81,6 +82,23 @@ def test_oracle_rejects_non_quadratic():
     m = chain_model(3, 1, pinning=SoftPower(degree=4, dim=1))
     with pytest.raises(ValueError):
         gaussian_stationary_covariance(m)
+
+
+def test_slow_mode_start_lies_on_the_rightmost_eigenvector():
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    z0 = initial_state_on_slow_mode(m, 30.0)
+    z = np.concatenate([z0.p.ravel(), z0.q.ravel()])
+    assert np.linalg.norm(z) == pytest.approx(30.0, rel=1e-12)
+    # z lies in the real invariant plane of the rightmost eigenvalue pair
+    # l, conj(l): (A - l)(A - conj(l)) z = 0.
+    A = gaussian_stationary_covariance(m).drift
+    evals = np.linalg.eigvals(A)
+    l = evals[np.argmax(evals.real)]
+    assert np.allclose(A @ (A @ z) - 2 * l.real * (A @ z) + abs(l) ** 2 * z, 0.0, atol=1e-9)
+    for model in (chain_model(3, 1, pinning=SoftPower(degree=4, dim=1)),
+                  chain_model(3, 1, pinning=Quadratic.isotropic(0.0, 1))):
+        with pytest.raises(ValueError, match="no slow-mode start"):
+            initial_state_on_slow_mode(model, 30.0)
 
 
 def test_oracle_rejects_undamped_system():

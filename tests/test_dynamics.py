@@ -98,7 +98,7 @@ def test_hamiltonian_split_kinetic_only():
     assert (H, Hc, Hi) == pytest.approx((1.0, 0.0, 1.0))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @random_kernel_case
 def test_split_identity_on_random_states(seed, dim, pinning, interaction):
     m, z = random_kernel_model(seed, dim, pinning, interaction)
@@ -134,7 +134,7 @@ def test_counterexample_initial_forces():
     assert F[1] == pytest.approx([-4.0, 0.0, 0.0])
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @random_kernel_case
 def test_forces_match_energy_gradient(seed, dim, pinning, interaction):
     # The slab scatter plan of each random incidence pattern adds every
@@ -202,7 +202,7 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     topo_seed=st.integers(0, 2 ** 32 - 1),
     dim=st.integers(1, 3),
@@ -329,7 +329,7 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
     return p, q, gamma_acc, m_acc, records
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     topo_seed=st.integers(0, 2 ** 32 - 1),
     dim=st.integers(1, 3),

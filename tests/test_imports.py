@@ -3,8 +3,9 @@
 sympy is never loaded: the non-degeneracy rows come from closed-form
 Taylor coefficients.  Only the coercivity refinement (``scipy.optimize``)
 and the Lyapunov oracle (``scipy.linalg``) need scipy, and each loads it
-when first called: a ``simulate`` run, even from a slow-mode start, loads
-none.
+when first called.  The slow-mode start and the decay fit read the linear
+drift and its spectrum, not the Lyapunov solve, so a ``simulate`` run from
+a slow-mode start and a ``decay-fit`` run load none.
 """
 
 import importlib
@@ -52,11 +53,11 @@ print(json.dumps({"exit": code, "sympy": sympy}))
 """
 
 
-SIMULATE_SCRIPT = """
+RUN_SCRIPT = """
 import json, sys
 from oscnet import cli
 
-code = cli.main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+code = cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
 scipy = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
 print(json.dumps({"exit": code, "scipy": scipy}))
 """
@@ -89,14 +90,27 @@ def test_check_command_loads_no_sympy(tmp_path):
     assert out == {"exit": 0, "sympy": []}
 
 
+def run_scaled_config(tmp_path, name, **experiment):
+    """``fresh_interpreter(RUN_SCRIPT)`` on the bundled config ``name``
+    with ``experiment`` overriding its experiment section."""
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    doc = json.loads(config.read_text())
+    doc["experiment"].update(experiment)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return fresh_interpreter(RUN_SCRIPT, doc["experiment"]["kind"], str(path), str(tmp_path / "out"))
+
+
 def test_slow_mode_simulate_loads_no_scipy(tmp_path):
     # The slow-mode start needs the linear drift, not the Lyapunov solve.
-    config = Path(__file__).resolve().parent.parent / "configs" / "simulate_chain3.json"
-    doc = json.loads(config.read_text())
-    doc["experiment"].update(t_end=0.1, initial={"kind": "slow-mode"})
-    path = tmp_path / "slow_mode.json"
-    path.write_text(json.dumps(doc))
-    out = fresh_interpreter(SIMULATE_SCRIPT, str(path), str(tmp_path / "out"))
+    out = run_scaled_config(tmp_path, "simulate_chain3", t_end=0.1, initial={"kind": "slow-mode"})
+    assert out == {"exit": 0, "scipy": []}
+
+
+def test_decay_fit_loads_no_scipy(tmp_path):
+    # The burn-in and the oracle rate come from the drift's eigenvalues.
+    out = run_scaled_config(tmp_path, "decay_quadratic3",
+                            ensemble=200, horizon=10.0, stationary_samples=800)
     assert out == {"exit": 0, "scipy": []}
 
 

@@ -104,7 +104,7 @@ def test_gradient_matches_finite_differences(spec):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_gradient_consistency_property(seed):
     rng = np.random.default_rng(seed)
     spec = ALL_SPECS[int(rng.integers(len(ALL_SPECS)))]
@@ -278,7 +278,7 @@ def oracle_point(dim):
 
 
 @given(spec=st.sampled_from(ORACLE_SPECS), ell=st.integers(1, 6), data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_derivative_rows_match_sympy(spec, ell, data):
     x = data.draw(oracle_point(spec.dim))
     rows = derivative_rows(spec, x, ell)

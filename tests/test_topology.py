@@ -183,7 +183,7 @@ def test_connectivity():
 # --- Properties ----------------------------------------------------------------
 
 @given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_growth_is_monotone_and_terminates(seed):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
@@ -199,7 +199,7 @@ def test_growth_is_monotone_and_terminates(seed):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_controllability_monotone_in_bath_set(seed):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
@@ -215,7 +215,7 @@ def test_controllability_monotone_in_bath_set(seed):
 
 
 @given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_depth_bound_and_frontier_inequality(seed):
     rng = np.random.default_rng(seed)
     topo = random_topology(rng)
