@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import EXPERIMENT_KINDS, parse_config
+from .config import EXPERIMENT_KINDS, parse_config, seed_problem
 from .errors import ConfigError
 from .runner import EXIT_VALIDATION, run
 from .topology import builtin_fixture, controls, fixture_names, fixture_table
@@ -70,6 +70,8 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
+        if args.seed is not None and (problem := seed_problem(args.seed)):
+            raise ConfigError([f"--seed: {problem}"])
         config = parse_config(text)
         code = run(config, command=args.command, out_dir=args.out, seed=args.seed)
     except ConfigError as exc:

@@ -114,6 +114,15 @@ def _is_number(val) -> bool:
         return False
 
 
+def seed_problem(seed) -> str | None:
+    """Why ``seed`` cannot be a run's seed, or None.  A noise stream is
+    keyed by the seed modulo 2^64, so a seed outside [0, 2^64) would
+    silently share the streams of another."""
+    if not 0 <= seed < 2 ** 64:
+        return f"must be in [0, 2^64), got {seed!r}"
+    return None
+
+
 def _reject_unknown(doc, known, path, errors) -> None:
     for key in sorted(set(doc) - set(known)):
         errors.add(f"{path}.{key}", "unknown key")
@@ -220,7 +229,7 @@ def _parse_topology(doc, path, errors):
         return None, None, None
     start = len(errors.messages)
     index = {v: i for i, v in enumerate(vertices)}
-    edges = set()
+    edges: dict[Edge, int] = {}
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         errors.add(f"{path}.edges", "expected a list of [u, v] pairs")
@@ -237,9 +246,13 @@ def _parse_topology(doc, path, errors):
         if u == v:
             errors.add(f"{path}.edges[{k}]", f"loop edge {pair!r} is not allowed")
             continue
-        edges.add(Edge(index[u], index[v]))
+        edge = Edge(index[u], index[v])
+        if edge in edges:
+            errors.add(f"{path}.edges[{k}]", f"edge {pair!r} repeats edges[{edges[edge]}]")
+            continue
+        edges[edge] = k
     raw_baths = doc.get("baths", [])
-    baths = set()
+    baths: dict[int, int] = {}
     if not isinstance(raw_baths, list):
         errors.add(f"{path}.baths", "expected a list of vertex names")
         raw_baths = []
@@ -247,7 +260,10 @@ def _parse_topology(doc, path, errors):
         if b not in index:
             errors.add(f"{path}.baths[{k}]", f"unknown vertex name {b!r}")
             continue
-        baths.add(index[b])
+        if index[b] in baths:
+            errors.add(f"{path}.baths[{k}]", f"bath {b!r} repeats baths[{baths[index[b]]}]")
+            continue
+        baths[index[b]] = k
     if len(errors.messages) > start:
         # Names are still usable for validating the rest of the model.
         return None, tuple(vertices), None
@@ -515,6 +531,8 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in sorted(set(doc) - {"seed", "model", "experiment", "output"}):
         errors.add(key, "unknown top-level key")
     seed = _get_number(doc, "seed", "<root>", errors, default=0, integer=True)
+    if problem := seed_problem(seed):
+        errors.add("<root>.seed", problem)
     experiment = _parse_kind(doc.get("experiment", {}), _EXPERIMENTS, "experiment", errors)
 
     output = _parse_section(_expect_mapping(doc.get("output", {}), "output", errors),

@@ -54,6 +54,7 @@ from .dynamics import (
     BatchIntegrator,
     State,
     _Kernel,
+    _Read,
     hamiltonian,
     scaled_step,
     _scan_degrees,
@@ -571,9 +572,12 @@ def initial_state_at_energy(model: Model, H0: float, mode: str = "interaction") 
     if not (H0 > 0):
         raise ValueError("H0 must be > 0")
     N, n = model.vertex_count, model.dim
-    kern = _Kernel(model)
-    q0 = np.zeros((N, n))
-    pot0 = float(kern.pinning_energy(q0)) + float(kern.interaction_energy(q0))
+    # A read at zero momenta: Hc and Hi are the pinning and interaction
+    # energies of the positions in q_read.
+    q_read = np.zeros((N, n, 1))
+    read = _Read(_Kernel(model), np.zeros((N, n, 1)), q_read)
+    _, pin0, int0 = (float(e[0]) for e in read())
+    pot0 = pin0 + int0
     if mode == "interaction":
         if H0 <= pot0:
             raise ValueError(f"H0={H0} does not exceed the potential floor {pot0}")
@@ -585,12 +589,9 @@ def initial_state_at_energy(model: Model, H0: float, mode: str = "interaction") 
         p[:, 0] = s * w
         state = State(p, np.zeros((N, n)))
     elif mode == "pinning":
-        int0 = float(kern.interaction_energy(q0))
-
         def energy_at(s: float) -> float:
-            q = np.zeros((N, n))
-            q[:, 0] = s
-            return float(kern.pinning_energy(q)) + int0
+            q_read[:, 0] = s
+            return float(read()[1][0]) + int0
 
         if energy_at(0.0) >= H0:
             raise ValueError(f"H0={H0} does not exceed the potential floor {pot0}")
@@ -619,17 +620,27 @@ def initial_state_at_energy(model: Model, H0: float, mode: str = "interaction") 
     return state
 
 
+def _real_phase(v: np.ndarray) -> np.ndarray:
+    """The real part of the eigenvector ``v`` after multiplying it by the
+    unit phase that makes its largest-modulus component (the first one on
+    ties) real and positive.  An eigenvector is fixed only up to such a
+    phase, which LAPACK chooses; this one the vector itself fixes."""
+    k = int(np.argmax(np.abs(v)))
+    return (v * (np.conj(v[k]) / abs(v[k]))).real
+
+
 def initial_state_on_slow_mode(model: Model, scale: float) -> State:
     """Phase point at distance ``scale`` from the origin along the slowest
     mode of the linear drift: the real part of the eigenvector of its
-    rightmost eigenvalue.  Raises ValueError when the model has no such
-    mode (it is not fully Quadratic, or its drift is not Hurwitz)."""
+    rightmost eigenvalue, in the phase :func:`_real_phase` fixes.  Raises
+    ValueError when the model has no such mode (it is not fully Quadratic,
+    or its drift is not Hurwitz)."""
     try:
         drift, _, _ = _linear_drift(model)
     except (ValueError, OracleError) as exc:
         raise ValueError(f"no slow-mode start for this model: {exc}") from exc
     evals, evecs = np.linalg.eig(drift)
-    v = evecs[:, int(np.argmax(evals.real))].real
+    v = _real_phase(evecs[:, int(np.argmax(evals.real))])
     v = scale * (v / np.linalg.norm(v))
     p, q = v.reshape(2, model.vertex_count, model.dim)
     return State(p, q)

@@ -41,14 +41,30 @@ member axis, (members, vertices, dim).  Inside the stepping loop the state
 is held member-minor, (vertices, dim, members): every per-vertex or
 per-bath operation is one contiguous vector op over the members, and the
 edge forces are scattered in slabs, one round per incident-edge rank, so a
-vertex still adds its edge terms in edge-list order.  A read of the state,
-at construction (step 0) and at each record step, computes (H, Hc, Hi)
-once and keeps them as ``BatchIntegrator.energies``.  Potentials, energies
-and the record callback ``on_record(step, H, Hc, Hi, p, q)`` see
-member-major copies, so every reduction keeps the order it has on a
-(members, vertices, dim) array; a sum over 8 or more baths, components or
-group terms, which numpy evaluates pairwise there, is taken on a
-member-major copy as well.  Each member's path is therefore the same bits
+vertex still adds its edge terms in edge-list order.
+
+The loop runs plans bound to the run's own arrays.  The force plan and the
+read plan are bound once per integrator, to its state arrays; the step
+plan, with the noise and budget buffers, once per ``_advance``.  A plan
+holds the views of each selection (a vertex set that is evenly spaced,
+such as the two ends of a chain, is a slice and so a view), the point and
+gradient buffers of each potential group, and the work arrays and scalar
+factors of the updates.  A step then makes only its arithmetic calls,
+each with a positional ``out``: it indexes, transposes and allocates
+nothing.  Selections that are no slice cost one ``take`` into a bound
+buffer, and scatters at them one ``ufunc.at``.
+
+Potentials see member-major points, as on a (members, vertices, dim)
+batch: a gradient gets a (k, members, dim) view or buffer and writes a
+C-contiguous one, and a value reads a C-contiguous (members, k, dim)
+buffer.  So every reduction inside a potential keeps the order it has on a
+batch, and a sum over 8 or more vertices, baths, components or group
+terms, which numpy evaluates pairwise there, is taken on a member-major
+copy (:func:`_sum`).  A read, at construction (step 0) and at each record
+step, computes (H, Hc, Hi) from the member-minor state and keeps them as
+``BatchIntegrator.energies``; member-major copies of the state are made
+only for the record callback ``on_record(step, H, Hc, Hi, p, q)`` and the
+public ``p`` and ``q``.  Each member's path is therefore the same bits
 whatever the ensemble size or chunking.
 
 Noise comes from one source per member: any object whose
@@ -60,16 +76,16 @@ chunk would hold more than ``_NOISE_MEMBER_STEPS`` member-steps, so step
 k's draws are the contiguous view ``chunk[k]``.  The chunk is filled in
 tiles of ``_NOISE_TILE`` members: each source writes its own contiguous
 row of a member-major tile, and one transposed copy moves the tile into
-its member columns.  The step itself updates the state in place through
-work arrays allocated once per run, and computes the half-kick
-``(h/2) F`` once per force evaluation: the closing kick of one step is
-the opening kick of the next.
+its member columns.  The step computes the half-kick ``(h/2) F`` once per
+force evaluation: the closing kick of one step is the opening kick of the
+next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -93,6 +109,19 @@ __all__ = [
 ]
 
 BLOWUP_ENERGY_FACTOR = 1e12
+
+# Scalar operands of the bound plans, as read-only 0-d float64 arrays: the
+# same arithmetic as Python floats, without the conversion numpy makes of
+# a Python scalar on every call (about 0.2 us of a 0.35 us ufunc call on a
+# small array, 2-vCPU Xeon VM, numpy 2.4.6).
+def _scalar(value: float) -> np.ndarray:
+    a = np.array(float(value))
+    a.setflags(write=False)
+    return a
+
+
+_ZERO = _scalar(0.0)
+_HALF = _scalar(0.5)
 
 
 @dataclass(frozen=True)
@@ -146,21 +175,15 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 def _index(idx: list[int]):
-    """Indices as a slice when they are one increasing run, else as an
-    index array.  Both select the same elements in the same order, but a
-    slice reads a view instead of copying, which is most of the cost of a
-    selection from a small batch."""
-    if idx and list(idx) == list(range(idx[0], idx[-1] + 1)):
-        return slice(idx[0], idx[-1] + 1)
+    """Indices as a slice when they are evenly spaced and increasing, else
+    as an index array.  Both select the same elements in the same order,
+    but a slice reads a view instead of copying, so a step can bind it
+    once.  The two ends of a chain, for one, are the slice ``0::N-1``."""
+    idx = list(idx)
+    step = idx[1] - idx[0] if len(idx) > 1 else 1
+    if idx and step > 0 and idx == list(range(idx[0], idx[-1] + 1, step)):
+        return slice(idx[0], idx[-1] + 1, step)
     return np.array(idx, dtype=int)
-
-
-def _points(x: np.ndarray) -> np.ndarray:
-    """Member-minor (k, dim, members) values as the member-major
-    (k, members, dim) points a potential expects.  The copy (none in dim 1)
-    gives potentials the layout of a (members, vertices, dim) batch, so
-    their reductions run in the same order for every ensemble size."""
-    return np.ascontiguousarray(x.transpose(0, 2, 1))
 
 
 def _sum(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -172,6 +195,22 @@ def _sum(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
     out[...] = np.moveaxis(np.add.reduce(major, axis=axis % x.ndim + 1), 0, -1)
     return out
+
+
+def _take(calls: list, x: np.ndarray, idx) -> np.ndarray:
+    """``x[idx]`` along the first axis for a bound plan: the view itself
+    when ``idx`` is a slice, else a buffer that a ``take`` call appended
+    to ``calls`` refills."""
+    if isinstance(idx, slice):
+        return x[idx]
+    buf = np.empty((len(idx),) + x.shape[1:])
+    calls.append((x.take, (idx, 0, buf, "clip")))
+    return buf
+
+
+def _run(calls) -> None:
+    for fn, args in calls:
+        fn(*args)
 
 
 def _scatter_plan(edges) -> list[tuple]:
@@ -197,12 +236,14 @@ def _scatter_plan(edges) -> list[tuple]:
 class _Kernel:
     """Per-model force/energy tables, grouped by identical potential spec.
 
-    ``forces`` works on member-minor positions (vertices, dim, members);
-    the energies work on member-major (..., vertices, dim) arrays."""
+    Forces and energies are evaluated by plans bound to member-minor
+    (vertices, dim, members) arrays: :meth:`bind_forces` and
+    :class:`_Read`.  Potentials see member-major points, (k, members, dim)
+    for a gradient and (members, k, dim) for a value, as they would on a
+    (members, vertices, dim) batch, so their reductions run in the same
+    order for every ensemble size."""
 
     def __init__(self, model: Model):
-        self.model = model
-        self.N = model.vertex_count
         self.n = model.dim
         topo = model.topology
 
@@ -210,7 +251,7 @@ class _Kernel:
         for v in topo.vertices:
             pin_groups.setdefault(model.pinning[v], []).append(v)
         self.pin_groups = [
-            (_index(sorted(idx)), spec.value, spec.gradient)
+            (_index(sorted(idx)), spec)
             for spec, idx in sorted(pin_groups.items(), key=lambda kv: min(kv[1]))
         ]
 
@@ -221,66 +262,138 @@ class _Kernel:
         for spec, edges in sorted(edge_groups.items(), key=lambda kv: kv[1][0]):
             ea = _index([e.a for e in edges])
             eb = _index([e.b for e in edges])
-            self.edge_groups.append((ea, eb, _scatter_plan(edges), spec.value, spec.gradient))
+            self.edge_groups.append((ea, eb, _scatter_plan(edges), spec))
 
-        self.gamma = np.array([model.gamma_of(v) for v in topo.vertices])
-        self.temp = np.array([model.temperature_of(v) for v in topo.vertices])
-        self.bath_idx = np.array(sorted(topo.baths), dtype=int)
-        self.bath_sel = _index(sorted(topo.baths))
-        self.bath_gamma = self.gamma[self.bath_idx]
-        self.bath_temp = self.temp[self.bath_idx]
+        baths = sorted(topo.baths)
+        self.bath_idx = np.array(baths, dtype=int)
+        self.bath_sel = _index(baths)
+        self.bath_gamma = np.array([model.gamma_of(b) for b in baths])
+        self.bath_temp = np.array([model.temperature_of(b) for b in baths])
         # Per-bath coefficients of the budget increments, as (baths, 1)
         # columns against (baths, members) sums.
         self.gamma_col = self.bath_gamma[:, None]
         self.noise_amp = np.sqrt(2.0 * self.bath_gamma * self.bath_temp)[:, None]
         self.noise_power = (self.bath_gamma * self.bath_temp)[:, None]
 
+    def bind_forces(self, q: np.ndarray, F: np.ndarray) -> list:
+        """The conservative forces at member-minor positions ``q`` as a
+        plan that writes ``F``: a list of ``(function, args)`` calls on
+        views and buffers bound here, run in order by :func:`_run`.
+
+        Each group's points go to the potential as a member-major view
+        or buffer and its gradient comes back in a C-contiguous buffer.
+        The pin groups partition the vertices, so ``0.0 - g`` sets every
+        entry of F with the bits of subtracting ``g`` from zero, signed
+        zeros included.  Each edge group then adds its slabs in place;
+        a slab at vertices that are no slice adds through ``ufunc.at``,
+        once per vertex, with the same bits."""
+        calls: list = []
+        for idx, spec in self.pin_groups:
+            x = _take(calls, q, idx).transpose(0, 2, 1)
+            g = np.empty(x.shape)
+            calls.append((spec.gradient, (x, g)))
+            if isinstance(idx, slice):
+                calls.append((np.subtract, (_ZERO, g.transpose(0, 2, 1), F[idx])))
+            else:
+                neg = np.empty((len(idx),) + F.shape[1:])
+                calls.append((np.subtract, (_ZERO, g.transpose(0, 2, 1), neg)))
+                calls.append((F.__setitem__, (idx, neg)))
+        for ea, eb, plan, spec in self.edge_groups:
+            qa = _take(calls, q, ea).transpose(0, 2, 1)
+            qb = _take(calls, q, eb).transpose(0, 2, 1)
+            x = np.empty(qa.shape)
+            g = np.empty(qa.shape)
+            calls.append((np.subtract, (qb, qa, x)))
+            calls.append((spec.gradient, (x, g)))
+            for v, j, add in plan:
+                term = _take(calls, g, j).transpose(0, 2, 1)
+                ufunc = np.add if add else np.subtract
+                if isinstance(v, slice):
+                    Fv = F[v]  # one object as operand and out: no overlap check
+                    calls.append((ufunc, (Fv, term, Fv)))
+                else:
+                    calls.append((ufunc.at, (F, v, term)))
+        return calls
+
     def forces(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Conservative forces at member-minor positions (vertices, dim,
-        members), written into ``out`` when given.  The pin groups
-        partition the vertices, so ``0.0 - g`` sets every entry with the
-        bits of subtracting ``g`` from zero, signed zeros included; a group
-        selected by a slice has it written straight into its view of F."""
+        members), written into ``out`` when given: one run of the plan
+        :meth:`bind_forces` binds."""
         F = np.empty_like(q) if out is None else out
-        for idx, _val, grad in self.pin_groups:
-            g = grad(_points(q[idx])).transpose(0, 2, 1)
-            if isinstance(idx, slice):
-                np.subtract(0.0, g, out=F[idx])
-            else:
-                F[idx] = 0.0 - g
-        for ea, eb, plan, _val, grad in self.edge_groups:
-            g = grad(_points(q[eb] - q[ea])).transpose(0, 2, 1)
-            for v, j, add in plan:
-                if add:
-                    F[v] += g[j]
-                else:
-                    F[v] -= g[j]
+        _run(self.bind_forces(q, F))
         return F
 
-    # A group selected by an index array comes out of numpy's fancy
-    # indexing group-major in memory; summing a contiguous copy keeps the
-    # order of a member-major sum (pairwise from 8 terms on) for every
-    # ensemble size.
-    def pinning_energy(self, q: np.ndarray) -> np.ndarray:
-        total = np.zeros(q.shape[:-2])
-        for idx, val, _grad in self.pin_groups:
-            total = total + np.add.reduce(np.ascontiguousarray(val(q[..., idx, :])), axis=-1)
-        return total
-
-    def interaction_energy(self, q: np.ndarray) -> np.ndarray:
-        total = np.zeros(q.shape[:-2])
-        for ea, eb, _plan, val, _grad in self.edge_groups:
-            total = total + np.add.reduce(
-                np.ascontiguousarray(val(q[..., eb, :] - q[..., ea, :])), axis=-1)
-        return total
-
     def split_energies(self, p: np.ndarray, q: np.ndarray):
-        """(H, Hc, Hi) with H assembled as Hc + Hi so the split is exact."""
-        kinetic = 0.5 * np.sum(p * p, axis=(-2, -1))
-        P = np.sum(p, axis=-2)
-        com_kinetic = 0.5 * np.sum(P * P, axis=-1) / self.N
-        hc = com_kinetic + self.pinning_energy(q)
-        hi = (kinetic - com_kinetic) + self.interaction_energy(q)
+        """(H, Hc, Hi) of member-major (..., vertices, dim) arrays: the
+        :class:`_Read` of their member-minor copies."""
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        lead = p.shape[:-2]
+
+        def minor(x):
+            return x.reshape((-1,) + x.shape[-2:]).transpose(1, 2, 0).copy()
+
+        return tuple(e.reshape(lead) for e in _Read(self, minor(p), minor(q))())
+
+
+class _Read:
+    """(H, Hc, Hi) of member-minor (vertices, dim, members) ``p`` and
+    ``q``, with its buffers and views bound once; each call reads the
+    arrays' current values.  H is assembled as Hc + Hi so the split is
+    exact: Hc carries the total-momentum kinetic part and the pinning
+    energy, Hi the relative kinetic part and the interaction energy.
+
+    Every term has the bits of the same formula on a (members, vertices,
+    dim) batch: each potential group's values come from a C-contiguous
+    (members, k, dim) buffer and are summed over the group, and the sums
+    over vertices and components follow :func:`_sum`."""
+
+    def __init__(self, kern: _Kernel, p: np.ndarray, q: np.ndarray):
+        N, n, m = p.shape
+        self.m = m
+        self.fills: list = []
+        self.pin = []
+        for idx, spec in kern.pin_groups:
+            x = _take(self.fills, q, idx).transpose(2, 0, 1)
+            pts = np.empty(x.shape)
+            self.fills.append((np.copyto, (pts, x)))
+            self.pin.append((spec.value, pts))
+        self.inter = []
+        for ea, eb, _plan, spec in kern.edge_groups:
+            qa = _take(self.fills, q, ea).transpose(2, 0, 1)
+            qb = _take(self.fills, q, eb).transpose(2, 0, 1)
+            pts = np.empty(qa.shape)
+            self.fills.append((np.subtract, (qb, qa, pts)))
+            self.inter.append((spec.value, pts))
+        # The kinetic terms: 0.5 sum |p|^2 over vertices and components,
+        # and 0.5 |sum_v p_v|^2 / N.  Every call writes a buffer of its
+        # own (an in-place call on a one-member array costs twice as much).
+        pp, sq, P, PP, csq, com = (np.empty((N * n, m)), np.empty(m), np.empty((n, m)),
+                                   np.empty((n, m)), np.empty(m), np.empty(m))
+        self.kinetic, self.com = np.empty(m), np.empty(m)
+        flat = p.reshape(N * n, m)  # a view: p is C-contiguous
+        self.moments = [
+            (np.multiply, (flat, flat, pp)),
+            (_sum, (pp, 0, sq)),
+            (np.multiply, (_HALF, sq, self.kinetic)),
+            (_sum, (p, 0, P)),
+            (np.multiply, (P, P, PP)),
+            (_sum, (PP, 0, csq)),
+            (np.multiply, (_HALF, csq, com)),
+            (np.divide, (com, _scalar(N), self.com)),
+        ]
+
+    def _potential(self, groups) -> np.ndarray:
+        total = np.zeros(self.m)
+        for value, pts in groups:
+            total = total + np.add.reduce(np.ascontiguousarray(value(pts)), axis=-1)
+        return total
+
+    def __call__(self):
+        _run(self.fills)
+        _run(self.moments)
+        hc = self.com + self._potential(self.pin)
+        hi = (self.kinetic - self.com) + self._potential(self.inter)
         return hc + hi, hc, hi
 
 
@@ -315,42 +428,61 @@ def _check_state(model: Model, state: State) -> None:
 
 
 class _Step:
-    """The B-A-O-A-B step of member-minor (vertices, dim, members) arrays,
-    with its work arrays allocated once per run.
+    """The B-A-O-A-B step as a plan bound to one run's member-minor
+    (vertices, dim, members) arrays ``p``, ``q`` and ``F``, built once per
+    :meth:`BatchIntegrator._advance`.
 
-    The step owns the force array ``F`` and keeps the half-kick
-    ``half * F`` beside it.  F changes only at the force call, so the
-    closing kick of one step is the opening kick of the next: each force
-    call is followed by one multiplication, and a new step object starts
-    from the kick of the F it is given.
+    The plan holds the force calls of :meth:`_Kernel.bind_forces`, the
+    work arrays, the views of the bath rows and the O-map slots, and the
+    scalar factors, so a step runs only its arithmetic ufunc calls, each
+    with a positional ``out``: no indexing, transposing or allocation.
+    The operands keep the order of the plain expressions, so the bits are
+    those of ``p += (0.5 * h) * F`` and the like.
 
-    Each update is written with ``out=`` into a work array and then added
-    in place, with the operands in the order of the plain expression, so
-    the bits are those of expressions such as ``p += (0.5 * h) * F``.
+    ``F`` changes only at the force call and the step keeps the half-kick
+    ``half * F`` beside it: the closing kick of one step is the opening
+    kick of the next, and a new plan starts from the kick of the F it is
+    given.
 
     The O map writes its endpoint momenta into slot ``slot`` of the
     (block, baths, dim, members) arrays ``p_pre`` and ``p_post``, so that
     :meth:`add_budget` can take the budget increments of up to ``block``
-    steps at once."""
+    steps at once, through views bound once per block length."""
 
-    def __init__(self, kern: _Kernel, h: float, F: np.ndarray, block: int):
-        self.kern = kern
-        self.h = h
-        self.half = 0.5 * h
-        self.sqrt_h = math.sqrt(h)
+    def __init__(self, kern: _Kernel, h: float, p: np.ndarray, q: np.ndarray, F: np.ndarray,
+                 forces: list, block: int, budget: bool):
+        self.p, self.q, self.F, self.forces = p, q, F, forces
+        self.h = _scalar(h)
+        self.half = _scalar(0.5 * h)
+        self.sqrt_h = _scalar(math.sqrt(h))
         a = np.exp(-kern.bath_gamma * h)
         b = np.sqrt(kern.bath_temp * (1.0 - a * a))
         self.a, self.b = a[:, None, None], b[:, None, None]
         nb, n, members = len(kern.bath_idx), kern.n, F.shape[-1]
-        self.F = F
+        self.n = _scalar(n)
+        self.gamma_col, self.noise_amp, self.noise_power = (
+            kern.gamma_col, kern.noise_amp, kern.noise_power)
         self.kick = np.multiply(self.half, F)
         self.work = np.empty_like(F)
         self.scratch = np.empty((nb, n, members))
         # O-map endpoint momenta of the steps of one budget block, and the
-        # per-slot views the step writes.
+        # per-slot views the step writes.  The O map copies the bath rows
+        # into a slot with "clip", which writes straight into out (the
+        # indices are in range), and copies the result back into their
+        # view, or through the index array when they are no slice.  A run
+        # without a budget whose bath rows are a slice keeps no endpoints:
+        # its one slot is that view, and the map updates it in place.
         self.p_pre = np.empty((block, nb, n, members))
         self.p_post = np.empty((block, nb, n, members))
-        self.slots = list(zip(self.p_pre, self.p_post))
+        self.bath_idx = kern.bath_idx
+        sel = kern.bath_sel
+        self.copies = budget or not isinstance(sel, slice)
+        if self.copies:
+            self.slots = list(zip(self.p_pre, self.p_post))
+            self.set_baths = (partial(np.copyto, p[sel]) if isinstance(sel, slice)
+                              else partial(p.__setitem__, sel))
+        else:
+            self.slots = [(p[sel], p[sel])]
         # Budget work arrays: per-bath terms (block, baths, members), their
         # component products in dim > 1, and a running total followed by
         # one increment per step (block + 1, members).
@@ -359,59 +491,82 @@ class _Step:
         self.prod = np.empty((block, nb, n, members)) if n > 1 else None
         self.rows = np.empty((block + 1, members))
         self.quad = np.empty((block, members))
+        self._blocks: dict[int, tuple] = {}
 
-    def __call__(self, p, q, draws, slot: int) -> None:
+    def __call__(self, draws, slot: int) -> None:
         """One step in place: p and q advance, F becomes the force at the
-        new q.  Without bath vertices the O map is the identity and is
-        skipped, so the step is velocity Verlet."""
-        kern, work, half, kick = self.kern, self.work, self.half, self.kick
-        p += kick
-        q += np.multiply(half, p, out=work)
-        if len(kern.bath_idx):
+        new q.  Without bath vertices (``draws`` None) the O map is the
+        identity and is skipped, so the step is velocity Verlet."""
+        p, q, work, half, kick = self.p, self.q, self.work, self.half, self.kick
+        np.add(p, kick, p)
+        np.multiply(half, p, work)
+        np.add(q, work, q)
+        if draws is not None:
             pre, post = self.slots[slot]
-            # "clip" writes straight into out (the indices are in range).
-            np.take(p, kern.bath_idx, axis=0, out=pre, mode="clip")
-            np.multiply(self.a, pre, out=post)
-            post += np.multiply(self.b, draws, out=self.scratch)
-            p[kern.bath_sel] = post
-        q += np.multiply(half, p, out=work)
-        kern.forces(q, out=self.F)
-        p += np.multiply(half, self.F, out=kick)
+            if self.copies:
+                p.take(self.bath_idx, 0, pre, "clip")
+            np.multiply(self.a, pre, post)
+            np.multiply(self.b, draws, self.scratch)
+            np.add(post, self.scratch, post)
+            if self.copies:
+                self.set_baths(post)
+        np.multiply(half, p, work)
+        np.add(q, work, q)
+        for fn, args in self.forces:
+            fn(*args)
+        np.multiply(half, self.F, kick)
+        np.add(p, kick, p)
 
-    def _dot(self, x, y, out):
+    def _block(self, steps: int) -> tuple:
+        """The views of a block of ``steps`` steps: O-map endpoints (in dim
+        1 without the component axis), per-bath terms, the running total
+        and increment rows, noise terms and component products."""
+        views = self._blocks.get(steps)
+        if views is None:
+            pre, post = self.p_pre[:steps], self.p_post[:steps]
+            prod = None if self.prod is None else self.prod[:steps]
+            if prod is None:
+                pre, post = pre[:, :, 0], post[:, :, 0]
+            rows = self.rows[:steps + 1]
+            views = self._blocks[steps] = (pre, post, self.u[:steps], self.v[:steps],
+                                           rows, rows[1:], self.quad[:steps], prod)
+        return views
+
+    @staticmethod
+    def _dot(x, y, out, prod):
         """The component sum of ``x * y`` over (steps, baths, dim, members)
-        arrays, into the (steps, baths, members) ``out``: in dim 1 the one
-        product."""
-        if self.kern.n == 1:
-            return np.multiply(x[:, :, 0], y[:, :, 0], out=out)
-        return _sum(np.multiply(x, y, out=self.prod[:len(x)]), 2, out=out)
+        arrays, into the (steps, baths, members) ``out``; without ``prod``
+        (dim 1) the one product of the component-free views."""
+        if prod is None:
+            return np.multiply(x, y, out=out)
+        return _sum(np.multiply(x, y, out=prod), 2, out=out)
 
     def add_budget(self, draws, gamma_acc: np.ndarray, m_acc: np.ndarray) -> None:
         """Add the (dGamma, dM) increments of the last ``len(draws)`` steps,
         whose O-map endpoints fill the first slots, to the running totals.
         The increments have the bits of the one-step formulas, and the
         totals take them in step order, as one step at a time would."""
-        kern, h = self.kern, self.h
-        steps = len(draws)
-        pre, post = self.p_pre[:steps], self.p_post[:steps]
-        u, v, rows = self.u[:steps], self.v[:steps], self.rows[:steps + 1]
+        h, dot = self.h, self._dot
+        pre, post, u, v, rows, incr, quad, prod = self._block(len(draws))
+        if prod is None:
+            draws = draws[:, :, 0]
         # dGamma = h sum_b gamma_b (|p_pre|^2 + |p_post|^2) / 2
-        self._dot(pre, pre, u)
-        u += self._dot(post, post, v)
-        u *= 0.5
-        u *= kern.gamma_col
-        dgamma = _sum(u, 1, out=rows[1:])
+        dot(pre, pre, u, prod)
+        u += dot(post, post, v, prod)
+        u *= _HALF
+        u *= self.gamma_col
+        dgamma = _sum(u, 1, out=incr)
         dgamma *= h
         _add_in_order(gamma_acc, rows)
         # dM = sqrt(h) sum_b amp_b xi.p_pre + h sum_b power_b (|xi|^2 - n)
-        self._dot(pre, draws, u)
-        u *= kern.noise_amp
-        dm = _sum(u, 1, out=rows[1:])
+        dot(pre, draws, u, prod)
+        u *= self.noise_amp
+        dm = _sum(u, 1, out=incr)
         dm *= self.sqrt_h
-        self._dot(draws, draws, v)
-        v -= kern.n
-        v *= kern.noise_power
-        quad = _sum(v, 1, out=self.quad[:steps])
+        dot(draws, draws, v, prod)
+        v -= self.n
+        v *= self.noise_power
+        quad = _sum(v, 1, out=quad)
         quad *= h
         dm += quad
         _add_in_order(m_acc, rows)
@@ -694,7 +849,12 @@ class BatchIntegrator:
         self.streams = list(streams)
         self._p = p0.transpose(1, 2, 0).copy()
         self._q = q0.transpose(1, 2, 0).copy()
-        self.F = self.kern.forces(self._q)
+        # The force and read plans, bound to the state arrays for the
+        # integrator's lifetime.
+        self.F = np.empty_like(self._q)
+        self._forces = self.kern.bind_forces(self._q, self.F)
+        _run(self._forces)
+        self._read = _Read(self.kern, self._p, self._q)
         self.gamma_acc = np.zeros(self.m) if budget else None
         self.m_acc = np.zeros(self.m) if budget else None
         if thresholds is not None:
@@ -706,7 +866,7 @@ class BatchIntegrator:
         self.first_high = np.full(self.m, -1, dtype=int)
         self.blown = np.zeros(self.m, dtype=bool)
         # Step 0's read.
-        self.energies = self.kern.split_energies(self.p, self.q)
+        self.energies = self._read()
         self.H0 = self.energies[0]
         self._ceiling = BLOWUP_ENERGY_FACTOR * np.maximum(np.abs(self.H0), 1.0)
         self._observe(0, self.H0)
@@ -763,17 +923,21 @@ class BatchIntegrator:
         return ends the run.
         ``on_step(step, q)``, for one member, fires after every step with
         a (vertices, dim) view of its positions."""
-        kern, p, q = self.kern, self._p, self._q
+        kern, q = self.kern, self._q
         nb = len(kern.bath_idx)
         budget = nb > 0 and self.gamma_acc is not None
         # One step-major noise chunk, refilled every chunk_steps steps:
         # step k's draws are the contiguous (baths, dim, members) view buf[k].
         chunk_steps = min(NOISE_CHUNK, n_steps, max(1, _NOISE_MEMBER_STEPS // self.m))
         block = max(1, min(chunk_steps, _BUDGET_BLOCK // self.m)) if budget else 1
-        step_once = _Step(kern, self.h, self.F, block)
+        step_once = _Step(kern, self.h, self._p, q, self.F, self._forces, block, budget)
         if nb:
             buf = np.empty((chunk_steps, nb, kern.n, self.m))
             tile = np.empty((min(_NOISE_TILE, self.m), chunk_steps, nb, kern.n))
+            draws = list(buf)
+        else:
+            draws = [None] * chunk_steps
+        path_q = q[..., 0]
         done = 0
         # Overflow in a diverging member is reported through ``blown``, not
         # as a numpy warning.
@@ -785,8 +949,7 @@ class BatchIntegrator:
                 filled = 0  # steps of the open budget block
                 for k in range(count):
                     step = done + k + 1
-                    xi = buf[k] if nb else None
-                    step_once(p, q, xi, filled)
+                    step_once(draws[k], filled)
                     read = step % record_stride == 0 or step == n_steps
                     if budget:
                         filled += 1
@@ -795,11 +958,10 @@ class BatchIntegrator:
                                                  self.gamma_acc, self.m_acc)
                             filled = 0
                     if on_step is not None:
-                        on_step(step, q[..., 0])
+                        on_step(step, path_q)
                     if read:
-                        pm, qm = self.p, self.q
-                        self.energies = H, Hc, Hi = kern.split_energies(pm, qm)
+                        self.energies = H, Hc, Hi = self._read()
                         self._observe(step, H)
-                        if on_record is not None and on_record(step, H, Hc, Hi, pm, qm):
+                        if on_record is not None and on_record(step, H, Hc, Hi, self.p, self.q):
                             return
                 done += count

@@ -19,7 +19,16 @@ pair.
 that importing the package does not load it.
 
 All evaluation methods are vectorized over leading axes: ``x`` may have
-shape ``(..., dim)``.
+shape ``(..., dim)``.  Sums and products are taken with ``np.add.reduce``
+and ``np.multiply.reduce``: the arithmetic of ``np.sum`` and ``np.prod``
+without their Python dispatch, which dominates one-point calls.
+
+``gradient(x, out)`` writes into a given C-contiguous array ``out`` of the
+shape of ``x`` that shares no memory with it; ``x`` is then used as given,
+unchecked, and may be a strided view.  Every sum over components or terms reads from or writes
+into a C-contiguous array, so each point gets the bits of the plain call
+on a C-contiguous ``x`` (numpy sums 8 or more terms pairwise only along a
+contiguous axis).
 """
 
 from __future__ import annotations
@@ -60,6 +69,23 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
+def _gradient_args(x, out, dim: int):
+    """``(x, out)`` of a gradient call: checked points and a new array
+    when ``out`` is None, else both as given."""
+    if out is None:
+        x = _as_points(x, dim)
+        out = np.empty(x.shape)
+    return x, out
+
+
+def _squared_norm(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``|x|^2`` over the last axis as a new (..., 1) array, summed from
+    the squares written into the C-contiguous ``out``: the order of
+    ``np.sum(x * x, axis=-1)`` on a C-contiguous ``x``."""
+    np.multiply(x, x, out=out)
+    return np.add.reduce(out, axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class SoftPower:
     """``V(x) = (1 + |x|^2)^(r/2)``; smooth, strictly positive, degree ``r`` at infinity."""
@@ -75,17 +101,21 @@ class SoftPower:
 
     def value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         return (1.0 + s) ** (self.degree / 2.0)
 
-    def gradient(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        s = np.sum(x * x, axis=-1)
-        return self.degree * (1.0 + s)[..., None] ** (self.degree / 2.0 - 1.0) * x
+    def gradient(self, x, out=None) -> np.ndarray:
+        x, out = _gradient_args(x, out, self.dim)
+        # degree * (1 + |x|^2) ** (degree/2 - 1) * x, in this order.
+        s = _squared_norm(x, out)
+        s += 1.0
+        s **= self.degree / 2.0 - 1.0
+        s *= self.degree
+        return np.multiply(s, x, out=out)
 
     def limiting_value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         return s ** (self.degree / 2.0)
 
     # Limiting form |x|^r with r >= 2 is strictly convex.
@@ -107,13 +137,16 @@ class EvenPower:
 
     def value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
-        s = np.sum(x * x, axis=-1)
+        s = np.add.reduce(x * x, axis=-1)
         return s ** (self.degree // 2)
 
-    def gradient(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        s = np.sum(x * x, axis=-1)
-        return self.degree * s[..., None] ** (self.degree // 2 - 1) * x
+    def gradient(self, x, out=None) -> np.ndarray:
+        x, out = _gradient_args(x, out, self.dim)
+        # degree * |x|^2 ** (degree/2 - 1) * x, in this order.
+        s = _squared_norm(x, out)
+        s **= self.degree // 2 - 1
+        s *= self.degree
+        return np.multiply(s, x, out=out)
 
     limiting_value = value
     limiting_strictly_convex = True
@@ -169,19 +202,23 @@ class Quadratic:
     def value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
         Kx = x @ self.matrix.T
-        return 0.5 * np.sum(x * Kx, axis=-1)
+        return 0.5 * np.add.reduce(x * Kx, axis=-1)
 
-    def gradient(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        K = self.matrix
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.matrix[:, j].copy() for j in range(self.dim))
+
+    def gradient(self, x, out=None) -> np.ndarray:
+        x, out = _gradient_args(x, out, self.dim)
         # K x summed over columns in a fixed order.  The bits of a matmul
         # depend on the shape of the stack (BLAS picks gemv for one-row
         # matrices and gemm otherwise); these elementwise products do not,
         # so a point's gradient is the same in every batch layout.
-        g = x[..., :1] * K[:, 0]
+        columns = self._columns
+        np.multiply(x[..., :1], columns[0], out)
         for j in range(1, self.dim):
-            g = g + x[..., j:j + 1] * K[:, j]
-        return g
+            out += x[..., j:j + 1] * columns[j]
+        return out
 
     limiting_value = value
 
@@ -251,14 +288,12 @@ class LocalPiece:
         pw = x[..., None, :] ** exps
         return np.add.reduce(coeffs * np.multiply.reduce(pw, axis=-1), axis=-1) + self.offset
 
-    def gradient(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
+    def gradient(self, x, out=None) -> np.ndarray:
+        x, out = _gradient_args(x, out, self.dim)
         _, _, slopes, reduced = self._tables
-        pw = x[..., None, None, :] ** reduced
-        # np.add/np.multiply.reduce are np.sum/np.prod without their Python
-        # dispatch: the same arithmetic, cheaper on the one-point calls of
-        # the c4 run.
-        return np.add.reduce(slopes * np.multiply.reduce(pw, axis=-1), axis=-1)
+        terms = np.multiply.reduce(x[..., None, None, :] ** reduced, axis=-1)
+        terms *= slopes
+        return np.add.reduce(terms, axis=-1, out=out)
 
     def _top(self) -> "LocalPiece":
         top = self.degree

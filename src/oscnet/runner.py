@@ -296,11 +296,11 @@ def _counterexample_c4(model, exp: dict, seed: int) -> _Outcome:
         guard=c4_guard,
         stop_when=lambda s: s.q[1, 0] <= x_stop,
     )
-    p1 = np.array([s.p[0] for s in trace.states])
-    q1 = np.array([s.q[0] for s in trace.states])
-    x2 = np.array([s.q[1, 0] for s in trace.states])
+    p = np.array([s.p for s in trace.states])
+    q = np.array([s.q for s in trace.states])
+    p1, q1, x2 = p[:, 0], q[:, 0], q[:, 1, 0]
     spring = model.interaction[next(iter(model.topology.edges))]
-    f1 = np.array([spring.gradient(s.q[1] - s.q[0]) for s in trace.states])
+    f1 = spring.gradient(q[:, 1] - q[:, 0])
     rows = [[float(v) for v in (t, *p1[i], *q1[i], x2[i], *f1[i])]
             for i, t in enumerate(trace.times)]
     return _Outcome(

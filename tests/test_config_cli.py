@@ -619,3 +619,48 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path):
         outs.append(out)
     for fname in ("trace_main.csv", "report.json", "manifest.json", "config.echo.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("edit, reported", [
+    (lambda doc: doc["model"]["topology"]["edges"].append(["a", "b"]),
+     "model.topology.edges[2]: edge ['a', 'b'] repeats edges[0]"),
+    (lambda doc: doc["model"]["topology"]["edges"].append(["c", "b"]),
+     "model.topology.edges[2]: edge ['c', 'b'] repeats edges[1]"),
+    (lambda doc: doc["model"]["topology"]["baths"].append("a"),
+     "model.topology.baths[2]: bath 'a' repeats baths[0]"),
+    (lambda doc: doc.update(seed=-1), "<root>.seed: must be in [0, 2^64), got -1"),
+    (lambda doc: doc.update(seed=2 ** 64),
+     "<root>.seed: must be in [0, 2^64), got 18446744073709551616"),
+], ids=["edge", "reversed-edge", "bath", "seed-negative", "seed-2^64"])
+def test_repeated_entry_or_unkeyable_seed_is_a_config_error(edit, reported, tmp_path, capsys):
+    # A repeated edge or bath collapsed silently (the echo listed 2 edges
+    # where the document listed 3), and a seed outside [0, 2^64) keyed the
+    # noise streams of seed mod 2^64.
+    doc = json.loads(MINIMAL)
+    edit(doc)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(doc))
+    assert exc.value.messages == [reported]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"config error: {reported}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_cli_seed_outside_the_key_range_is_a_config_error(seed, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", seed]) == 1
+    assert f"config error: --seed: must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_at_the_ends_of_the_key_range_parse():
+    for seed in (0, 2 ** 64 - 1):
+        doc = json.loads(MINIMAL)
+        doc["seed"] = seed
+        assert parse_config(json.dumps(doc)).seed == seed

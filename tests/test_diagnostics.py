@@ -101,6 +101,27 @@ def test_slow_mode_start_lies_on_the_rightmost_eigenvector():
             initial_state_on_slow_mode(model, 30.0)
 
 
+@pytest.mark.parametrize("phase", [-1.0, 1j, -1j, np.exp(0.7j), np.exp(-2.1j)],
+                         ids=["-1", "i", "-i", "exp(0.7i)", "exp(-2.1i)"])
+def test_slow_mode_start_does_not_depend_on_the_eigenvector_phase(monkeypatch, phase):
+    # The rightmost pair of this chain is complex, and an eigenvector is
+    # fixed only up to a unit phase, which LAPACK picks.  The start must be
+    # the same for every phase: bit for bit for -1, to rounding otherwise.
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    z0 = initial_state_on_slow_mode(m, 30.0)
+    eig = np.linalg.eig
+
+    def rotated(a):
+        evals, evecs = eig(a)
+        return evals, evecs * phase
+
+    monkeypatch.setattr(np.linalg, "eig", rotated)
+    z1 = initial_state_on_slow_mode(m, 30.0)
+    if phase == -1.0:
+        assert z1.p.tobytes() == z0.p.tobytes() and z1.q.tobytes() == z0.q.tobytes()
+    assert np.allclose(z1.p, z0.p, rtol=0, atol=1e-12) and np.allclose(z1.q, z0.q, rtol=0, atol=1e-12)
+
+
 def test_oracle_rejects_undamped_system():
     # No pinning and a free center of mass: the drift is not Hurwitz.
     zerok = Quadratic.isotropic(0.0, 1)

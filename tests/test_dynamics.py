@@ -22,7 +22,6 @@ from oscnet.dynamics import (
     scaled_step,
     tau,
     _BUDGET_BLOCK,
-    _Kernel,
     _NOISE_TILE,
 )
 from oscnet.errors import BlowupError, ValidityRegionError
@@ -33,7 +32,7 @@ from oscnet.fixtures import (
     c4_initial_state,
 )
 from oscnet.model import BathSpec, Model, chain_model
-from oscnet.potentials import EvenPower, Quadratic, SoftPower
+from oscnet.potentials import EvenPower, LocalPiece, Quadratic, SoftPower
 from oscnet.rng import seed_stream
 from oscnet.runner import run
 from oscnet.topology import Edge, NetworkTopology, random_topology
@@ -60,10 +59,17 @@ FAMILIES = {
 
 
 def full_matrix_family(name, rng, dim):
-    """A potential of the named family; quadratics get a full stiffness."""
+    """A potential of the named family; quadratics get a full stiffness,
+    and "local" is a polynomial piece like the c4 model's: a quartic in
+    each component and the mixed term x_0^2 x_last^2 / 2."""
     if name == "quadratic":
         A = rng.standard_normal((dim, dim))
         return Quadratic(tuple(map(tuple, A @ A.T + 0.5 * np.eye(dim))), dim)
+    if name == "local":
+        quartics = [(float(rng.uniform(0.1, 0.5)), tuple(4 * (i == j) for i in range(dim)))
+                    for j in range(dim)]
+        mixed = (0.5, tuple(2 * (i in (0, dim - 1)) for i in range(dim)))
+        return LocalPiece(terms=(*quartics, mixed), dim=dim)
     return FAMILIES[name](dim)
 
 
@@ -252,24 +258,30 @@ def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interacti
 
 
 def test_batch_energies_are_the_single_state_energies_bitwise():
-    # 11 EvenPower(4) edges form one group selected by index arrays; numpy
+    # 11 edges of one spec form one group selected by index arrays; numpy
     # sums 8 or more terms pairwise, so the group must be summed in the
-    # same memory order for one state and for a batch.
-    rng = np.random.default_rng(146)
-    topo = random_topology(rng, max_vertices=6)
-    spec = EvenPower(degree=4, dim=1)
-    model = Model(topo, 1, {v: spec for v in topo.vertices},
-                  {e: spec for e in topo.edge_list},
-                  {b: BathSpec(1.0, 1.0) for b in topo.baths})
-    assert len(topo.edge_list) == 11
-    members, N = 3, topo.vertex_count
-    for _ in range(20):
-        p = rng.standard_normal((members, N, 1))
-        q = rng.standard_normal((members, N, 1))
-        bi = BatchIntegrator(model, p, q, 0.01, [seed_stream(0, i) for i in range(members)])
-        H, Hc, Hi = bi.energies
-        for i in range(members):
-            assert same_bits(hamiltonian(model, State(p[i], q[i])), (H[i], Hc[i], Hi[i]))
+    # same memory order for one state and for a batch.  In dim 2 and 3
+    # the kinetic energy sums 8 or more vertex components as well, and a
+    # full stiffness makes the quadratic values matrix products.  The
+    # member-minor read must give the member-major formula's bits.
+    for family, dim in [("evenpower", 1), ("quadratic", 2), ("quadratic", 3),
+                        ("softpower", 1), ("softpower", 3)]:
+        rng = np.random.default_rng(146)
+        topo = random_topology(rng, max_vertices=6)
+        spec = EvenPower(4, dim) if family == "evenpower" else full_matrix_family(family, rng, dim)
+        model = Model(topo, dim, {v: spec for v in topo.vertices},
+                      {e: spec for e in topo.edge_list},
+                      {b: BathSpec(1.0, 1.0) for b in topo.baths})
+        assert len(topo.edge_list) == 11
+        members, N = 3, topo.vertex_count
+        for _ in range(20):
+            p = rng.standard_normal((members, N, dim))
+            q = rng.standard_normal((members, N, dim))
+            bi = BatchIntegrator(model, p, q, 0.01, [seed_stream(0, i) for i in range(members)])
+            H, Hc, Hi = bi.energies
+            assert same_bits(np.stack(reference_energies(model, p, q)), np.stack(bi.energies))
+            for i in range(members):
+                assert same_bits(hamiltonian(model, State(p[i], q[i])), (H[i], Hc[i], Hi[i]))
 
 
 # --- The member-minor kernel against the member-major loop it replaced ----------
@@ -294,6 +306,31 @@ def reference_forces(model, q):
     return F
 
 
+def reference_energies(model, p, q):
+    """(H, Hc, Hi) by the member-major formula on (..., vertices, dim)
+    arrays, the read the member-minor one replaced: each potential group's
+    values are summed over the group in member-major memory order, as numpy
+    sums a (members, vertices, dim) batch (pairwise from 8 terms on)."""
+    pins, edges = {}, {}
+    for v in model.topology.vertices:
+        pins.setdefault(model.pinning[v], []).append(v)
+    for e in model.topology.edge_list:
+        edges.setdefault(model.interaction[e], []).append(e)
+    pin = np.zeros(q.shape[:-2])
+    for spec, idx in pins.items():
+        pin = pin + np.add.reduce(np.ascontiguousarray(spec.value(q[..., idx, :])), axis=-1)
+    inter = np.zeros(q.shape[:-2])
+    for spec, group in edges.items():
+        x = q[..., [e.b for e in group], :] - q[..., [e.a for e in group], :]
+        inter = inter + np.add.reduce(np.ascontiguousarray(spec.value(x)), axis=-1)
+    kinetic = 0.5 * np.sum(p * p, axis=(-2, -1))
+    P = np.sum(p, axis=-2)
+    com = 0.5 * np.sum(P * P, axis=-1) / model.vertex_count
+    hc = com + pin
+    hi = (kinetic - com) + inter
+    return hc + hi, hc, hi
+
+
 def reference_run(model, p, q, h, streams, n_steps, record_stride):
     """The member-major B-A-O-A-B loop with its budget increments added
     every step: final (p, q, Gamma, M) and (H, Gamma, M) at every record."""
@@ -307,7 +344,6 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
     a, b = a[:, None], b[:, None]
     amp, power = np.sqrt(2.0 * gam * temp), gam * temp
     xi_all = np.stack([s.standard_normal((n_steps, len(baths), n)) for s in streams], axis=1)
-    split = _Kernel(model).split_energies
     gamma_acc, m_acc, records = np.zeros(m), np.zeros(m), []
     F = reference_forces(model, q)
     for step in range(1, n_steps + 1):
@@ -325,7 +361,7 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
         dm = np.sqrt(h) * np.sum(amp * np.sum(p_pre * xi, axis=-1), axis=-1)
         m_acc += dm + h * np.sum(power * (np.sum(xi * xi, axis=-1) - n), axis=-1)
         if step % record_stride == 0 or step == n_steps:
-            records.append((split(p, q)[0], gamma_acc.copy(), m_acc.copy()))
+            records.append((reference_energies(model, p, q)[0], gamma_acc.copy(), m_acc.copy()))
     return p, q, gamma_acc, m_acc, records
 
 
@@ -333,8 +369,8 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
 @given(
     topo_seed=st.integers(0, 2 ** 32 - 1),
     dim=st.integers(1, 3),
-    pinning=st.sampled_from(sorted(FAMILIES)),
-    interaction=st.sampled_from(sorted(FAMILIES)),
+    pinning=st.sampled_from(sorted(FAMILIES) + ["local"]),
+    interaction=st.sampled_from(sorted(FAMILIES) + ["local"]),
     seed=st.integers(0, 2 ** 63 - 1),
 )
 # random_topology(max_vertices=12) gives 10, 10 and 11 baths for these
@@ -342,34 +378,42 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
 @example(topo_seed=0, dim=3, pinning="quadratic", interaction="softpower", seed=5)
 @example(topo_seed=26, dim=2, pinning="evenpower", interaction="quadratic", seed=6)
 @example(topo_seed=32, dim=1, pinning="softpower", interaction="evenpower", seed=7)
+# Polynomial pins and springs like the c4 model's.
+@example(topo_seed=3, dim=3, pinning="local", interaction="local", seed=8)
 def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinning,
                                                           interaction, seed):
     rng = np.random.default_rng(topo_seed)
     topo = random_topology(rng, max_vertices=12)
     N = topo.vertex_count
+    # Vertices 1, 2, 5, 6, 9, 10 and edges 1, 2, 5, 6, ... get the second
+    # spec: neither set is evenly spaced, so the groups, and in general
+    # their slabs, are selected by index arrays rather than slices.
     pin_specs = [full_matrix_family(pinning, rng, dim), SoftPower(degree=2.5, dim=dim)]
     int_specs = [full_matrix_family(interaction, rng, dim), SoftPower(degree=2.5, dim=dim)]
-    model = Model(topo, dim, {v: pin_specs[v % 3 == 2] for v in topo.vertices},
-                  {e: int_specs[j % 3 == 2] for j, e in enumerate(topo.edge_list)},
+    model = Model(topo, dim, {v: pin_specs[v % 4 in (1, 2)] for v in topo.vertices},
+                  {e: int_specs[j % 4 in (1, 2)] for j, e in enumerate(topo.edge_list)},
                   {b: BathSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
                    for b in topo.baths})
-    members, h, stride = 3, 0.01, 50
+    h, stride = 0.01, 50
     n_steps = NOISE_CHUNK + 4  # one noise buffer refill
-    p0 = rng.standard_normal((members, N, dim))
-    q0 = 0.5 * rng.standard_normal((members, N, dim))
+    p0 = rng.standard_normal((3, N, dim))
+    q0 = 0.5 * rng.standard_normal((3, N, dim))
     assert same_bits(forces(model, State(p0[0], q0[0])), reference_forces(model, q0[0]))
 
-    bi = BatchIntegrator(model, p0, q0, h, [seed_stream(seed, i) for i in range(members)])
-    records = []
-    bi.run(n_steps, record_stride=stride, on_record=lambda *args: records.append(args))
-    p, q, gamma_acc, m_acc, ref_records = reference_run(
-        model, p0, q0, h, [seed_stream(seed, i) for i in range(members)], n_steps, stride)
-    assert same_bits(bi.p, p) and same_bits(bi.q, q)
-    assert same_bits(bi.energies[0], ref_records[-1][0])
-    assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
-    assert len(records) == len(ref_records)
-    for (_step, H, _Hc, _Hi, rec_p, rec_q), (ref_H, _, _) in zip(records, ref_records):
-        assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
+    for members in (1, 3):
+        bi = BatchIntegrator(model, p0[:members], q0[:members], h,
+                             [seed_stream(seed, i) for i in range(members)])
+        records = []
+        bi.run(n_steps, record_stride=stride, on_record=lambda *args: records.append(args))
+        p, q, gamma_acc, m_acc, ref_records = reference_run(
+            model, p0[:members], q0[:members], h,
+            [seed_stream(seed, i) for i in range(members)], n_steps, stride)
+        assert same_bits(bi.p, p) and same_bits(bi.q, q)
+        assert same_bits(bi.energies[0], ref_records[-1][0])
+        assert same_bits(bi.gamma_acc, gamma_acc) and same_bits(bi.m_acc, m_acc)
+        assert len(records) == len(ref_records)
+        for (_step, H, _Hc, _Hi, rec_p, rec_q), (ref_H, _, _) in zip(records, ref_records):
+            assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
 
 
 def test_one_step_integrate_with_baths_is_one_reference_step_bitwise():

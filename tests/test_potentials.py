@@ -408,3 +408,28 @@ def test_quadratic_matrix_is_cached_outside_equality_and_hash():
     a, b = Quadratic.isotropic(2.0, 2), Quadratic.isotropic(2.0, 2)
     assert a.matrix is a.matrix and not a.matrix.flags.writeable
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+
+
+# Nine terms in every component: the gradient's sum over terms is
+# numpy's pairwise sum.
+NINE_TERM_PIECE = LocalPiece(
+    terms=tuple((0.1 * (k + 1), (1 + k % 3, 1 + k // 3, 1 + k % 2)) for k in range(9)), dim=3)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [
+    SoftPower(degree=3.0, dim=9),
+    EvenPower(degree=4, dim=9),
+    Quadratic(((2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 1.5)), 3),
+    NINE_TERM_PIECE,
+])
+def test_gradient_into_out_keeps_the_bits_of_a_fresh_call(spec):
+    # The force plans hand a gradient a strided (k, members, dim) view of
+    # member-minor positions and a C-contiguous out.  Every point gets the
+    # bits of the plain call on a C-contiguous array, also where a sum has
+    # 8 or more terms (9 components, 9 polynomial terms).
+    minor = np.random.default_rng(spec.dim).standard_normal((4, spec.dim, 6))
+    x = minor.transpose(0, 2, 1)
+    out = np.empty(x.shape)
+    assert spec.gradient(x, out) is out
+    want = spec.gradient(np.ascontiguousarray(x))
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
