@@ -49,10 +49,14 @@ plan, with the noise and budget buffers, once per ``_advance``.  A plan
 holds the views of each selection (a vertex set that is evenly spaced,
 such as the two ends of a chain, is a slice and so a view), the point and
 gradient buffers of each potential group, and the work arrays and scalar
-factors of the updates.  A step then makes only its arithmetic calls,
-each with a positional ``out``: it indexes, transposes and allocates
-nothing.  Selections that are no slice cost one ``take`` into a bound
-buffer, and scatters at them one ``ufunc.at``.
+factors of the updates.  Each group's potential contributes its own plan
+(``bind_gradient`` or ``bind_value``, see :mod:`oscnet.potentials`), with
+its temporaries and scalar operands, spliced in where its gradient or
+value is needed.  A step then makes only its arithmetic calls, each with
+a positional ``out``: it indexes, transposes and allocates nothing, and
+calls no Python-level potential method.  Selections that are no slice
+cost one ``take`` into a bound buffer, and scatters at them one
+``ufunc.at``.
 
 Potentials see member-major points, as on a (members, vertices, dim)
 batch: a gradient gets a (k, members, dim) view or buffer and writes a
@@ -92,7 +96,7 @@ import numpy as np
 
 from .errors import BlowupError, ValidityRegionError
 from .model import Model
-from .potentials import PotentialSpec
+from .potentials import _HALF, PotentialSpec, _run, _scalar
 from .topology import NetworkTopology
 
 __all__ = [
@@ -110,18 +114,7 @@ __all__ = [
 
 BLOWUP_ENERGY_FACTOR = 1e12
 
-# Scalar operands of the bound plans, as read-only 0-d float64 arrays: the
-# same arithmetic as Python floats, without the conversion numpy makes of
-# a Python scalar on every call (about 0.2 us of a 0.35 us ufunc call on a
-# small array, 2-vCPU Xeon VM, numpy 2.4.6).
-def _scalar(value: float) -> np.ndarray:
-    a = np.array(float(value))
-    a.setflags(write=False)
-    return a
-
-
 _ZERO = _scalar(0.0)
-_HALF = _scalar(0.5)
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ def _sum(x: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     of the same reduction on the member-major layout: sequential below 8
     terms, numpy's pairwise sum from 8 on.  Written into ``out``."""
     if x.shape[axis] < 8:
-        return np.add.reduce(x, axis=axis, out=out)
+        return np.add.reduce(x, axis, None, out)
     major = np.ascontiguousarray(np.moveaxis(x, -1, 0))
     out[...] = np.moveaxis(np.add.reduce(major, axis=axis % x.ndim + 1), 0, -1)
     return out
@@ -206,11 +199,6 @@ def _take(calls: list, x: np.ndarray, idx) -> np.ndarray:
     buf = np.empty((len(idx),) + x.shape[1:])
     calls.append((x.take, (idx, 0, buf, "clip")))
     return buf
-
-
-def _run(calls) -> None:
-    for fn, args in calls:
-        fn(*args)
 
 
 def _scatter_plan(edges) -> list[tuple]:
@@ -269,19 +257,15 @@ class _Kernel:
         self.bath_sel = _index(baths)
         self.bath_gamma = np.array([model.gamma_of(b) for b in baths])
         self.bath_temp = np.array([model.temperature_of(b) for b in baths])
-        # Per-bath coefficients of the budget increments, as (baths, 1)
-        # columns against (baths, members) sums.
-        self.gamma_col = self.bath_gamma[:, None]
-        self.noise_amp = np.sqrt(2.0 * self.bath_gamma * self.bath_temp)[:, None]
-        self.noise_power = (self.bath_gamma * self.bath_temp)[:, None]
 
     def bind_forces(self, q: np.ndarray, F: np.ndarray) -> list:
         """The conservative forces at member-minor positions ``q`` as a
         plan that writes ``F``: a list of ``(function, args)`` calls on
         views and buffers bound here, run in order by :func:`_run`.
 
-        Each group's points go to the potential as a member-major view
-        or buffer and its gradient comes back in a C-contiguous buffer.
+        Each group's points go to the potential's gradient plan
+        (``bind_gradient``) as a member-major view or buffer, and its
+        gradient comes back in a C-contiguous buffer.
         The pin groups partition the vertices, so ``0.0 - g`` sets every
         entry of F with the bits of subtracting ``g`` from zero, signed
         zeros included.  Each edge group then adds its slabs in place;
@@ -291,7 +275,7 @@ class _Kernel:
         for idx, spec in self.pin_groups:
             x = _take(calls, q, idx).transpose(0, 2, 1)
             g = np.empty(x.shape)
-            calls.append((spec.gradient, (x, g)))
+            calls += spec.bind_gradient(x, g)
             if isinstance(idx, slice):
                 calls.append((np.subtract, (_ZERO, g.transpose(0, 2, 1), F[idx])))
             else:
@@ -304,7 +288,7 @@ class _Kernel:
             x = np.empty(qa.shape)
             g = np.empty(qa.shape)
             calls.append((np.subtract, (qb, qa, x)))
-            calls.append((spec.gradient, (x, g)))
+            calls += spec.bind_gradient(x, g)
             for v, j, add in plan:
                 term = _take(calls, g, j).transpose(0, 2, 1)
                 ufunc = np.add if add else np.subtract
@@ -338,41 +322,42 @@ class _Kernel:
 
 class _Read:
     """(H, Hc, Hi) of member-minor (vertices, dim, members) ``p`` and
-    ``q``, with its buffers and views bound once; each call reads the
-    arrays' current values.  H is assembled as Hc + Hi so the split is
-    exact: Hc carries the total-momentum kinetic part and the pinning
+    ``q``, as a plan bound once; each call reads the arrays' current
+    values and returns new arrays.  H is assembled as Hc + Hi so the split
+    is exact: Hc carries the total-momentum kinetic part and the pinning
     energy, Hi the relative kinetic part and the interaction energy.
 
     Every term has the bits of the same formula on a (members, vertices,
-    dim) batch: each potential group's values come from a C-contiguous
-    (members, k, dim) buffer and are summed over the group, and the sums
-    over vertices and components follow :func:`_sum`."""
+    dim) batch: each potential group's value plan (``bind_value``) reads a
+    C-contiguous (members, k, dim) buffer, its values are summed over the
+    group and the group sums added up from zero in group order, and the
+    sums over vertices and components follow :func:`_sum`.  Every call
+    writes a buffer of its own (an in-place call on a one-member array
+    costs twice as much)."""
 
     def __init__(self, kern: _Kernel, p: np.ndarray, q: np.ndarray):
         N, n, m = p.shape
-        self.m = m
-        self.fills: list = []
-        self.pin = []
+        self.calls: list = []
+        pin, inter = [], []
         for idx, spec in kern.pin_groups:
-            x = _take(self.fills, q, idx).transpose(2, 0, 1)
+            x = _take(self.calls, q, idx).transpose(2, 0, 1)
             pts = np.empty(x.shape)
-            self.fills.append((np.copyto, (pts, x)))
-            self.pin.append((spec.value, pts))
-        self.inter = []
+            self.calls.append((np.copyto, (pts, x)))
+            pin.append((pts, spec))
         for ea, eb, _plan, spec in kern.edge_groups:
-            qa = _take(self.fills, q, ea).transpose(2, 0, 1)
-            qb = _take(self.fills, q, eb).transpose(2, 0, 1)
+            qa = _take(self.calls, q, ea).transpose(2, 0, 1)
+            qb = _take(self.calls, q, eb).transpose(2, 0, 1)
             pts = np.empty(qa.shape)
-            self.fills.append((np.subtract, (qb, qa, pts)))
-            self.inter.append((spec.value, pts))
+            self.calls.append((np.subtract, (qb, qa, pts)))
+            inter.append((pts, spec))
+        self.pin, self.inter = self._bind_energy(pin, m), self._bind_energy(inter, m)
         # The kinetic terms: 0.5 sum |p|^2 over vertices and components,
-        # and 0.5 |sum_v p_v|^2 / N.  Every call writes a buffer of its
-        # own (an in-place call on a one-member array costs twice as much).
+        # and 0.5 |sum_v p_v|^2 / N.
         pp, sq, P, PP, csq, com = (np.empty((N * n, m)), np.empty(m), np.empty((n, m)),
                                    np.empty((n, m)), np.empty(m), np.empty(m))
         self.kinetic, self.com = np.empty(m), np.empty(m)
         flat = p.reshape(N * n, m)  # a view: p is C-contiguous
-        self.moments = [
+        self.calls += [
             (np.multiply, (flat, flat, pp)),
             (_sum, (pp, 0, sq)),
             (np.multiply, (_HALF, sq, self.kinetic)),
@@ -383,17 +368,23 @@ class _Read:
             (np.divide, (com, _scalar(N), self.com)),
         ]
 
-    def _potential(self, groups) -> np.ndarray:
-        total = np.zeros(self.m)
-        for value, pts in groups:
-            total = total + np.add.reduce(np.ascontiguousarray(value(pts)), axis=-1)
+    def _bind_energy(self, groups, m: int) -> np.ndarray:
+        """Bind the total potential energy of ``groups``, (points, spec)
+        pairs, and return the buffer of that (members,) total: zero
+        without groups, else the sum of the group sums from zero."""
+        total = np.zeros(m)
+        for pts, spec in groups:
+            vals, group, added = np.empty(pts.shape[:-1]), np.empty(m), np.empty(m)
+            self.calls += spec.bind_value(pts, vals) + [
+                (np.add.reduce, (vals, -1, None, group)),
+                (np.add, (total, group, added))]
+            total = added
         return total
 
     def __call__(self):
-        _run(self.fills)
-        _run(self.moments)
-        hc = self.com + self._potential(self.pin)
-        hi = (self.kinetic - self.com) + self._potential(self.inter)
+        _run(self.calls)
+        hc = self.com + self.pin
+        hi = (self.kinetic - self.com) + self.inter
         return hc + hi, hc, hi
 
 
@@ -455,13 +446,21 @@ class _Step:
         self.h = _scalar(h)
         self.half = _scalar(0.5 * h)
         self.sqrt_h = _scalar(math.sqrt(h))
-        a = np.exp(-kern.bath_gamma * h)
-        b = np.sqrt(kern.bath_temp * (1.0 - a * a))
-        self.a, self.b = a[:, None, None], b[:, None, None]
         nb, n, members = len(kern.bath_idx), kern.n, F.shape[-1]
         self.n = _scalar(n)
-        self.gamma_col, self.noise_amp, self.noise_power = (
-            kern.gamma_col, kern.noise_amp, kern.noise_power)
+        # The per-bath factors of the O map, as (baths, dim, 1) arrays
+        # against (baths, dim, members) momenta, and of the budget
+        # increments, as (block, baths, 1) against (block, baths, members)
+        # terms.  With one member they have the shape of the other
+        # operands; numpy takes a broadcast operand through its general
+        # iterator, about 0.5 us more per call on a small array.
+        gamma, temp = kern.bath_gamma, kern.bath_temp
+        a = np.exp(-gamma * h)
+        b = np.sqrt(temp * (1.0 - a * a))
+        self.a, self.b = (np.repeat(c[:, None, None], n, axis=1) for c in (a, b))
+        self.factors = np.repeat(
+            np.stack([gamma, np.sqrt(2.0 * gamma * temp), gamma * temp])[:, None, :, None],
+            block, axis=1)
         self.kick = np.multiply(self.half, F)
         self.work = np.empty_like(F)
         self.scratch = np.empty((nb, n, members))
@@ -485,18 +484,21 @@ class _Step:
             self.slots = [(p[sel], p[sel])]
         # Budget work arrays: per-bath terms (block, baths, members), their
         # component products in dim > 1, and a running total followed by
-        # one increment per step (block + 1, members).
+        # one increment per step (block + 1, members) with its cumulative
+        # sums.
         self.u = np.empty((block, nb, members))
         self.v = np.empty((block, nb, members))
         self.prod = np.empty((block, nb, n, members)) if n > 1 else None
         self.rows = np.empty((block + 1, members))
+        self.cumsum = np.empty((block + 1, members))
         self.quad = np.empty((block, members))
         self._blocks: dict[int, tuple] = {}
 
     def __call__(self, draws, slot: int) -> None:
         """One step in place: p and q advance, F becomes the force at the
         new q.  Without bath vertices (``draws`` None) the O map is the
-        identity and is skipped, so the step is velocity Verlet."""
+        identity and is skipped, so the step is velocity Verlet, and the
+        second drift reuses the first one's ``(h/2) p``."""
         p, q, work, half, kick = self.p, self.q, self.work, self.half, self.kick
         np.add(p, kick, p)
         np.multiply(half, p, work)
@@ -510,7 +512,7 @@ class _Step:
             np.add(post, self.scratch, post)
             if self.copies:
                 self.set_baths(post)
-        np.multiply(half, p, work)
+            np.multiply(half, p, work)
         np.add(q, work, q)
         for fn, args in self.forces:
             fn(*args)
@@ -519,27 +521,30 @@ class _Step:
 
     def _block(self, steps: int) -> tuple:
         """The views of a block of ``steps`` steps: O-map endpoints (in dim
-        1 without the component axis), per-bath terms, the running total
-        and increment rows, noise terms and component products."""
+        1 without the component axis), component products, per-bath terms,
+        noise terms, increments, the per-bath factors, and the running
+        total's rows and cumulative sums."""
         views = self._blocks.get(steps)
         if views is None:
             pre, post = self.p_pre[:steps], self.p_post[:steps]
             prod = None if self.prod is None else self.prod[:steps]
             if prod is None:
                 pre, post = pre[:, :, 0], post[:, :, 0]
-            rows = self.rows[:steps + 1]
-            views = self._blocks[steps] = (pre, post, self.u[:steps], self.v[:steps],
-                                           rows, rows[1:], self.quad[:steps], prod)
+            rows, cumsum = self.rows[:steps + 1], self.cumsum[:steps + 1]
+            views = self._blocks[steps] = (
+                pre, post, prod, self.u[:steps], self.v[:steps], self.quad[:steps], rows[1:],
+                tuple(self.factors[:, :steps]), (rows[0], rows, cumsum, cumsum[-1]))
         return views
 
     @staticmethod
-    def _dot(x, y, out, prod):
+    def _dot(x, y, out, prod) -> None:
         """The component sum of ``x * y`` over (steps, baths, dim, members)
         arrays, into the (steps, baths, members) ``out``; without ``prod``
         (dim 1) the one product of the component-free views."""
         if prod is None:
-            return np.multiply(x, y, out=out)
-        return _sum(np.multiply(x, y, out=prod), 2, out=out)
+            np.multiply(x, y, out)
+        else:
+            _sum(np.multiply(x, y, prod), 2, out)
 
     def add_budget(self, draws, gamma_acc: np.ndarray, m_acc: np.ndarray) -> None:
         """Add the (dGamma, dM) increments of the last ``len(draws)`` steps,
@@ -547,43 +552,49 @@ class _Step:
         The increments have the bits of the one-step formulas, and the
         totals take them in step order, as one step at a time would."""
         h, dot = self.h, self._dot
-        pre, post, u, v, rows, incr, quad, prod = self._block(len(draws))
+        pre, post, prod, u, v, quad, incr, (gamma, amp, power), rows = self._block(len(draws))
         if prod is None:
             draws = draws[:, :, 0]
+        # Each update passes one view as operand and out, keeping the
+        # operand order of ``u += v``, ``u *= c`` and the like.
         # dGamma = h sum_b gamma_b (|p_pre|^2 + |p_post|^2) / 2
         dot(pre, pre, u, prod)
-        u += dot(post, post, v, prod)
-        u *= _HALF
-        u *= self.gamma_col
-        dgamma = _sum(u, 1, out=incr)
-        dgamma *= h
-        _add_in_order(gamma_acc, rows)
+        dot(post, post, v, prod)
+        np.add(u, v, u)
+        np.multiply(u, _HALF, u)
+        np.multiply(u, gamma, u)
+        _sum(u, 1, incr)
+        np.multiply(incr, h, incr)
+        _add_in_order(gamma_acc, *rows)
         # dM = sqrt(h) sum_b amp_b xi.p_pre + h sum_b power_b (|xi|^2 - n)
         dot(pre, draws, u, prod)
-        u *= self.noise_amp
-        dm = _sum(u, 1, out=incr)
-        dm *= self.sqrt_h
+        np.multiply(u, amp, u)
+        _sum(u, 1, incr)
+        np.multiply(incr, self.sqrt_h, incr)
         dot(draws, draws, v, prod)
-        v -= self.n
-        v *= self.noise_power
-        quad = _sum(v, 1, out=quad)
-        quad *= h
-        dm += quad
-        _add_in_order(m_acc, rows)
+        np.subtract(v, self.n, v)
+        np.multiply(v, power, v)
+        _sum(v, 1, quad)
+        np.multiply(quad, h, quad)
+        np.add(incr, quad, incr)
+        _add_in_order(m_acc, *rows)
 
 
-def _add_in_order(total: np.ndarray, rows: np.ndarray) -> None:
+def _add_in_order(total: np.ndarray, first: np.ndarray, rows: np.ndarray,
+                  cumsum: np.ndarray, last: np.ndarray) -> None:
     """``total += rows[k]`` for k = 1, 2, ... in one call, over a
-    C-contiguous (steps + 1, members) ``rows`` whose row 0 is overwritten.
-    Reducing the leading axis adds whole rows one at a time when there is
-    more than one member; a single column would be summed pairwise, so
-    one member takes the cumulative sum, which is sequential whatever the
-    layout.  Either way the bits are those of the one-at-a-time sums."""
-    rows[0] = total
+    C-contiguous (steps + 1, members) ``rows`` whose row 0, ``first``, is
+    overwritten.  Reducing the leading axis adds whole rows one at a time
+    when there is more than one member; a single column would be summed
+    pairwise, so one member takes the cumulative sum into ``cumsum``, whose
+    last row is ``last``, which is sequential whatever the layout.  Either
+    way the bits are those of the one-at-a-time sums."""
+    first[...] = total
     if total.shape[0] > 1:
-        np.add.reduce(rows, axis=0, out=total)
+        np.add.reduce(rows, 0, None, total)
     else:
-        total[...] = np.add.accumulate(rows, axis=0)[-1]
+        np.add.accumulate(rows, 0, None, cumsum)
+        total[...] = last
 
 
 def integrate(

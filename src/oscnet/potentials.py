@@ -19,16 +19,34 @@ pair.
 that importing the package does not load it.
 
 All evaluation methods are vectorized over leading axes: ``x`` may have
-shape ``(..., dim)``.  Sums and products are taken with ``np.add.reduce``
-and ``np.multiply.reduce``: the arithmetic of ``np.sum`` and ``np.prod``
-without their Python dispatch, which dominates one-point calls.
+shape ``(..., dim)``.
 
-``gradient(x, out)`` writes into a given C-contiguous array ``out`` of the
-shape of ``x`` that shares no memory with it; ``x`` is then used as given,
-unchecked, and may be a strided view.  Every sum over components or terms reads from or writes
-into a C-contiguous array, so each point gets the bits of the plain call
-on a C-contiguous ``x`` (numpy sums 8 or more terms pairwise only along a
-contiguous axis).
+Values and gradients are evaluated by plans.  ``bind_gradient(x, out)``
+and ``bind_value(x, out)`` return a list of ``(function, args)`` calls
+that write the gradient at ``x`` (an ``out`` of the shape of ``x``) or the
+value (an ``out`` of shape ``x.shape[:-1]``) when :func:`_run` runs them.
+A plan holds every temporary buffer and every scalar operand, the latter
+as read-only 0-d arrays (:func:`_scalar`), and reads ``x`` and writes
+``out`` as given, so it can be bound once to an integrator's arrays and
+run at every step.  ``out`` must be C-contiguous and share no memory with
+``x``; ``x`` may be a strided view.  A call writes a buffer it reads
+only where that buffer holds more than one entry per point (a
+``Quadratic`` adding up its columns): an in-place call on a one-element
+array costs numpy about twice as much.  The public
+``gradient(x, out=None)`` and ``value(x)`` are one run of a freshly bound
+plan, so each family writes each formula once, with no second path.
+
+Every sum over components or terms reads a C-contiguous buffer, so each
+point gets the bits of the plain expression on a C-contiguous ``x``
+(numpy sums 8 or more terms pairwise only along a contiguous axis).
+Sums and products are taken with ``np.add.reduce`` and
+``np.multiply.reduce``: the arithmetic of ``np.sum`` and ``np.prod``
+without their Python dispatch.  Each operand keeps the shape the plain
+expression gives it: a scalar exponent is a 0-d array, for which
+``np.power`` takes the fast paths of ``s ** e`` (a square for 2, a square
+root for 0.5), whereas a full array of exponents takes the general pow,
+whose AVX-512 version differs from ``x * x`` in the last bit on a few
+percent of points.
 """
 
 from __future__ import annotations
@@ -62,6 +80,26 @@ __all__ = [
 MAX_NONDEGENERACY_ORDER = 6
 
 
+# Scalar operands of the bound plans, as read-only 0-d float64 arrays: the
+# same arithmetic as Python floats, without the conversion numpy makes of
+# a Python scalar on every call (about 0.2 us of a 0.35 us ufunc call on a
+# small array, 2-vCPU Xeon VM, numpy 2.4.6).
+def _scalar(value: float) -> np.ndarray:
+    a = np.array(float(value))
+    a.setflags(write=False)
+    return a
+
+
+_ONE = _scalar(1.0)
+_HALF = _scalar(0.5)
+
+
+def _run(calls) -> None:
+    """Run a bound plan: each ``(function, args)`` call in order."""
+    for fn, args in calls:
+        fn(*args)
+
+
 def _as_points(x, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (dim,):
@@ -69,21 +107,44 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _gradient_args(x, out, dim: int):
-    """``(x, out)`` of a gradient call: checked points and a new array
-    when ``out`` is None, else both as given."""
+def _gradient(spec, x, out=None) -> np.ndarray:
+    """The gradient at ``x``, one run of ``spec.bind_gradient``.  Without
+    ``out`` the points are checked and the gradient is a new array; with
+    it both are used as given."""
     if out is None:
-        x = _as_points(x, dim)
+        x = _as_points(x, spec.dim)
         out = np.empty(x.shape)
-    return x, out
+    _run(spec.bind_gradient(x, out))
+    return out
 
 
-def _squared_norm(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``|x|^2`` over the last axis as a new (..., 1) array, summed from
-    the squares written into the C-contiguous ``out``: the order of
-    ``np.sum(x * x, axis=-1)`` on a C-contiguous ``x``."""
-    np.multiply(x, x, out=out)
-    return np.add.reduce(out, axis=-1, keepdims=True)
+def _value(spec, x) -> np.ndarray:
+    """The values at ``x``, one run of ``spec.bind_value``: an array of
+    shape ``x.shape[:-1]``, a numpy float for one point."""
+    x = _as_points(x, spec.dim)
+    out = np.empty(x.shape[:-1])
+    _run(spec.bind_value(x, out))
+    return out[()]
+
+
+def _bind_reduce(ufunc, a: np.ndarray, out: np.ndarray) -> tuple:
+    """``ufunc.reduce`` over the last axis of the C-contiguous ``a`` into
+    the C-contiguous ``out``, of the shape of ``a`` without that axis or
+    with it as 1, as one call on a 2-d view of ``a`` and a flat view of
+    ``out``: the same order on every row, and numpy's reduction costs less
+    on fewer axes (1.14 against 1.37 us a call on the 5-d table of a
+    ``LocalPiece`` gradient at one point).  Raises ValueError when either
+    array has no such view."""
+    rows = np.reshape(a, (-1, a.shape[-1]), copy=False)
+    return (ufunc.reduce, (rows, -1, None, np.reshape(out, -1, copy=False)))
+
+
+def _bind_squared_norm(x: np.ndarray, squares: np.ndarray, s: np.ndarray) -> list:
+    """``|x|^2`` over the last axis into ``s``, of shape ``x.shape[:-1]``
+    or (keeping the axis) ``x.shape[:-1] + (1,)``, summed from the squares
+    written into the C-contiguous ``squares``: the order of
+    ``np.add.reduce(x * x, axis=-1)`` on a C-contiguous ``x``."""
+    return [(np.multiply, (x, x, squares)), _bind_reduce(np.add, squares, s)]
 
 
 @dataclass(frozen=True)
@@ -99,19 +160,24 @@ class SoftPower:
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
-    def value(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        s = np.add.reduce(x * x, axis=-1)
-        return (1.0 + s) ** (self.degree / 2.0)
+    value = _value
+    gradient = _gradient
 
-    def gradient(self, x, out=None) -> np.ndarray:
-        x, out = _gradient_args(x, out, self.dim)
+    def bind_value(self, x, out) -> list:
+        # (1 + |x|^2) ** (degree/2)
+        s, u = np.empty(out.shape), np.empty(out.shape)
+        return _bind_squared_norm(x, np.empty(x.shape), s) + [
+            (np.add, (_ONE, s, u)),
+            (np.power, (u, _scalar(self.degree / 2.0), out))]
+
+    def bind_gradient(self, x, out) -> list:
         # degree * (1 + |x|^2) ** (degree/2 - 1) * x, in this order.
-        s = _squared_norm(x, out)
-        s += 1.0
-        s **= self.degree / 2.0 - 1.0
-        s *= self.degree
-        return np.multiply(s, x, out=out)
+        s, u = np.empty(x.shape[:-1] + (1,)), np.empty(x.shape[:-1] + (1,))
+        return _bind_squared_norm(x, out, s) + [
+            (np.add, (s, _ONE, u)),
+            (np.power, (u, _scalar(self.degree / 2.0 - 1.0), s)),
+            (np.multiply, (s, _scalar(self.degree), u)),
+            (np.multiply, (u, x, out))]
 
     def limiting_value(self, x) -> np.ndarray:
         x = _as_points(x, self.dim)
@@ -135,18 +201,22 @@ class EvenPower:
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
-    def value(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        s = np.add.reduce(x * x, axis=-1)
-        return s ** (self.degree // 2)
+    value = _value
+    gradient = _gradient
 
-    def gradient(self, x, out=None) -> np.ndarray:
-        x, out = _gradient_args(x, out, self.dim)
+    def bind_value(self, x, out) -> list:
+        # |x|^2 ** (degree/2)
+        s = np.empty(out.shape)
+        return _bind_squared_norm(x, np.empty(x.shape), s) + [
+            (np.power, (s, _scalar(self.degree // 2), out))]
+
+    def bind_gradient(self, x, out) -> list:
         # degree * |x|^2 ** (degree/2 - 1) * x, in this order.
-        s = _squared_norm(x, out)
-        s **= self.degree // 2 - 1
-        s *= self.degree
-        return np.multiply(s, x, out=out)
+        s, u = np.empty(x.shape[:-1] + (1,)), np.empty(x.shape[:-1] + (1,))
+        return _bind_squared_norm(x, out, s) + [
+            (np.power, (s, _scalar(self.degree // 2 - 1), u)),
+            (np.multiply, (u, _scalar(self.degree), s)),
+            (np.multiply, (s, x, out))]
 
     limiting_value = value
     limiting_strictly_convex = True
@@ -199,26 +269,36 @@ class Quadratic:
     def degree(self) -> float:
         return 2.0
 
-    def value(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        Kx = x @ self.matrix.T
-        return 0.5 * np.add.reduce(x * Kx, axis=-1)
+    value = _value
+    gradient = _gradient
+
+    def bind_value(self, x, out) -> list:
+        # 0.5 * sum(x * (x @ K.T)); the matmul's bits depend on the shape
+        # of the stack, which the plan keeps.
+        Kx, xKx, s = np.empty(x.shape), np.empty(x.shape), np.empty(out.shape)
+        return [(np.matmul, (x, self.matrix.T, Kx)),
+                (np.multiply, (x, Kx, xKx)),
+                _bind_reduce(np.add, xKx, s),
+                (np.multiply, (_HALF, s, out))]
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.matrix[:, j].copy() for j in range(self.dim))
+        """The columns of K, squeezed: in dim 1 the one column is a 0-d
+        array, which numpy broadcasts without its general iterator (a
+        (1,) operand costs about 0.5 us more per call on a small array)."""
+        return tuple(np.squeeze(self.matrix[:, j].copy()) for j in range(self.dim))
 
-    def gradient(self, x, out=None) -> np.ndarray:
-        x, out = _gradient_args(x, out, self.dim)
+    def bind_gradient(self, x, out) -> list:
         # K x summed over columns in a fixed order.  The bits of a matmul
         # depend on the shape of the stack (BLAS picks gemv for one-row
         # matrices and gemm otherwise); these elementwise products do not,
         # so a point's gradient is the same in every batch layout.
-        columns = self._columns
-        np.multiply(x[..., :1], columns[0], out)
+        term, columns = np.empty(x.shape), self._columns
+        calls = [(np.multiply, (x[..., :1], columns[0], out))]
         for j in range(1, self.dim):
-            out += x[..., j:j + 1] * columns[j]
-        return out
+            calls += [(np.multiply, (x[..., j:j + 1], columns[j], term)),
+                      (np.add, (out, term, out))]
+        return calls
 
     limiting_value = value
 
@@ -268,32 +348,47 @@ class LocalPiece:
     def degree(self) -> float:
         return float(max(sum(e) for _, e in self.terms))
 
+    value = _value
+    gradient = _gradient
+
     @cached_property
     def _tables(self):
-        """(coeffs, exps, slopes, reduced) with shapes (t,), (t, d), (d, t)
-        and (d, t, d) for t terms in d dimensions: the derivative along x_j
-        of term t is slopes[j, t] * prod_i x_i^reduced[j, t, i].  Built
-        once per spec, like ``Quadratic.matrix``."""
+        """(exps, coeffs, reduced, slopes) with shapes (t, d), (t,),
+        (d, t, d) and (d, t) for t terms in d dimensions: the derivative
+        along x_j of term t is prod_i x_i^reduced[j, t, i] * slopes[j, t].
+        Built once per spec, like ``Quadratic.matrix``."""
         coeffs = np.array([c for c, _ in self.terms], dtype=float)
         exps = np.array([e for _, e in self.terms], dtype=float)
-        slopes = coeffs * exps.T
         reduced = np.repeat(exps[None], self.dim, axis=0)
         for j in range(self.dim):
             reduced[j, :, j] = np.maximum(exps[:, j] - 1.0, 0.0)
-        return coeffs, exps, slopes, reduced
+        return exps, coeffs, reduced, coeffs * exps.T
 
-    def value(self, x) -> np.ndarray:
-        x = _as_points(x, self.dim)
-        coeffs, exps, _, _ = self._tables
-        pw = x[..., None, :] ** exps
-        return np.add.reduce(coeffs * np.multiply.reduce(pw, axis=-1), axis=-1) + self.offset
+    def _bind_terms(self, x, exps, factors, terms) -> list:
+        """The monomials ``prod_i x_i^exps[..., i] * factors`` into
+        ``terms``: one power call writes a product buffer whose trailing
+        column holds the factors, so one product reduction takes
+        ``((x^a * y^b) * z^c) * factor``, the order of the product followed
+        by the factor."""
+        table = np.empty(terms.shape + (self.dim + 1,))
+        table[..., self.dim] = factors
+        return [(np.power, (x, exps, table[..., :self.dim])),
+                _bind_reduce(np.multiply, table, terms)]
 
-    def gradient(self, x, out=None) -> np.ndarray:
-        x, out = _gradient_args(x, out, self.dim)
-        _, _, slopes, reduced = self._tables
-        terms = np.multiply.reduce(x[..., None, None, :] ** reduced, axis=-1)
-        terms *= slopes
-        return np.add.reduce(terms, axis=-1, out=out)
+    def bind_value(self, x, out) -> list:
+        # sum_t prod_i x_i^e_ti * c_t + offset
+        exps, coeffs, _, _ = self._tables
+        terms, total = np.empty(out.shape + coeffs.shape), np.empty(out.shape)
+        return self._bind_terms(x[..., None, :], exps, coeffs, terms) + [
+            _bind_reduce(np.add, terms, total),
+            (np.add, (total, _scalar(self.offset), out))]
+
+    def bind_gradient(self, x, out) -> list:
+        # sum_t prod_i x_i^reduced_jti * slope_jt along each x_j
+        _, _, reduced, slopes = self._tables
+        terms = np.empty(x.shape + slopes.shape[1:])
+        return self._bind_terms(x[..., None, None, :], reduced, slopes, terms) + [
+            _bind_reduce(np.add, terms, out)]
 
     def _top(self) -> "LocalPiece":
         top = self.degree

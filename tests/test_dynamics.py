@@ -1,5 +1,6 @@
 """Dynamics: Hamiltonian split, forces, integrators, energy accounting."""
 
+import itertools
 import json
 
 import numpy as np
@@ -255,6 +256,44 @@ def test_integrate_is_one_member_of_the_batch(topo_seed, dim, pinning, interacti
     for field in ("times", "H", "Hc", "Hi", "Gamma", "M"):
         assert same_bits(getattr(a, field), getattr(b, field)), field
     assert all(same_bits(x.p, y.p) and same_bits(x.q, y.q) for x, y in zip(a.states, b.states))
+
+
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    dim=st.integers(1, 3),
+    pinning=st.sampled_from(sorted(FAMILIES) + ["local"]),
+    interaction=st.sampled_from(sorted(FAMILIES) + ["local"]),
+)
+def test_baoab_without_baths_is_velocity_verlet(seed, dim, pinning, interaction):
+    # Without baths the B-A-O-A-B step is velocity Verlet.  Compare
+    # integrate_deterministic with a direct Verlet loop on the public
+    # forces(); vertex 0 and the first edge get specs of their own, so the
+    # force plans hold index-array groups and slabs.
+    rng = np.random.default_rng(seed)
+    topo = random_topology(rng, max_vertices=8)
+    N = topo.vertex_count
+    pin_specs = [full_matrix_family(pinning, rng, dim) for _ in range(2)]
+    int_specs = [full_matrix_family(interaction, rng, dim) for _ in range(2)]
+    model = Model(topo, dim,
+                  {v: pin_specs[v == 0] for v in topo.vertices},
+                  {e: int_specs[j == 0] for j, e in enumerate(topo.edge_list)},
+                  {b: BathSpec(1.0, 1.0) for b in topo.baths})
+    # Near the origin, where a polynomial piece is meant to be used.
+    z0 = State(0.5 * rng.standard_normal((N, dim)), 0.2 * rng.standard_normal((N, dim)))
+    h, n_steps = 0.01, 50
+    tr = integrate_deterministic(model, z0, n_steps * h, h, record_every=n_steps,
+                                 record_states=True)
+
+    p, q = z0.p.copy(), z0.q.copy()
+    F = forces(model, State(p, q))
+    for _ in range(n_steps):
+        p = p + 0.5 * h * F
+        q = q + h * p
+        F = forces(model, State(p, q))
+        p = p + 0.5 * h * F
+    assert np.allclose(tr.states[-1].p, p, rtol=1e-12, atol=1e-12)
+    assert np.allclose(tr.states[-1].q, q, rtol=1e-12, atol=1e-12)
 
 
 def test_batch_energies_are_the_single_state_energies_bitwise():
@@ -874,6 +913,34 @@ def test_counterexample_guard_trips_outside_region():
     assert not c4_guard(bad.q)
     with pytest.raises(ValidityRegionError):
         integrate_deterministic(m, bad, 1.0, 1e-3, guard=c4_guard)
+
+
+def box_test(q):
+    """The validity box as the numpy expression ``c4_guard`` replaced."""
+    center = np.array([C4_VALIDITY_BOX["q1_center"], C4_VALIDITY_BOX["q2_center"]])
+    halfwidth = np.array([C4_VALIDITY_BOX["q1_halfwidth"], C4_VALIDITY_BOX["q2_halfwidth"]])
+    with np.errstate(invalid="ignore"):
+        return bool((np.abs(q - center) <= halfwidth).all())
+
+
+def test_c4_guard_agrees_with_the_box_expression():
+    center = np.array([C4_VALIDITY_BOX["q1_center"], C4_VALIDITY_BOX["q2_center"]])
+    halfwidth = np.array([C4_VALIDITY_BOX["q1_halfwidth"], C4_VALIDITY_BOX["q2_halfwidth"]])
+    cases = [center + halfwidth * np.array(signs).reshape(2, 3)
+             for signs in itertools.product((-1.0, 1.0), repeat=6)]  # every corner
+    for i in range(6):
+        for side in (-1.0, 1.0):
+            face = (center + side * halfwidth).ravel()[i]
+            for x in (face, np.nextafter(face, side * np.inf), np.nextafter(face, -side * np.inf),
+                      np.nan, np.inf, -np.inf):
+                q = center.copy().ravel()
+                q[i] = x
+                cases.append(q.reshape(2, 3))
+    answers = [box_test(q) for q in cases]
+    assert True in answers and False in answers
+    for q, want in zip(cases, answers):
+        assert c4_guard(q) is want
+        assert c4_guard(q[..., None][..., 0]) is want  # a view, as the integrator passes
 
 
 def test_counterexample_pieces_nonnegative_in_region():

@@ -18,6 +18,7 @@ from oscnet.potentials import (
     check_nondegenerate,
     default_nondegeneracy_samples,
     derivative_rows,
+    _run,
 )
 
 
@@ -433,3 +434,116 @@ def test_gradient_into_out_keeps_the_bits_of_a_fresh_call(spec):
     assert spec.gradient(x, out) is out
     want = spec.gradient(np.ascontiguousarray(x))
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+# --- Bound plans against the expressions they replaced ---------------------------
+
+def reference_value(spec, x):
+    """The value of ``spec`` at a C-contiguous ``x`` as the plain numpy
+    expression each family evaluated before its plan was bound."""
+    if isinstance(spec, SoftPower):
+        s = np.add.reduce(x * x, axis=-1)
+        return (1.0 + s) ** (spec.degree / 2.0)
+    if isinstance(spec, EvenPower):
+        s = np.add.reduce(x * x, axis=-1)
+        return s ** (spec.degree // 2)
+    if isinstance(spec, Quadratic):
+        Kx = x @ spec.matrix.T
+        return 0.5 * np.add.reduce(x * Kx, axis=-1)
+    coeffs = np.array([c for c, _ in spec.terms])
+    exps = np.array([e for _, e in spec.terms], dtype=float)
+    pw = x[..., None, :] ** exps
+    return np.add.reduce(coeffs * np.multiply.reduce(pw, axis=-1), axis=-1) + spec.offset
+
+
+def reference_gradient(spec, x):
+    """The gradient of ``spec`` at a C-contiguous ``x`` as the plain numpy
+    expression each family evaluated before its plan was bound."""
+    out = np.empty(x.shape)
+    if isinstance(spec, (SoftPower, EvenPower)):
+        np.multiply(x, x, out=out)
+        s = np.add.reduce(out, axis=-1, keepdims=True)
+        if isinstance(spec, SoftPower):
+            s += 1.0
+            s **= spec.degree / 2.0 - 1.0
+        else:
+            s **= spec.degree // 2 - 1
+        s *= spec.degree
+        return np.multiply(s, x, out=out)
+    if isinstance(spec, Quadratic):
+        columns = [spec.matrix[:, j].copy() for j in range(spec.dim)]
+        np.multiply(x[..., :1], columns[0], out)
+        for j in range(1, spec.dim):
+            out += x[..., j:j + 1] * columns[j]
+        return out
+    coeffs = np.array([c for c, _ in spec.terms])
+    exps = np.array([e for _, e in spec.terms], dtype=float)
+    slopes = coeffs * exps.T
+    reduced = np.repeat(exps[None], spec.dim, axis=0)
+    for j in range(spec.dim):
+        reduced[j, :, j] = np.maximum(exps[:, j] - 1.0, 0.0)
+    terms = np.multiply.reduce(x[..., None, None, :] ** reduced, axis=-1)
+    terms *= slopes
+    return np.add.reduce(terms, axis=-1, out=out)
+
+
+def pinned_specs():
+    """The specs whose plans are pinned to the reference bits.  The
+    degrees reach every scalar exponent with a fast path in numpy's power
+    (0, 0.5, 1, 2) and some without one (1.5, 2.5, 3, 4); 9 components
+    and 10 terms are summed pairwise."""
+    rng = np.random.default_rng(2311)
+    specs = [SoftPower(degree=r, dim=d) for r in (2, 3, 4, 5, 6, 8) for d in (1, 3)]
+    specs += [EvenPower(degree=r, dim=d) for r in (2, 4, 6, 8) for d in (1, 2)]
+    specs += [SoftPower(degree=3, dim=9), EvenPower(degree=6, dim=9)]
+    for d in (1, 2, 3):
+        A = rng.standard_normal((d, d))
+        specs.append(Quadratic(tuple(map(tuple, A @ A.T + 0.1 * np.eye(d))), d))
+    for t, d in ((1, 1), (3, 3), (10, 2), (10, 3)):
+        terms = tuple((float(rng.uniform(-1.0, 1.0)), tuple(int(e) for e in rng.integers(0, 5, d)))
+                      for _ in range(t))
+        specs.append(LocalPiece(terms=terms, dim=d, offset=float(rng.uniform(0.0, 2.0))))
+    return specs
+
+
+def member_minor_points(dim, members, seed):
+    """Positions as a force plan holds them, (4 points, dim, members), with
+    -0.0, NaN, +inf and -inf among the coordinates."""
+    minor = 1.5 * np.random.default_rng(seed).standard_normal((4, dim, members))
+    minor[0, :, 0] = -0.0
+    minor[1, 0, -1] = np.nan
+    minor[2, -1, members // 2] = np.inf
+    minor[3, 0, 0] = -np.inf
+    return minor
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", pinned_specs(), ids=repr)
+@pytest.mark.parametrize("members", [1, 3, 64])
+def test_bound_plans_keep_the_bits_of_the_plain_expressions(spec, members):
+    # Gradients see strided (points, members, dim) views, values both
+    # (members, points, dim) buffers and strided views; every result, its
+    # signed zeros and NaNs included, must be the bits of the expression
+    # on a C-contiguous copy.  A full array of exponents where the
+    # expression has a scalar one takes the general pow, which differs
+    # from the square numpy computes for a scalar 2 on some points.
+    minor = member_minor_points(spec.dim, members, seed=members)
+    with np.errstate(all="ignore"):
+        for x in (minor.transpose(0, 2, 1), minor.transpose(2, 0, 1),
+                  minor.transpose(2, 0, 1).copy(), minor[0, :, 0].copy()):
+            want = reference_gradient(spec, np.ascontiguousarray(x))
+            out = np.empty(x.shape)
+            _run(spec.bind_gradient(x, out))
+            assert same_bits(out, want)
+            assert same_bits(spec.gradient(x), want)
+            assert spec.gradient(x, out) is out and same_bits(out, want)
+
+            want = reference_value(spec, np.ascontiguousarray(x))
+            out = np.empty(x.shape[:-1])
+            _run(spec.bind_value(x, out))
+            assert same_bits(out, want)
+            assert same_bits(spec.value(x), want)
