@@ -40,8 +40,8 @@ Public arrays use the layout (vertices, dim); batch variants prepend a
 member axis, (members, vertices, dim).  Inside the stepping loop the state
 is held member-minor, (vertices, dim, members): every per-vertex or
 per-bath operation is one contiguous vector op over the members, and the
-edge forces are scattered in slabs, one round per incident-edge rank, so a
-vertex still adds its edge terms in edge-list order.
+edge forces are scattered in slabs of one sign each, so that a vertex
+still adds its edge terms in edge-list order (a chain's in two slabs).
 
 The loop runs plans bound to the run's own arrays.  The force plan and the
 read plan are bound once per integrator, to its state arrays; the step
@@ -204,20 +204,28 @@ def _take(calls: list, x: np.ndarray, idx) -> np.ndarray:
 def _scatter_plan(edges) -> list[tuple]:
     """Slab scatter of one edge group's forces as ``(vertices, terms, add)``
     slabs: ``F[vertices] += g[terms]`` at the edges' a ends, ``-=`` at
-    their b ends.  Round r holds every vertex's r-th incident edge of the
-    group in edge-list order, so a vertex occurs at most once per slab and
-    adds the same terms in the same order as a loop over the edges."""
-    incident: dict[int, list[tuple[int, bool]]] = {}
+    their b ends.  Each vertex takes its incident edges of the group in
+    edge-list order, so it adds the same terms in the same order as a loop
+    over the edges.  A slab takes the next edge of every vertex whose next
+    edge has the slab's sign, so a vertex occurs at most once per slab;
+    the signs alternate, starting with the more common first one, and a
+    vertex of degree d is done within 2d slabs.  A chain takes two: its b
+    ends, then its a ends."""
+    pending: dict[int, list[tuple[int, bool]]] = {}
     for j, e in enumerate(edges):
-        incident.setdefault(e.a, []).append((j, True))
-        incident.setdefault(e.b, []).append((j, False))
+        pending.setdefault(e.a, []).append((j, True))
+        pending.setdefault(e.b, []).append((j, False))
+    heads = {v: 0 for v in sorted(pending)}
+    add = 2 * sum(terms[0][1] for terms in pending.values()) >= len(pending)
     plan = []
-    for r in range(max(len(terms) for terms in incident.values())):
-        for add in (True, False):
-            pairs = [(v, terms[r][0]) for v, terms in sorted(incident.items())
-                     if r < len(terms) and terms[r][1] == add]
-            if pairs:
-                plan.append((_index([v for v, _ in pairs]), _index([j for _, j in pairs]), add))
+    while heads:
+        pairs = [(v, pending[v][r][0]) for v, r in heads.items() if pending[v][r][1] == add]
+        if pairs:
+            plan.append((_index([v for v, _ in pairs]), _index([j for _, j in pairs]), add))
+            for v, _ in pairs:
+                heads[v] += 1
+            heads = {v: r for v, r in heads.items() if r < len(pending[v])}
+        add = not add
     return plan
 
 

@@ -133,10 +133,11 @@ def _bind_reduce(ufunc, a: np.ndarray, out: np.ndarray) -> tuple:
     with it as 1, as one call on a 2-d view of ``a`` and a flat view of
     ``out``: the same order on every row, and numpy's reduction costs less
     on fewer axes (1.14 against 1.37 us a call on the 5-d table of a
-    ``LocalPiece`` gradient at one point).  Raises ValueError when either
-    array has no such view."""
-    rows = np.reshape(a, (-1, a.shape[-1]), copy=False)
-    return (ufunc.reduce, (rows, -1, None, np.reshape(out, -1, copy=False)))
+    ``LocalPiece`` gradient at one point).  Both must be C-contiguous, so
+    that these reshapes are views; otherwise raises ValueError."""
+    if not (a.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("a bound reduction reads and writes C-contiguous arrays")
+    return (ufunc.reduce, (a.reshape(-1, a.shape[-1]), -1, None, out.reshape(-1)))
 
 
 def _bind_squared_norm(x: np.ndarray, squares: np.ndarray, s: np.ndarray) -> list:

@@ -141,6 +141,35 @@ def test_counterexample_initial_forces():
     assert F[1] == pytest.approx([-4.0, 0.0, 0.0])
 
 
+def test_chain_scatters_its_edge_forces_in_two_slices():
+    # b ends first, then a ends: the middle vertices still take -g[j-1]
+    # before +g[j], and no slab of a 3-chain is a single vertex.
+    for n in (3, 5, 11):
+        (_, _, plan, _), = dynamics._Kernel(chain_model(n, 1)).edge_groups
+        assert plan == [(slice(1, n, 1), slice(0, n - 1, 1), False),
+                        (slice(0, n - 1, 1), slice(0, n - 1, 1), True)]
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_scatter_plan_keeps_each_vertex_in_edge_list_order(seed):
+    topo = random_topology(np.random.default_rng(seed), max_vertices=12)
+    if not topo.edge_list:
+        return
+    plan = dynamics._scatter_plan(topo.edge_list)
+    applied: dict[int, list] = {}
+    for v, j, add in plan:
+        vs, js = (np.arange(topo.vertex_count)[v], np.arange(len(topo.edge_list))[j])
+        assert len(set(vs.tolist())) == len(vs)
+        for vertex, edge in zip(vs.tolist(), js.tolist()):
+            applied.setdefault(vertex, []).append((edge, add))
+    for vertex in topo.vertices:
+        want = [(j, e.a == vertex) for j, e in enumerate(topo.edge_list) if vertex in (e.a, e.b)]
+        assert applied.get(vertex, []) == want
+    degree = max(len(terms) for terms in applied.values())
+    assert len(plan) <= 2 * degree
+
+
 @settings(max_examples=40)
 @random_kernel_case
 def test_forces_match_energy_gradient(seed, dim, pinning, interaction):

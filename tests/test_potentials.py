@@ -547,3 +547,21 @@ def test_bound_plans_keep_the_bits_of_the_plain_expressions(spec, members):
             _run(spec.bind_value(x, out))
             assert same_bits(out, want)
             assert same_bits(spec.value(x), want)
+
+
+@pytest.mark.parametrize("spec", pinned_specs(), ids=repr)
+def test_gradient_into_a_strided_out_is_right_or_refused(spec):
+    # A plan writes ``out`` as given: a family that reads or reduces into
+    # it needs it C-contiguous and says so, rather than writing a copy
+    # (a transposed out has no flat view).
+    x = member_minor_points(spec.dim, 3, seed=5)[:, :, 1]
+    out = np.zeros(x.shape[::-1]).T
+    try:
+        with np.errstate(all="ignore"):
+            want = reference_gradient(spec, x.copy())
+            spec.gradient(x, out)
+    except ValueError as err:
+        assert "C-contiguous" in str(err)
+        assert not isinstance(spec, Quadratic)
+    else:
+        assert same_bits(out, want)
