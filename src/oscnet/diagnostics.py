@@ -455,6 +455,8 @@ def stationary_moment_test(
     moment matrix is compared to the Lyapunov oracle.  Raises
     :class:`BlowupError` when any replica blew up.
     """
+    if replicas < 2:
+        raise ValueError("need replicas >= 2 for a standard error")
     if n_samples < replicas:
         raise ValueError("need at least one sample per replica")
     N, n = model.vertex_count, model.dim
@@ -950,6 +952,8 @@ def observable_decay_fit(
     the report inconclusive.  Raises :class:`BlowupError` when a member of
     either run blew up.
     """
+    if ensemble < 2:
+        raise ValueError("need ensemble >= 2 for a standard error")
     fn = resolve_observable(model, observable) if isinstance(observable, str) else observable
 
     # Stationary reference: a handful of long runs on dedicated streams

@@ -43,20 +43,21 @@ per-bath operation is one contiguous vector op over the members, and the
 edge forces are scattered in slabs of one sign each, so that a vertex
 still adds its edge terms in edge-list order (a chain's in two slabs).
 
-The loop runs plans bound to the run's own arrays.  The force plan and the
-read plan are bound once per integrator, to its state arrays; the step
-plan, with the noise and budget buffers, once per ``_advance``.  A plan
+The loop runs plans bound once per integrator, to its state arrays: the
+force plan, the read plan and the step, with the step's work arrays, O-map
+slots and budget block, all sized from the member count.  Only the noise
+chunk is sized from the run length, and allocated per run, which keeps the
+peak memory of a wide ensemble down (:class:`BatchIntegrator`).  A plan
 holds the views of each selection (a vertex set that is evenly spaced,
 such as the two ends of a chain, is a slice and so a view), the point and
 gradient buffers of each potential group, and the work arrays and scalar
 factors of the updates.  Each group's potential contributes its own plan
 (``bind_gradient`` or ``bind_value``, see :mod:`oscnet.potentials`), with
 its temporaries and scalar operands, spliced in where its gradient or
-value is needed.  A step then makes only its arithmetic calls, each with
-a positional ``out``: it indexes, transposes and allocates nothing, and
-calls no Python-level potential method.  Selections that are no slice
-cost one ``take`` into a bound buffer, and scatters at them one
-``ufunc.at``.
+value is needed.  A step then makes only its arithmetic calls, each with a
+positional ``out``: it indexes, transposes and allocates nothing, and
+calls no Python-level potential method.  Selections that are no slice cost
+one ``take`` into a bound buffer, and scatters at them one ``ufunc.at``.
 
 Potentials see member-major points, as on a (members, vertices, dim)
 batch: a gradient gets a (k, members, dim) view or buffer and writes a
@@ -307,14 +308,6 @@ class _Kernel:
                     calls.append((ufunc.at, (F, v, term)))
         return calls
 
-    def forces(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Conservative forces at member-minor positions (vertices, dim,
-        members), written into ``out`` when given: one run of the plan
-        :meth:`bind_forces` binds."""
-        F = np.empty_like(q) if out is None else out
-        _run(self.bind_forces(q, F))
-        return F
-
     def split_energies(self, p: np.ndarray, q: np.ndarray):
         """(H, Hc, Hi) of member-major (..., vertices, dim) arrays: the
         :class:`_Read` of their member-minor copies."""
@@ -415,7 +408,10 @@ def hamiltonian(model: Model, state: State) -> tuple[float, float, float]:
 def forces(model: Model, state: State) -> np.ndarray:
     """Conservative force on every vertex (friction and noise excluded)."""
     _check_state(model, state)
-    return _Kernel(model).forces(state.q[..., None])[..., 0]
+    q = state.q[..., None]
+    F = np.empty(q.shape)
+    _run(_Kernel(model).bind_forces(q, F))
+    return F[..., 0]
 
 
 def _check_state(model: Model, state: State) -> None:
@@ -424,185 +420,6 @@ def _check_state(model: Model, state: State) -> None:
             f"state shape {state.shape} does not match model "
             f"({model.vertex_count}, {model.dim})"
         )
-
-
-class _Step:
-    """The B-A-O-A-B step as a plan bound to one run's member-minor
-    (vertices, dim, members) arrays ``p``, ``q`` and ``F``, built once per
-    :meth:`BatchIntegrator._advance`.
-
-    The plan holds the force calls of :meth:`_Kernel.bind_forces`, the
-    work arrays, the views of the bath rows and the O-map slots, and the
-    scalar factors, so a step runs only its arithmetic ufunc calls, each
-    with a positional ``out``: no indexing, transposing or allocation.
-    The operands keep the order of the plain expressions, so the bits are
-    those of ``p += (0.5 * h) * F`` and the like.
-
-    ``F`` changes only at the force call and the step keeps the half-kick
-    ``half * F`` beside it: the closing kick of one step is the opening
-    kick of the next, and a new plan starts from the kick of the F it is
-    given.
-
-    The O map writes its endpoint momenta into slot ``slot`` of the
-    (block, baths, dim, members) arrays ``p_pre`` and ``p_post``, so that
-    :meth:`add_budget` can take the budget increments of up to ``block``
-    steps at once, through views bound once per block length."""
-
-    def __init__(self, kern: _Kernel, h: float, p: np.ndarray, q: np.ndarray, F: np.ndarray,
-                 forces: list, block: int, budget: bool):
-        self.p, self.q, self.F, self.forces = p, q, F, forces
-        self.h = _scalar(h)
-        self.half = _scalar(0.5 * h)
-        self.sqrt_h = _scalar(math.sqrt(h))
-        nb, n, members = len(kern.bath_idx), kern.n, F.shape[-1]
-        self.n = _scalar(n)
-        # The per-bath factors of the O map, as (baths, dim, 1) arrays
-        # against (baths, dim, members) momenta, and of the budget
-        # increments, as (block, baths, 1) against (block, baths, members)
-        # terms.  With one member they have the shape of the other
-        # operands; numpy takes a broadcast operand through its general
-        # iterator, about 0.5 us more per call on a small array.
-        gamma, temp = kern.bath_gamma, kern.bath_temp
-        a = np.exp(-gamma * h)
-        b = np.sqrt(temp * (1.0 - a * a))
-        self.a, self.b = (np.repeat(c[:, None, None], n, axis=1) for c in (a, b))
-        self.factors = np.repeat(
-            np.stack([gamma, np.sqrt(2.0 * gamma * temp), gamma * temp])[:, None, :, None],
-            block, axis=1)
-        self.kick = np.multiply(self.half, F)
-        self.work = np.empty_like(F)
-        self.scratch = np.empty((nb, n, members))
-        # O-map endpoint momenta of the steps of one budget block, and the
-        # per-slot views the step writes.  The O map copies the bath rows
-        # into a slot with "clip", which writes straight into out (the
-        # indices are in range), and copies the result back into their
-        # view, or through the index array when they are no slice.  A run
-        # without a budget whose bath rows are a slice keeps no endpoints:
-        # its one slot is that view, and the map updates it in place.
-        self.p_pre = np.empty((block, nb, n, members))
-        self.p_post = np.empty((block, nb, n, members))
-        self.bath_idx = kern.bath_idx
-        sel = kern.bath_sel
-        self.copies = budget or not isinstance(sel, slice)
-        if self.copies:
-            self.slots = list(zip(self.p_pre, self.p_post))
-            self.set_baths = (partial(np.copyto, p[sel]) if isinstance(sel, slice)
-                              else partial(p.__setitem__, sel))
-        else:
-            self.slots = [(p[sel], p[sel])]
-        # Budget work arrays: per-bath terms (block, baths, members), their
-        # component products in dim > 1, and a running total followed by
-        # one increment per step (block + 1, members) with its cumulative
-        # sums.
-        self.u = np.empty((block, nb, members))
-        self.v = np.empty((block, nb, members))
-        self.prod = np.empty((block, nb, n, members)) if n > 1 else None
-        self.rows = np.empty((block + 1, members))
-        self.cumsum = np.empty((block + 1, members))
-        self.quad = np.empty((block, members))
-        self._blocks: dict[int, tuple] = {}
-
-    def __call__(self, draws, slot: int) -> None:
-        """One step in place: p and q advance, F becomes the force at the
-        new q.  Without bath vertices (``draws`` None) the O map is the
-        identity and is skipped, so the step is velocity Verlet, and the
-        second drift reuses the first one's ``(h/2) p``."""
-        p, q, work, half, kick = self.p, self.q, self.work, self.half, self.kick
-        np.add(p, kick, p)
-        np.multiply(half, p, work)
-        np.add(q, work, q)
-        if draws is not None:
-            pre, post = self.slots[slot]
-            if self.copies:
-                p.take(self.bath_idx, 0, pre, "clip")
-            np.multiply(self.a, pre, post)
-            np.multiply(self.b, draws, self.scratch)
-            np.add(post, self.scratch, post)
-            if self.copies:
-                self.set_baths(post)
-            np.multiply(half, p, work)
-        np.add(q, work, q)
-        for fn, args in self.forces:
-            fn(*args)
-        np.multiply(half, self.F, kick)
-        np.add(p, kick, p)
-
-    def _block(self, steps: int) -> tuple:
-        """The views of a block of ``steps`` steps: O-map endpoints (in dim
-        1 without the component axis), component products, per-bath terms,
-        noise terms, increments, the per-bath factors, and the running
-        total's rows and cumulative sums."""
-        views = self._blocks.get(steps)
-        if views is None:
-            pre, post = self.p_pre[:steps], self.p_post[:steps]
-            prod = None if self.prod is None else self.prod[:steps]
-            if prod is None:
-                pre, post = pre[:, :, 0], post[:, :, 0]
-            rows, cumsum = self.rows[:steps + 1], self.cumsum[:steps + 1]
-            views = self._blocks[steps] = (
-                pre, post, prod, self.u[:steps], self.v[:steps], self.quad[:steps], rows[1:],
-                tuple(self.factors[:, :steps]), (rows[0], rows, cumsum, cumsum[-1]))
-        return views
-
-    @staticmethod
-    def _dot(x, y, out, prod) -> None:
-        """The component sum of ``x * y`` over (steps, baths, dim, members)
-        arrays, into the (steps, baths, members) ``out``; without ``prod``
-        (dim 1) the one product of the component-free views."""
-        if prod is None:
-            np.multiply(x, y, out)
-        else:
-            _sum(np.multiply(x, y, prod), 2, out)
-
-    def add_budget(self, draws, gamma_acc: np.ndarray, m_acc: np.ndarray) -> None:
-        """Add the (dGamma, dM) increments of the last ``len(draws)`` steps,
-        whose O-map endpoints fill the first slots, to the running totals.
-        The increments have the bits of the one-step formulas, and the
-        totals take them in step order, as one step at a time would."""
-        h, dot = self.h, self._dot
-        pre, post, prod, u, v, quad, incr, (gamma, amp, power), rows = self._block(len(draws))
-        if prod is None:
-            draws = draws[:, :, 0]
-        # Each update passes one view as operand and out, keeping the
-        # operand order of ``u += v``, ``u *= c`` and the like.
-        # dGamma = h sum_b gamma_b (|p_pre|^2 + |p_post|^2) / 2
-        dot(pre, pre, u, prod)
-        dot(post, post, v, prod)
-        np.add(u, v, u)
-        np.multiply(u, _HALF, u)
-        np.multiply(u, gamma, u)
-        _sum(u, 1, incr)
-        np.multiply(incr, h, incr)
-        _add_in_order(gamma_acc, *rows)
-        # dM = sqrt(h) sum_b amp_b xi.p_pre + h sum_b power_b (|xi|^2 - n)
-        dot(pre, draws, u, prod)
-        np.multiply(u, amp, u)
-        _sum(u, 1, incr)
-        np.multiply(incr, self.sqrt_h, incr)
-        dot(draws, draws, v, prod)
-        np.subtract(v, self.n, v)
-        np.multiply(v, power, v)
-        _sum(v, 1, quad)
-        np.multiply(quad, h, quad)
-        np.add(incr, quad, incr)
-        _add_in_order(m_acc, *rows)
-
-
-def _add_in_order(total: np.ndarray, first: np.ndarray, rows: np.ndarray,
-                  cumsum: np.ndarray, last: np.ndarray) -> None:
-    """``total += rows[k]`` for k = 1, 2, ... in one call, over a
-    C-contiguous (steps + 1, members) ``rows`` whose row 0, ``first``, is
-    overwritten.  Reducing the leading axis adds whole rows one at a time
-    when there is more than one member; a single column would be summed
-    pairwise, so one member takes the cumulative sum into ``cumsum``, whose
-    last row is ``last``, which is sequential whatever the layout.  Either
-    way the bits are those of the one-at-a-time sums."""
-    first[...] = total
-    if total.shape[0] > 1:
-        np.add.reduce(rows, 0, None, total)
-    else:
-        np.add.accumulate(rows, 0, None, cumsum)
-        total[...] = last
 
 
 def integrate(
@@ -811,6 +628,23 @@ class PrecomputedNoise:
         return out
 
 
+def _add_in_order(total: np.ndarray, first: np.ndarray, rows: np.ndarray,
+                  cumsum: np.ndarray, last: np.ndarray) -> None:
+    """``total += rows[k]`` for k = 1, 2, ... in one call, over a
+    C-contiguous (steps + 1, members) ``rows`` whose row 0, ``first``, is
+    overwritten.  Reducing the leading axis adds whole rows one at a time
+    when there is more than one member; a single column would be summed
+    pairwise, so one member takes the cumulative sum into ``cumsum``, whose
+    last row is ``last``, which is sequential whatever the layout.  Either
+    way the bits are those of the one-at-a-time sums."""
+    first[...] = total
+    if total.shape[0] > 1:
+        np.add.reduce(rows, 0, None, total)
+    else:
+        np.add.accumulate(rows, 0, None, cumsum)
+        total[...] = last
+
+
 class BatchIntegrator:
     """March an ensemble of independent trajectories in lockstep.
 
@@ -833,9 +667,19 @@ class BatchIntegrator:
     and the step skips their increments; the path, energies and crossings
     are the same bits.
 
-    Construction is step 0's read: it observes the start for blowups and
-    band crossings, and ``H0`` and ``energies`` (the last read's (H, Hc,
-    Hi), replaced at every record) hold the start's energies.
+    Construction binds the run's plans to the member-minor state arrays,
+    and is step 0's read.  The force plan, the read plan and the
+    B-A-O-A-B step, with its work arrays, O-map slots, budget block and
+    scalar factors, are sized from the member count alone, so every run
+    steps the same plan.  Only the noise chunk and its tile are sized from
+    the run length and allocated per run, in :meth:`_advance`: allocated
+    at construction instead, at their full size, they raised the peak RSS
+    of the benchmark's 4096-member ensemble (``ensemble-oracle``) from
+    104.6 to 118.6 MB.
+    The read observes the start for blowups and band crossings, and ``H0``
+    and ``energies`` (the last read's (H, Hc, Hi), replaced at every
+    record) hold the start's energies.  A non-finite start is reported
+    through ``blown``, as in a run, not as a numpy warning.
 
     States go in and come out as (members, vertices, dim) arrays: ``p``,
     ``q`` and the arrays handed to ``on_record`` are member-major copies.
@@ -856,39 +700,99 @@ class BatchIntegrator:
     ):
         if not (h > 0):
             raise ValueError("h must be > 0")
-        self.kern = _Kernel(model)
+        self.kern = kern = _Kernel(model)
         self.h = h
         p0 = np.asarray(p0, dtype=float)
         q0 = np.asarray(q0, dtype=float)
         if p0.ndim != 3 or p0.shape != q0.shape:
             raise ValueError("batch states must be (members, vertices, dim)")
-        self.m = p0.shape[0]
-        if len(streams) != self.m:
+        self.m = m = p0.shape[0]
+        if m < 1:
+            raise ValueError("need at least one ensemble member")
+        if len(streams) != m:
             raise ValueError("need one stream per ensemble member")
         self.streams = list(streams)
-        self._p = p0.transpose(1, 2, 0).copy()
+        self._p = p = p0.transpose(1, 2, 0).copy()
         self._q = q0.transpose(1, 2, 0).copy()
-        # The force and read plans, bound to the state arrays for the
-        # integrator's lifetime.
-        self.F = np.empty_like(self._q)
-        self._forces = self.kern.bind_forces(self._q, self.F)
-        _run(self._forces)
-        self._read = _Read(self.kern, self._p, self._q)
-        self.gamma_acc = np.zeros(self.m) if budget else None
-        self.m_acc = np.zeros(self.m) if budget else None
+        self.gamma_acc = np.zeros(m) if budget else None
+        self.m_acc = np.zeros(m) if budget else None
         if thresholds is not None:
             thresholds = tuple(np.asarray(t, dtype=float) for t in thresholds)
-            if any(t.shape not in ((), (self.m,)) for t in thresholds):
+            if any(t.shape not in ((), (m,)) for t in thresholds):
                 raise ValueError("thresholds must be numbers or one value per member")
         self.thresholds = thresholds
-        self.first_low = np.full(self.m, -1, dtype=int)
-        self.first_high = np.full(self.m, -1, dtype=int)
-        self.blown = np.zeros(self.m, dtype=bool)
-        # Step 0's read.
-        self.energies = self._read()
-        self.H0 = self.energies[0]
-        self._ceiling = BLOWUP_ENERGY_FACTOR * np.maximum(np.abs(self.H0), 1.0)
-        self._observe(0, self.H0)
+        self.first_low = np.full(m, -1, dtype=int)
+        self.first_high = np.full(m, -1, dtype=int)
+        self.blown = np.zeros(m, dtype=bool)
+
+        # The force and read plans.
+        self.F = np.empty_like(self._q)
+        self._forces = kern.bind_forces(self._q, self.F)
+        self._read = _Read(kern, p, self._q)
+        # The step's scalar operands, work arrays and half-kick ``half * F``
+        # (the closing kick of one step is the opening kick of the next).
+        nb, n = len(kern.bath_idx), kern.n
+        self._half = _scalar(0.5 * h)
+        self._kick = np.empty_like(self.F)
+        self._work = np.empty_like(self.F)
+        # The O map's per-bath factors, as (baths, dim, 1) arrays against
+        # (baths, dim, members) momenta, and its two terms.  With one
+        # member they have the shape of the other operands; numpy takes a
+        # broadcast operand through its general iterator, about 0.5 us
+        # more per call on a small array.
+        gamma, temp = kern.bath_gamma, kern.bath_temp
+        a = np.exp(-gamma * h)
+        b = np.sqrt(temp * (1.0 - a * a))
+        self._a, self._b = (np.repeat(c[:, None, None], n, axis=1) for c in (a, b))
+        self._decay, self._noise = np.empty((nb, n, m)), np.empty((nb, n, m))
+        # O-map endpoint momenta of the steps of one budget block, and the
+        # per-slot views the step writes.  The O map copies the bath rows
+        # into a slot with "clip", which writes straight into out (the
+        # indices are in range), and copies the result back into their
+        # view, or through the index array when they are no slice.  A run
+        # without a budget whose bath rows are a slice keeps no endpoints:
+        # its one slot is that view, and the map writes it.
+        self._budget = nb > 0 and budget
+        block = max(1, min(NOISE_CHUNK, _BUDGET_BLOCK // m)) if self._budget else 1
+        self._block_steps = block
+        self._p_pre = np.empty((block, nb, n, m))
+        self._p_post = np.empty((block, nb, n, m))
+        self._bath_idx = kern.bath_idx
+        sel = kern.bath_sel
+        self._copies = self._budget or not isinstance(sel, slice)
+        if self._copies:
+            self._slots = list(zip(self._p_pre, self._p_post))
+            self._set_baths = (partial(np.copyto, p[sel]) if isinstance(sel, slice)
+                               else partial(p.__setitem__, sel))
+        else:
+            self._slots = [(p[sel], p[sel])]
+        # The budget increments: their scalar and per-bath factors, the
+        # latter as (block, baths, 1) against (block, baths, members)
+        # terms; per-bath terms (block, baths, members), their component
+        # products in dim > 1, and a running total followed by one
+        # increment per step (block + 1, members) with its cumulative sums.
+        self._h, self._sqrt_h, self._n = _scalar(h), _scalar(math.sqrt(h)), _scalar(n)
+        self._factors = np.repeat(
+            np.stack([gamma, np.sqrt(2.0 * gamma * temp), gamma * temp])[:, None, :, None],
+            block, axis=1)
+        self._u = np.empty((block, nb, m))
+        self._v = np.empty((block, nb, m))
+        self._prod = np.empty((block, nb, n, m)) if n > 1 else None
+        self._rows = np.empty((block + 1, m))
+        self._cumsum = np.empty((block + 1, m))
+        self._quad = np.empty((block, m))
+        self._blocks: dict[int, tuple] = {}
+
+        # Step 0: the start's forces, half-kick and read.  Overflow in a
+        # diverging member is reported through ``blown``, not as a numpy
+        # warning, here as in the stepping loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _run(self._forces)
+            np.multiply(self._half, self.F, self._kick)
+            self.energies = self._read()
+            self.H0 = self.energies[0]
+            self._ceiling = BLOWUP_ENERGY_FACTOR * np.maximum(np.abs(self.H0), 1.0)
+            self._observe(0, self.H0)
 
     @property
     def p(self) -> np.ndarray:
@@ -922,6 +826,96 @@ class BatchIntegrator:
             self.first_low[newly_low] = step
             self.first_high[newly_high] = step
 
+    def _step(self, draws, slot: int) -> None:
+        """One B-A-O-A-B step in place: p and q advance, F becomes the force
+        at the new q, and the O map's endpoint momenta go to budget slot
+        ``slot``.  Each call is one arithmetic ufunc call with a positional
+        ``out`` on the bound arrays, in the operand order of the plain
+        expressions, so the bits are those of ``p += (0.5 * h) * F`` and
+        the like.  Without bath vertices (``draws`` None) the O map is the
+        identity and is skipped, so the step is velocity Verlet, and the
+        second drift reuses the first one's ``(h/2) p``."""
+        p, q, work, half, kick = self._p, self._q, self._work, self._half, self._kick
+        np.add(p, kick, p)
+        np.multiply(half, p, work)
+        np.add(q, work, q)
+        if draws is not None:
+            pre, post = self._slots[slot]
+            if self._copies:
+                p.take(self._bath_idx, 0, pre, "clip")
+            np.multiply(self._a, pre, self._decay)
+            np.multiply(self._b, draws, self._noise)
+            np.add(self._decay, self._noise, post)
+            if self._copies:
+                self._set_baths(post)
+            np.multiply(half, p, work)
+        np.add(q, work, q)
+        for fn, args in self._forces:
+            fn(*args)
+        np.multiply(half, self.F, kick)
+        np.add(p, kick, p)
+
+    def _block(self, steps: int) -> tuple:
+        """The views of a budget block of ``steps`` steps: O-map endpoints
+        (in dim 1 without the component axis), component products, per-bath
+        terms, noise terms, increments, the per-bath factors, and the
+        running total's rows and cumulative sums."""
+        views = self._blocks.get(steps)
+        if views is None:
+            pre, post = self._p_pre[:steps], self._p_post[:steps]
+            prod = None if self._prod is None else self._prod[:steps]
+            if prod is None:
+                pre, post = pre[:, :, 0], post[:, :, 0]
+            rows, cumsum = self._rows[:steps + 1], self._cumsum[:steps + 1]
+            views = self._blocks[steps] = (
+                pre, post, prod, self._u[:steps], self._v[:steps], self._quad[:steps], rows[1:],
+                tuple(self._factors[:, :steps]), (rows[0], rows, cumsum, cumsum[-1]))
+        return views
+
+    @staticmethod
+    def _dot(x, y, out, prod) -> None:
+        """The component sum of ``x * y`` over (steps, baths, dim, members)
+        arrays, into the (steps, baths, members) ``out``; without ``prod``
+        (dim 1) the one product of the component-free views."""
+        if prod is None:
+            np.multiply(x, y, out)
+        else:
+            _sum(np.multiply(x, y, prod), 2, out)
+
+    def _add_budget(self, draws) -> None:
+        """Add the (dGamma, dM) increments of the last ``len(draws)`` steps,
+        whose O-map endpoints fill the first slots, to ``gamma_acc`` and
+        ``m_acc``.  The increments have the bits of the one-step formulas,
+        and the totals take them in step order, as one step at a time
+        would."""
+        h, dot = self._h, self._dot
+        pre, post, prod, u, v, quad, incr, (gamma, amp, power), rows = self._block(len(draws))
+        if prod is None:
+            draws = draws[:, :, 0]
+        # Each update passes one view as operand and out, keeping the
+        # operand order of ``u += v``, ``u *= c`` and the like.
+        # dGamma = h sum_b gamma_b (|p_pre|^2 + |p_post|^2) / 2
+        dot(pre, pre, u, prod)
+        dot(post, post, v, prod)
+        np.add(u, v, u)
+        np.multiply(u, _HALF, u)
+        np.multiply(u, gamma, u)
+        _sum(u, 1, incr)
+        np.multiply(incr, h, incr)
+        _add_in_order(self.gamma_acc, *rows)
+        # dM = sqrt(h) sum_b amp_b xi.p_pre + h sum_b power_b (|xi|^2 - n)
+        dot(pre, draws, u, prod)
+        np.multiply(u, amp, u)
+        _sum(u, 1, incr)
+        np.multiply(incr, self._sqrt_h, incr)
+        dot(draws, draws, v, prod)
+        np.subtract(v, self._n, v)
+        np.multiply(v, power, v)
+        _sum(v, 1, quad)
+        np.multiply(quad, h, quad)
+        np.add(incr, quad, incr)
+        _add_in_order(self.m_acc, *rows)
+
     def run(self, n_steps: int, record_stride: int = 1, on_record=None) -> None:
         """Advance ``n_steps``, firing ``on_record(step, H, Hc, Hi, p, q)``
         as :meth:`_advance` does: at the record stride and at the last
@@ -942,21 +936,18 @@ class BatchIntegrator:
         return ends the run.
         ``on_step(step, q)``, for one member, fires after every step with
         a (vertices, dim) view of its positions."""
-        kern, q = self.kern, self._q
-        nb = len(kern.bath_idx)
-        budget = nb > 0 and self.gamma_acc is not None
+        nb, n = len(self.kern.bath_idx), self.kern.n
+        budget, block, step_once = self._budget, self._block_steps, self._step
         # One step-major noise chunk, refilled every chunk_steps steps:
         # step k's draws are the contiguous (baths, dim, members) view buf[k].
         chunk_steps = min(NOISE_CHUNK, n_steps, max(1, _NOISE_MEMBER_STEPS // self.m))
-        block = max(1, min(chunk_steps, _BUDGET_BLOCK // self.m)) if budget else 1
-        step_once = _Step(kern, self.h, self._p, q, self.F, self._forces, block, budget)
         if nb:
-            buf = np.empty((chunk_steps, nb, kern.n, self.m))
-            tile = np.empty((min(_NOISE_TILE, self.m), chunk_steps, nb, kern.n))
+            buf = np.empty((chunk_steps, nb, n, self.m))
+            tile = np.empty((min(_NOISE_TILE, self.m), chunk_steps, nb, n))
             draws = list(buf)
         else:
             draws = [None] * chunk_steps
-        path_q = q[..., 0]
+        path_q = self._q[..., 0]
         done = 0
         # Overflow in a diverging member is reported through ``blown``, not
         # as a numpy warning.
@@ -973,8 +964,7 @@ class BatchIntegrator:
                     if budget:
                         filled += 1
                         if filled == block or read or k == count - 1:
-                            step_once.add_budget(buf[k + 1 - filled:k + 1],
-                                                 self.gamma_acc, self.m_acc)
+                            self._add_budget(buf[k + 1 - filled:k + 1])
                             filled = 0
                     if on_step is not None:
                         on_step(step, path_q)

@@ -28,13 +28,15 @@ value (an ``out`` of shape ``x.shape[:-1]``) when :func:`_run` runs them.
 A plan holds every temporary buffer and every scalar operand, the latter
 as read-only 0-d arrays (:func:`_scalar`), and reads ``x`` and writes
 ``out`` as given, so it can be bound once to an integrator's arrays and
-run at every step.  ``out`` must be C-contiguous and share no memory with
-``x``; ``x`` may be a strided view.  A call writes a buffer it reads
-only where that buffer holds more than one entry per point (a
-``Quadratic`` adding up its columns): an in-place call on a one-element
-array costs numpy about twice as much.  The public
-``gradient(x, out=None)`` and ``value(x)`` are one run of a freshly bound
-plan, so each family writes each formula once, with no second path.
+run at every step.  ``x`` may be a strided view; ``out`` shares no memory
+with ``x`` and is C-contiguous, which every binder's own allocation is and
+no plan checks (a ``LocalPiece`` gradient writes it through a flat view).
+A call writes a buffer it reads only where that buffer holds more than one
+entry per point (a ``Quadratic`` adding up its columns): an in-place call
+on a one-element array costs numpy about twice as much.  The public
+``gradient(x)`` and ``value(x)`` are one run of a freshly bound plan into
+a new array, so each family writes each formula once, with no second
+path.
 
 Every sum over components or terms reads a C-contiguous buffer, so each
 point gets the bits of the plain expression on a C-contiguous ``x``
@@ -107,13 +109,11 @@ def _as_points(x, dim: int) -> np.ndarray:
     return x
 
 
-def _gradient(spec, x, out=None) -> np.ndarray:
-    """The gradient at ``x``, one run of ``spec.bind_gradient``.  Without
-    ``out`` the points are checked and the gradient is a new array; with
-    it both are used as given."""
-    if out is None:
-        x = _as_points(x, spec.dim)
-        out = np.empty(x.shape)
+def _gradient(spec, x) -> np.ndarray:
+    """The gradient at ``x``, one run of ``spec.bind_gradient``: an array
+    of the shape of ``x``."""
+    x = _as_points(x, spec.dim)
+    out = np.empty(x.shape)
     _run(spec.bind_gradient(x, out))
     return out
 
@@ -127,25 +127,13 @@ def _value(spec, x) -> np.ndarray:
     return out[()]
 
 
-def _bind_reduce(ufunc, a: np.ndarray, out: np.ndarray) -> tuple:
-    """``ufunc.reduce`` over the last axis of the C-contiguous ``a`` into
-    the C-contiguous ``out``, of the shape of ``a`` without that axis or
-    with it as 1, as one call on a 2-d view of ``a`` and a flat view of
-    ``out``: the same order on every row, and numpy's reduction costs less
-    on fewer axes (1.14 against 1.37 us a call on the 5-d table of a
-    ``LocalPiece`` gradient at one point).  Both must be C-contiguous, so
-    that these reshapes are views; otherwise raises ValueError."""
-    if not (a.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError("a bound reduction reads and writes C-contiguous arrays")
-    return (ufunc.reduce, (a.reshape(-1, a.shape[-1]), -1, None, out.reshape(-1)))
-
-
 def _bind_squared_norm(x: np.ndarray, squares: np.ndarray, s: np.ndarray) -> list:
     """``|x|^2`` over the last axis into ``s``, of shape ``x.shape[:-1]``
     or (keeping the axis) ``x.shape[:-1] + (1,)``, summed from the squares
     written into the C-contiguous ``squares``: the order of
     ``np.add.reduce(x * x, axis=-1)`` on a C-contiguous ``x``."""
-    return [(np.multiply, (x, x, squares)), _bind_reduce(np.add, squares, s)]
+    return [(np.multiply, (x, x, squares)),
+            (np.add.reduce, (squares, -1, None, s, s.ndim == squares.ndim))]
 
 
 @dataclass(frozen=True)
@@ -279,7 +267,7 @@ class Quadratic:
         Kx, xKx, s = np.empty(x.shape), np.empty(x.shape), np.empty(out.shape)
         return [(np.matmul, (x, self.matrix.T, Kx)),
                 (np.multiply, (x, Kx, xKx)),
-                _bind_reduce(np.add, xKx, s),
+                (np.add.reduce, (xKx, -1, None, s)),
                 (np.multiply, (_HALF, s, out))]
 
     @cached_property
@@ -365,31 +353,37 @@ class LocalPiece:
             reduced[j, :, j] = np.maximum(exps[:, j] - 1.0, 0.0)
         return exps, coeffs, reduced, coeffs * exps.T
 
-    def _bind_terms(self, x, exps, factors, terms) -> list:
-        """The monomials ``prod_i x_i^exps[..., i] * factors`` into
-        ``terms``: one power call writes a product buffer whose trailing
-        column holds the factors, so one product reduction takes
-        ``((x^a * y^b) * z^c) * factor``, the order of the product followed
-        by the factor."""
-        table = np.empty(terms.shape + (self.dim + 1,))
-        table[..., self.dim] = factors
-        return [(np.power, (x, exps, table[..., :self.dim])),
-                _bind_reduce(np.multiply, table, terms)]
+    def _bind_terms(self, x, exps, factors) -> tuple[list, np.ndarray]:
+        """The monomials ``prod_i x_i^exps[..., i] * factors`` at the
+        points ``x``, broadcast against ``exps``, as a plan and the 2-d
+        (points, terms) buffer it writes.  One power call fills a product
+        table whose trailing column holds the factors, so one product
+        reduction takes ``((x^a * y^b) * z^c) * factor``, the order of the
+        product followed by the factor.  The table and the terms are
+        allocated 2-d and written through N-d views: numpy reduces a 2-d
+        array faster than the same rows in more axes."""
+        shape = np.broadcast_shapes(x.shape[:-1], factors.shape)
+        table = np.empty((math.prod(shape), self.dim + 1))
+        rows = table.reshape(shape + (self.dim + 1,))
+        rows[..., self.dim] = factors
+        terms = np.empty((math.prod(shape[:-1]), shape[-1]))
+        return [(np.power, (x, exps, rows[..., :self.dim])),
+                (np.multiply.reduce, (table, -1, None, terms.reshape(-1)))], terms
 
     def bind_value(self, x, out) -> list:
         # sum_t prod_i x_i^e_ti * c_t + offset
         exps, coeffs, _, _ = self._tables
-        terms, total = np.empty(out.shape + coeffs.shape), np.empty(out.shape)
-        return self._bind_terms(x[..., None, :], exps, coeffs, terms) + [
-            _bind_reduce(np.add, terms, total),
-            (np.add, (total, _scalar(self.offset), out))]
+        calls, terms = self._bind_terms(x[..., None, :], exps, coeffs)
+        total = np.empty(out.shape)
+        return calls + [(np.add.reduce, (terms, -1, None, total.reshape(-1))),
+                        (np.add, (total, _scalar(self.offset), out))]
 
     def bind_gradient(self, x, out) -> list:
-        # sum_t prod_i x_i^reduced_jti * slope_jt along each x_j
+        # sum_t prod_i x_i^reduced_jti * slope_jt along each x_j; out is
+        # C-contiguous, so its flat reshape is a view.
         _, _, reduced, slopes = self._tables
-        terms = np.empty(x.shape + slopes.shape[1:])
-        return self._bind_terms(x[..., None, None, :], reduced, slopes, terms) + [
-            _bind_reduce(np.add, terms, out)]
+        calls, terms = self._bind_terms(x[..., None, None, :], reduced, slopes)
+        return calls + [(np.add.reduce, (terms, -1, None, out.reshape(-1)))]
 
     def _top(self) -> "LocalPiece":
         top = self.degree

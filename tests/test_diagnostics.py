@@ -211,6 +211,21 @@ def test_drift_estimate_rejects_bad_arguments(theta, t_star, ensemble, start_ene
         drift_estimate(m, z0, theta, t_star, ensemble, seed=40)
 
 
+def test_standard_errors_need_two_replicas():
+    # The standard error of one replica's value is std(ddof=1) of one
+    # number: a warning and a NaN, so one replica is refused up front.
+    m = chain_model(3, 1, temperatures=(1.0, 2.0))
+    with pytest.raises(ValueError, match="replicas >= 2"):
+        stationary_moment_test(m, burn_in=1.0, n_samples=10, h=0.01, seed=1, replicas=1)
+    with pytest.raises(ValueError, match="ensemble >= 2"):
+        observable_decay_fit(m, "p2:0", State.zero(3, 1), horizon=1.0, ensemble=1, seed=1)
+
+
+def test_run_ensemble_of_zero_members_is_rejected():
+    with pytest.raises(ValueError, match="at least one ensemble member"):
+        run_ensemble(chain_model(3, 1), np.zeros((0, 3, 1)), np.zeros((0, 3, 1)), 0.01, 10, seed=1)
+
+
 def test_energy_scans_need_common_degrees():
     base = chain_model(3, 1, pinning=SoftPower(degree=4, dim=1),
                        interaction=SoftPower(degree=4, dim=1))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,12 +76,12 @@ def full_matrix_family(name, rng, dim):
 
 
 # A random topology of up to 8 vertices in dim 1-3, with one pinning and
-# one interaction spec drawn from the families.
+# one interaction spec drawn from the families and the polynomial piece.
 random_kernel_case = given(
     seed=st.integers(0, 2 ** 32 - 1),
     dim=st.integers(1, 3),
-    pinning=st.sampled_from(sorted(FAMILIES)),
-    interaction=st.sampled_from(sorted(FAMILIES)),
+    pinning=st.sampled_from(sorted(FAMILIES) + ["local"]),
+    interaction=st.sampled_from(sorted(FAMILIES) + ["local"]),
 )
 
 
@@ -448,6 +449,9 @@ def reference_run(model, p, q, h, streams, n_steps, record_stride):
 @example(topo_seed=32, dim=1, pinning="softpower", interaction="evenpower", seed=7)
 # Polynomial pins and springs like the c4 model's.
 @example(topo_seed=3, dim=3, pinning="local", interaction="local", seed=8)
+# One bath vertex in dim 1: at one member the O map's slot is a
+# one-element array, and without a budget it is the bath row itself.
+@example(topo_seed=6, dim=1, pinning="quadratic", interaction="quadratic", seed=9)
 def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinning,
                                                           interaction, seed):
     rng = np.random.default_rng(topo_seed)
@@ -482,6 +486,10 @@ def test_member_minor_kernel_matches_member_major_reference(topo_seed, dim, pinn
         assert len(records) == len(ref_records)
         for (_step, H, _Hc, _Hi, rec_p, rec_q), (ref_H, _, _) in zip(records, ref_records):
             assert same_bits(H, ref_H) and rec_p.shape == rec_q.shape == (members, N, dim)
+        quiet = BatchIntegrator(model, p0[:members], q0[:members], h,
+                                [seed_stream(seed, i) for i in range(members)], budget=False)
+        quiet.run(n_steps, record_stride=stride)
+        assert same_bits(quiet.p, p) and same_bits(quiet.q, q)
 
 
 def test_one_step_integrate_with_baths_is_one_reference_step_bitwise():
@@ -654,11 +662,32 @@ def test_thresholds_of_another_shape_are_rejected(thresholds):
                         [seed_stream(1, i) for i in range(3)], thresholds=thresholds)
 
 
+def test_non_finite_start_is_blown_without_a_warning():
+    # Step 0's forces, half-kick and read run under the stepping loop's
+    # error state: a member started at p = inf is blown, and the finite
+    # member beside it keeps the bits of a batch of its own.
+    model = chain_model(3, 1, temperatures=(1.0, 2.0))
+    rng = np.random.default_rng(4)
+    p0, q0 = rng.standard_normal((2, 3, 1)), rng.standard_normal((2, 3, 1))
+    p0[0, 1, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bi = BatchIntegrator(model, p0, q0, 0.01, [seed_stream(1, i) for i in range(2)])
+    alone = BatchIntegrator(model, p0[1:], q0[1:], 0.01, [seed_stream(1, 1)])
+    assert bi.blown.tolist() == [True, False]
+    assert same_bits(bi.H0[1:], alone.H0)
+
+
+def test_zero_members_are_rejected():
+    with pytest.raises(ValueError, match="at least one ensemble member"):
+        BatchIntegrator(chain_model(3, 1), np.zeros((0, 3, 1)), np.zeros((0, 3, 1)), 0.01, [])
+
+
 @pytest.mark.parametrize("with_baths", [True, False])
 def test_consecutive_runs_continue_one_path_bitwise(with_baths):
     # run(a) then run(b) equals run(a + b), with a + b crossing a noise
-    # chunk refill: every run starts a new step object, which must open
-    # with the half-kick of the force the previous run left behind.
+    # chunk refill: every run draws a new noise chunk, and its first step
+    # opens with the half-kick of the force the previous run left behind.
     # Without baths the step is velocity Verlet.
     model = chain_model(4, 2, interaction=SoftPower(degree=3.0, dim=2), temperatures=(1.0, 2.0))
     if not with_baths:
