@@ -549,3 +549,18 @@ def test_bound_plans_keep_the_bits_of_the_plain_expressions(spec, members):
             _run(spec.bind_value(x, out))
             assert same_bits(out, want)
             assert same_bits(spec.value(x), want)
+
+
+@pytest.mark.parametrize("spec", pinned_specs(), ids=repr)
+def test_strided_points_get_a_fresh_c_contiguous_result(spec):
+    # No plan checks that ``out`` is C-contiguous (a ``LocalPiece``
+    # gradient writes it through a flat view): the public calls must
+    # allocate it so for any ``x``, here one member of a strided
+    # (points, dim, members) block, and share no memory with ``x``.
+    x = member_minor_points(spec.dim, 3, seed=5)[:, :, 1]
+    assert not x.flags.c_contiguous
+    with np.errstate(all="ignore"):
+        for got, want in ((spec.gradient(x), reference_gradient(spec, x.copy())),
+                          (spec.value(x), reference_value(spec, x.copy()))):
+            assert got.flags.c_contiguous and not np.shares_memory(got, x)
+            assert same_bits(got, want)
